@@ -29,7 +29,16 @@ check:
 	$(MAKE) stress-chaos
 	$(MAKE) stress-fleet
 	$(MAKE) stress-sample
+	$(MAKE) stress-detect
 	$(MAKE) bench-smoke
+	$(MAKE) bench-check
+
+# The benchmark is its own Go module (bench/go.mod), so the root module's
+# vet and test runs above never reach it: vet it and run its schema, smoke
+# and digest tests from inside.
+.PHONY: bench-check
+bench-check:
+	cd bench && go vet ./... && go test ./...
 
 # Cancellation paths are the raciest part of the lifecycle: a cancel can
 # land while workers are mid-injection, mid-merge, or not yet started.

@@ -513,6 +513,13 @@ type campaignRunner struct {
 	// campaignScratch). One per runner — a runner is single-threaded, and
 	// parallel workers each own a runner.
 	scratch *campaignScratch
+
+	// prefix is the clean-prefix memo injected passes start from (nil when
+	// reuse is off; see campaign_prefix.go). prefixRows are its
+	// MetricCampaignPrefixRows counters by outcome (nil without
+	// cfg.Metrics).
+	prefix     *prefixMemo
+	prefixRows [3]*telemetry.Counter
 }
 
 // campaignArena pools the float32 buffers backing batched campaign inputs,
@@ -798,6 +805,7 @@ func (s *Simulator) newRunner(ctx context.Context, cfg CampaignConfig) (*campaig
 	}
 	if cfg.Metrics != nil {
 		r.timing = layerTimingHooks(cfg.Metrics)
+		r.prefixRows = prefixRowCounters(cfg.Metrics)
 	}
 	r.backup = inject.BackupWeights(s.model)
 	// Any early exit below must restore the weights it may have quantized.
@@ -879,6 +887,7 @@ func (s *Simulator) newRunner(ctx context.Context, cfg CampaignConfig) (*campaig
 	// Allocated last so the fail() paths above never strand a pooled
 	// buffer; close() returns it to the arena.
 	r.scratch = newCampaignScratch(pool.X, r.batch, g.flips)
+	r.prefix = r.newPrefixMemo()
 	return r, nil
 }
 
@@ -958,6 +967,7 @@ func (r *campaignRunner) detectorBaseline() map[string]metrics.DetectorStats {
 func (r *campaignRunner) close() {
 	r.backup.Restore()
 	r.scratch.release()
+	r.prefix.release()
 }
 
 // baseHooks assembles the serial-pass emulation hooks from the campaign's
@@ -1089,8 +1099,8 @@ func (r *campaignRunner) runOne(faults []inject.Fault, sample int) (out Injectio
 		hooks.Merge(r.pipeline.Arm(rec))
 	}
 
-	x := r.pool.X.Slice(sample, sample+1)
-	logits := nn.Forward(nn.NewContext(r.withTiming(hooks)), r.sim.model, x)
+	pass := r.groupPass([]int{sample}, false, func() *tensor.Tensor { return r.pool.X.Slice(sample, sample+1) })
+	logits := pass(hooks)
 
 	// Re-execution without the transient fault, shared by legacy
 	// MeasureDMR, the pipeline's DMR comparator, and RecoverReexecute.
@@ -1107,7 +1117,7 @@ func (r *campaignRunner) runOne(faults []inject.Fault, sample int) (out Injectio
 			// the clean duplicate are discarded.
 			redo.Merge(r.pipeline.Arm(detect.NewRecorder(1)))
 		}
-		return nn.Forward(nn.NewContext(r.withTiming(redo)), r.sim.model, x)
+		return pass(redo)
 	}
 	if cfg.MeasureDMR || (r.pipeline != nil && r.pipeline.NeedsRerun()) {
 		again = runRedo()
@@ -1213,7 +1223,7 @@ func (r *campaignRunner) tryRunBatch(faultsets [][]inject.Fault, samples []int, 
 	}()
 	cfg := r.cfg
 	rows := len(samples)
-	xb := r.scratch.gather(r.pool.X, samples)
+	pass := r.groupPass(samples, true, func() *tensor.Tensor { return r.scratch.gather(r.pool.X, samples) })
 	yb := r.scratch.yb[:rows]
 	for k, s := range samples {
 		yb[k] = r.pool.Y[s]
@@ -1244,7 +1254,7 @@ func (r *campaignRunner) tryRunBatch(faultsets [][]inject.Fault, samples []int, 
 		rec = detect.NewRecorder(rows)
 		hooks.Merge(r.pipeline.Arm(rec))
 	}
-	logits := nn.Forward(nn.NewContext(r.withTiming(hooks)), r.sim.model, xb)
+	logits := pass(hooks)
 	var again *tensor.Tensor
 	runRedo := func() *tensor.Tensor {
 		redo := r.batchHooks()
@@ -1254,7 +1264,7 @@ func (r *campaignRunner) tryRunBatch(faultsets [][]inject.Fault, samples []int, 
 		if r.pipeline != nil {
 			redo.Merge(r.pipeline.Arm(detect.NewRecorder(rows)))
 		}
-		return nn.Forward(nn.NewContext(r.withTiming(redo)), r.sim.model, xb)
+		return pass(redo)
 	}
 	if cfg.MeasureDMR || (r.pipeline != nil && r.pipeline.NeedsRerun()) {
 		again = runRedo()

@@ -10,6 +10,7 @@ import (
 	"goldeneye/internal/inject"
 	"goldeneye/internal/nn"
 	"goldeneye/internal/numfmt"
+	"goldeneye/internal/zoo"
 )
 
 // mixedAccumAssignment is the walkthrough configuration of the docs:
@@ -67,6 +68,70 @@ func TestAccumCampaignBitIdenticalAcrossPaths(t *testing.T) {
 		if a.Fault != b.Fault || a.Sample != b.Sample || a.Mismatch != b.Mismatch || a.DeltaLoss != b.DeltaLoss {
 			t.Fatalf("accum parallel trace diverges at %d: %+v vs %+v", i, a, b)
 		}
+	}
+}
+
+// A transformer's token-level linears see (N·T, D) inputs, so a fault drawn
+// over a sample's whole T·out output must land in that sample's token row.
+// Accumulator campaigns on every block-0 linear of vit_tiny run without a
+// single abort, and serial, batched and parallel runs agree bit for bit.
+func TestAccumCampaignTokenLinears(t *testing.T) {
+	sim, pool := loadSim(t, "vit_tiny")
+	x, y := pool.subset(8)
+	build := func() (*goldeneye.Simulator, error) {
+		m, ds, err := zoo.Pretrained("vit_tiny")
+		if err != nil {
+			return nil, err
+		}
+		return goldeneye.NewSimulator(m, ds.ValX.Slice(0, 1))
+	}
+	linears := 0
+	for _, l := range sim.Layers() {
+		if l.Kind != nn.KindLinear || !strings.Contains(l.Name, ".blk0.") {
+			continue
+		}
+		linears++
+		cfg := goldeneye.CampaignConfig{
+			Format:         numfmt.FP16(true),
+			EmulateNetwork: true,
+			Site:           goldeneye.SiteAccum,
+			Target:         goldeneye.TargetNeuron,
+			Layer:          l.Index,
+			Injections:     13,
+			Seed:           uint64(l.Index),
+			Pool:           &goldeneye.EvalPool{X: x, Y: y},
+			KeepTrace:      true,
+		}
+		serial, err := sim.RunCampaign(context.Background(), cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", l.Name, err)
+		}
+		if serial.Aborted != 0 || serial.Injections != cfg.Injections {
+			t.Fatalf("%s: %d of %d injections aborted", l.Name, serial.Aborted, cfg.Injections)
+		}
+		bcfg := cfg
+		bcfg.BatchSize = 4
+		batched, err := sim.RunCampaign(context.Background(), bcfg)
+		if err != nil {
+			t.Fatalf("%s batched: %v", l.Name, err)
+		}
+		reportsIdentical(t, l.Name+" batched", batched, serial)
+		par, err := goldeneye.RunCampaignParallel(context.Background(), bcfg, 2, build)
+		if err != nil {
+			t.Fatalf("%s parallel: %v", l.Name, err)
+		}
+		if par.Injections != serial.Injections || par.Mismatches != serial.Mismatches || par.Aborted != 0 {
+			t.Fatalf("%s parallel aggregates diverge: %+v vs %+v", l.Name, par.CampaignResult, serial.CampaignResult)
+		}
+		for i := range serial.Trace {
+			a, b := par.Trace[i], serial.Trace[i]
+			if a.Fault != b.Fault || a.Sample != b.Sample || a.Mismatch != b.Mismatch || a.DeltaLoss != b.DeltaLoss {
+				t.Fatalf("%s parallel trace diverges at %d: %+v vs %+v", l.Name, i, a, b)
+			}
+		}
+	}
+	if linears != 4 {
+		t.Fatalf("found %d block-0 linears, want qkv, proj, fc1 and fc2", linears)
 	}
 }
 

@@ -76,6 +76,33 @@ func TestBatchedLoopBookkeepingAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("batched-loop bookkeeping allocates %.1f objects per group, want 0", allocs)
 	}
+
+	// The reuse path's bookkeeping: once every sample of a group has its
+	// cut, deciding where the group starts and gathering its suffix input
+	// allocate nothing (nor does the prefix-row telemetry, with no
+	// registry attached).
+	cfg.Layer = sim.InjectableLayers()[1]
+	reuse, err := sim.newRunner(context.Background(), cfg)
+	if err != nil {
+		t.Fatalf("newRunner: %v", err)
+	}
+	defer reuse.close()
+	if reuse.prefix == nil {
+		t.Fatal("a fault past top-level child 0 must get a prefix memo")
+	}
+	if !reuse.prefix.start(reuse, samples) {
+		t.Fatal("a fault-free prefix must let the group start at the cut")
+	}
+	reuse.prefix.gather(samples)
+	allocs = testing.AllocsPerRun(50, func() {
+		if !reuse.prefix.start(reuse, samples) {
+			t.Fatal("memoized group fell back to the full pass")
+		}
+		reuse.prefix.gather(samples)
+	})
+	if allocs != 0 {
+		t.Fatalf("reuse-path bookkeeping allocates %.1f objects per group, want 0", allocs)
+	}
 }
 
 // Runner scratch buffers must return to the shared arena on close, so the

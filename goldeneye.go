@@ -128,6 +128,19 @@ type Simulator struct {
 	sizes   map[int]int // layer index → output element count at batch 1
 	widx    inject.ModuleIndex
 	modules map[int]nn.Module // layer index → module, for structural detectors
+
+	// The block table, where campaigns cut injected passes (see
+	// prefixMemo). root is the model when it is a Sequential (nil
+	// otherwise); blockStart[i] is the visit index of top-level child i's
+	// first layer, and blockOf maps each layer index to the top-level child
+	// that runs it.
+	root       *nn.Sequential
+	blockStart []int
+	blockOf    map[int]int
+
+	// fullPassOnly is a test seam: it turns clean-prefix reuse off, so
+	// every injected pass starts at the network input.
+	fullPassOnly bool
 }
 
 // Wrap prepares model for simulation. sample provides the model's input
@@ -171,8 +184,25 @@ func NewSimulator(model nn.Module, sample *tensor.Tensor) (*Simulator, error) {
 		return t
 	})
 	ctx := nn.NewContext(hooks)
-	ctx.SetVisitor(func(m nn.Module, info nn.LayerInfo) { s.modules[info.Index] = m })
-	nn.Forward(ctx, model, sample)
+	block := 0
+	ctx.SetVisitor(func(m nn.Module, info nn.LayerInfo) {
+		s.modules[info.Index] = m
+		if s.root != nil {
+			s.blockOf[info.Index] = block
+		}
+	})
+	if seq, ok := model.(*nn.Sequential); ok {
+		// One child at a time, which numbers layers exactly as a full pass.
+		s.root, s.blockOf = seq, make(map[int]int)
+		x := sample
+		for i := range seq.Children() {
+			block = i
+			s.blockStart = append(s.blockStart, ctx.Visits())
+			x = nn.ForwardRange(ctx, seq, i, i+1, ctx.Visits(), x)
+		}
+	} else {
+		nn.Forward(ctx, model, sample)
+	}
 	s.widx = inject.IndexModules(model, s.layers)
 	return s, nil
 }

@@ -314,6 +314,32 @@ func TestRangeProfileClamps(t *testing.T) {
 	}
 }
 
+// ClampHook hands an in-range output back as is, without allocating; only a
+// tensor with a value to clamp is copied, and the input is left untouched.
+func TestClampHookAllocFreeInRange(t *testing.T) {
+	r := rng.New(8)
+	net := nn.NewSequential("net", nn.NewLinear("fc", 4, 4, r))
+	x := tensor.Randn(r, 1, 8, 4)
+	profile := ProfileRanges(context.Background(), net, x, 8, nil)
+	clamp := profile.ClampHook()
+	info := nn.LayerInfo{Name: "fc", Kind: nn.KindLinear, Index: 0}
+	y := nn.Forward(nil, net, x) // the profiled activations: in range by construction
+	if got := clamp(info, y); got != y {
+		t.Fatal("ClampHook copied an in-range tensor")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { clamp(info, y) }); allocs != 0 {
+		t.Fatalf("ClampHook allocates %.1f objects on an in-range tensor, want 0", allocs)
+	}
+
+	_, hi, _ := profile.Bounds(0)
+	bad := y.Clone()
+	bad.Data()[3] = float32(math.NaN())
+	got := clamp(info, bad)
+	if got == bad || got.Data()[3] != hi || !math.IsNaN(float64(bad.Data()[3])) {
+		t.Fatalf("out-of-range tensor: clamped %v into %v, want a copy holding %v", bad.Data()[3], got.Data()[3], hi)
+	}
+}
+
 func TestSiteTargetStrings(t *testing.T) {
 	if SiteValue.String() != "value" || SiteMetadata.String() != "metadata" {
 		t.Fatal("Site.String mismatch")

@@ -65,10 +65,12 @@ func (p *RangeProfile) Bounds(i int) (lo, hi float32, ok bool) {
 // ClampHook returns a post-forward hook that clamps every layer's output to
 // its profiled range and replaces non-finite values with the nearest bound.
 // Register it AFTER injection hooks so faults are detected, not prevented.
+// An output already within range is returned as is, without allocating;
+// only a tensor with something to clamp is copied.
 func (p *RangeProfile) ClampHook() nn.HookFunc {
 	return func(info nn.LayerInfo, t *tensor.Tensor) *tensor.Tensor {
 		lo, hi, ok := p.Bounds(info.Index)
-		if !ok {
+		if !ok || inRange(t.Data(), lo, hi) {
 			return t
 		}
 		out := t.Apply(func(v float32) float32 {
@@ -86,4 +88,15 @@ func (p *RangeProfile) ClampHook() nn.HookFunc {
 		})
 		return out
 	}
+}
+
+// inRange reports whether every value of data lies in [lo, hi]; NaN never
+// does.
+func inRange(data []float32, lo, hi float32) bool {
+	for _, v := range data {
+		if !(v >= lo && v <= hi) {
+			return false
+		}
+	}
+	return true
 }

@@ -21,14 +21,17 @@ func GEMMDepth(m Module) (depth int, ok bool) {
 }
 
 // linearAccumHook translates a layer-coordinate accumulator spec into the
-// GEMM coordinates of Linear's x·W matmul: the batch row is the GEMM row
-// and the output feature is the GEMM column.
-func linearAccumHook(spec AccumSpec) *tensor.AccumHook {
+// GEMM coordinates of Linear's x·W matmul over out output features, where
+// each sample occupies rows consecutive GEMM rows (1 for per-sample inputs,
+// T for token-level linears seeing (N·T, D)). A sample's batch-1 output is
+// rows×out elements, so Elem addresses GEMM row Sample·rows + Elem/out and
+// column Elem%out; at rows = 1 that is row Sample, column Elem.
+func linearAccumHook(spec AccumSpec, out, rows int) *tensor.AccumHook {
 	h := &tensor.AccumHook{Quant: spec.Quant}
 	if len(spec.Faults) > 0 {
 		h.Faults = make([]tensor.AccumFault, len(spec.Faults))
 		for i, f := range spec.Faults {
-			h.Faults[i] = tensor.AccumFault{Row: f.Sample, Col: f.Elem, Step: f.Step, Apply: f.Apply}
+			h.Faults[i] = tensor.AccumFault{Row: f.Sample*rows + f.Elem/out, Col: f.Elem % out, Step: f.Step, Apply: f.Apply}
 		}
 	}
 	return h

@@ -61,7 +61,7 @@ func (l *Linear) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	l.lastInput = x
 	ep, _ := ctx.TakeEpilogue()
 	if spec, ok := ctx.TakeAccum(); ok {
-		ep.Accum = linearAccumHook(spec)
+		ep.Accum = linearAccumHook(spec, l.w.Value.Dim(1), ctx.rowsPerSample(x.Dim(0)))
 	}
 	return x.MatMulBias(l.w.Value, l.b.Value, ep)
 }

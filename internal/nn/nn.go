@@ -136,6 +136,12 @@ type Context struct {
 	visit   int
 	visitor func(Module, LayerInfo)
 
+	// batch is the sample count of the pass's input (its leading dim), set
+	// by Forward and ForwardRange. Modules that flatten the batch axis —
+	// Linear over (N·T, D) token rows — divide by it to recover how many
+	// GEMM rows each sample occupies.
+	batch int
+
 	// Epilogue hand-off between Apply and the current module's Forward:
 	// Apply stages the fusible epilogue of the layer being visited;
 	// epilogue-aware Forwards claim it through TakeEpilogue, which flips
@@ -243,6 +249,26 @@ func (c *Context) Reset() {
 	}
 }
 
+// Visits returns the index the next layer visit of the current pass gets:
+// after a full pass, the number of layers visited.
+func (c *Context) Visits() int {
+	if c == nil {
+		return 0
+	}
+	return c.visit
+}
+
+// rowsPerSample returns how many leading rows each sample of the pass
+// occupies in a module input with rows leading rows: 1 for per-sample
+// inputs, T for the (N·T, D) token rows of a transformer's linears. Inputs
+// the batch does not divide (or a context outside Forward) count as 1.
+func (c *Context) rowsPerSample(rows int) int {
+	if c == nil || c.batch <= 0 || rows%c.batch != 0 {
+		return 1
+	}
+	return rows / c.batch
+}
+
 // Forward is a convenience that resets the context and applies the root
 // module, so layer indices are stable across passes.
 func Forward(ctx *Context, m Module, x *tensor.Tensor) *tensor.Tensor {
@@ -250,7 +276,25 @@ func Forward(ctx *Context, m Module, x *tensor.Tensor) *tensor.Tensor {
 	if ctx == nil {
 		return m.Forward(nil, x)
 	}
+	ctx.batch = x.Dim(0)
 	return ctx.Apply(m, x)
+}
+
+// ForwardRange runs children [from, to) of the root Sequential s on x, the
+// input child from receives in a full pass. Layer visits are numbered from
+// first, which must be the visit index child from's first layer gets in a
+// full pass: hook filters, ByIndex injection, range bounds and per-layer
+// timing then see exactly the indices Forward would give them. Running
+// [0, k) and then [k, len) with the second call's first = Visits() after
+// the first is one full pass.
+func ForwardRange(ctx *Context, s *Sequential, from, to, first int, x *tensor.Tensor) *tensor.Tensor {
+	if ctx != nil {
+		ctx.visit, ctx.batch = first, x.Dim(0)
+	}
+	for _, c := range s.children[from:to] {
+		x = ctx.Apply(c, x)
+	}
+	return x
 }
 
 // ParamCount returns the total number of scalar parameters of a module.

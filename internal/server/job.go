@@ -138,8 +138,10 @@ func (j *job) snapshotCfg() goldeneye.CampaignConfig {
 
 // finish moves the job to a terminal state exactly once, reporting whether
 // this call made the transition; later calls are ignored (a cancel racing
-// completion keeps whichever landed first).
-func (j *job) finish(state JobState, rep *goldeneye.CampaignReport, err error) bool {
+// completion keeps whichever landed first). A transition increments
+// counted (when non-nil) before any waiter can observe the terminal state,
+// so a client that saw the job end also sees it counted.
+func (j *job) finish(state JobState, rep *goldeneye.CampaignReport, err error, counted *telemetry.Counter) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state.Terminal() {
@@ -161,6 +163,9 @@ func (j *job) finish(state JobState, rep *goldeneye.CampaignReport, err error) b
 			// the planned count, not the whole campaign's.
 			j.done.Store(int64(j.cfg.PlannedInjections()))
 		}
+	}
+	if counted != nil {
+		counted.Inc()
 	}
 	j.seq.Add(1)
 	close(j.finished)

@@ -226,7 +226,13 @@ func TestJournalReplay(t *testing.T) {
 			<-release
 		}
 	}
-	defer close(release)
+	// The abandoned server's held job resumes when the test ends and
+	// journals into jdir; let it finish before the temp dir is removed
+	// (cleanups run last-in first-out, so this one runs before TempDir's).
+	t.Cleanup(func() {
+		close(release)
+		s1.Shutdown(context.Background())
+	})
 	specA := testSpec(t)
 	specA.Campaign.Seed = 2
 	_, stA := submit(t, ts1, specA)
@@ -364,7 +370,12 @@ func TestCancelRaces(t *testing.T) {
 				<-release
 			}
 		}
-		defer close(release)
+		// As in TestJournalReplay: the abandoned server's held job must
+		// finish journaling before the temp dir is removed.
+		t.Cleanup(func() {
+			close(release)
+			s1.Shutdown(context.Background())
+		})
 		_, st := submit(t, ts1, testSpec(t))
 		<-started
 		ts1.Close()

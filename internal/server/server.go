@@ -295,17 +295,17 @@ func (s *Server) restoreJournal(entries []*journal.Entry, skipped int) []*job {
 			if rep := s.cache.get(e.Key, e.Hash); rep != nil {
 				j.cached = true
 				j.cfg = rep.Config
-				j.finish(JobDone, rep, nil)
+				j.finish(JobDone, rep, nil, nil)
 				replayed("restored")
 			} else {
 				requeue = append(requeue, j)
 				replayed("requeued")
 			}
 		case e.State == journal.StateFailed:
-			j.finish(JobFailed, nil, fmt.Errorf("server: journaled failure: %s", e.Error))
+			j.finish(JobFailed, nil, fmt.Errorf("server: journaled failure: %s", e.Error), nil)
 			replayed("restored")
 		case e.State == journal.StateCancelled:
-			j.finish(JobCancelled, nil, errors.New("server: job cancelled before restart"))
+			j.finish(JobCancelled, nil, errors.New("server: job cancelled before restart"), nil)
 			replayed("restored")
 		default: // queued or running: the crash interrupted it
 			requeue = append(requeue, j)
@@ -548,8 +548,7 @@ func (s *Server) execute(ctx context.Context, j *job) (rep *goldeneye.CampaignRe
 
 // finishJob applies a terminal transition, counts it once, and journals it.
 func (s *Server) finishJob(j *job, state JobState, rep *goldeneye.CampaignReport, err error) {
-	if j.finish(state, rep, err) {
-		s.reg.Counter(telemetry.Label(MetricJobsTotal, "state", string(state))).Inc()
+	if j.finish(state, rep, err, s.reg.Counter(telemetry.Label(MetricJobsTotal, "state", string(state)))) {
 		var errText string
 		if err != nil {
 			errText = err.Error()

@@ -32,6 +32,12 @@ const (
 	MetricCampaignOccupancy  = "goldeneye_campaign_batch_occupancy"
 	MetricCampaignRate       = "goldeneye_campaign_injections_per_second"
 
+	// MetricCampaignPrefixRows counts injected-pass rows by where their pass
+	// started, labeled outcome="computed|reused|full": at a cut computed for
+	// the row's own group, at a memoized cut, or at the network input (see
+	// docs/PERFORMANCE.md §9).
+	MetricCampaignPrefixRows = "goldeneye_campaign_prefix_rows_total"
+
 	// Detection-pipeline instruments (populated when CampaignConfig.
 	// Detectors is non-empty): per-detector detection counters and coverage
 	// gauges are labeled detector="<name>".
@@ -100,6 +106,16 @@ func layerTimingHooks(reg *telemetry.Registry) *nn.HookSet {
 		}
 		h.Observe(d.Seconds())
 	})
+}
+
+// prefixRowCounters fetches MetricCampaignPrefixRows by outcome, indexed
+// like prefixComputed, prefixReused and prefixFull.
+func prefixRowCounters(reg *telemetry.Registry) [3]*telemetry.Counter {
+	var c [3]*telemetry.Counter
+	for i, outcome := range [...]string{"computed", "reused", "full"} {
+		c[i] = reg.Counter(telemetry.Label(MetricCampaignPrefixRows, "outcome", outcome))
+	}
+	return c
 }
 
 // campaignTelemetry bundles the campaign-level instruments. A nil
