@@ -30,6 +30,7 @@ check:
 	$(MAKE) stress-fleet
 	$(MAKE) stress-sample
 	$(MAKE) stress-detect
+	$(MAKE) stress-cancel
 	$(MAKE) bench-smoke
 	$(MAKE) bench-check
 

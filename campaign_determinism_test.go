@@ -119,38 +119,40 @@ func TestCampaignTelemetry(t *testing.T) {
 func TestParallelCampaignTelemetryShards(t *testing.T) {
 	sim, pool := loadSim(t, "mlp")
 	x, y := pool.subset(8)
-	reg := telemetry.NewRegistry()
-	cfg := goldeneye.CampaignConfig{
-		Format:     numfmt.FP16(true),
-		Site:       goldeneye.SiteValue,
-		Target:     goldeneye.TargetNeuron,
-		Layer:      sim.InjectableLayers()[0],
-		Injections: 40,
-		Seed:       9,
-		Pool:       &goldeneye.EvalPool{X: x, Y: y},
-		Metrics:    reg,
-	}
-	if _, err := goldeneye.RunCampaignParallel(context.Background(), cfg, 4, mlpBuilder(t)); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Counter(goldeneye.MetricCampaignInjections).Value(); got != int64(cfg.Injections) {
-		t.Fatalf("injections counter = %d, want %d", got, cfg.Injections)
-	}
-	var shardWork int64
-	shards := 0
-	for _, m := range reg.Snapshot() {
-		if strings.HasPrefix(m.Name, goldeneye.MetricCampaignShardWork+"{") {
-			shardWork += int64(m.Value)
+	for _, workers := range []int{1, 4} {
+		reg := telemetry.NewRegistry()
+		cfg := goldeneye.CampaignConfig{
+			Format:     numfmt.FP16(true),
+			Site:       goldeneye.SiteValue,
+			Target:     goldeneye.TargetNeuron,
+			Layer:      sim.InjectableLayers()[0],
+			Injections: 40,
+			Seed:       9,
+			Pool:       &goldeneye.EvalPool{X: x, Y: y},
+			Metrics:    reg,
 		}
-		if strings.HasPrefix(m.Name, goldeneye.MetricCampaignShardTime+"{") {
-			shards++
+		if _, err := goldeneye.RunCampaignParallel(context.Background(), cfg, workers, mlpBuilder(t)); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if shardWork != int64(cfg.Injections) {
-		t.Fatalf("shard work counters sum to %d, want %d", shardWork, cfg.Injections)
-	}
-	if shards != 4 {
-		t.Fatalf("shard timing gauges = %d, want 4", shards)
+		if got := reg.Counter(goldeneye.MetricCampaignInjections).Value(); got != int64(cfg.Injections) {
+			t.Fatalf("workers=%d: injections counter = %d, want %d", workers, got, cfg.Injections)
+		}
+		var shardWork int64
+		shards := 0
+		for _, m := range reg.Snapshot() {
+			if strings.HasPrefix(m.Name, goldeneye.MetricCampaignShardWork+"{") {
+				shardWork += int64(m.Value)
+			}
+			if strings.HasPrefix(m.Name, goldeneye.MetricCampaignShardTime+"{") {
+				shards++
+			}
+		}
+		if shardWork != int64(cfg.Injections) {
+			t.Fatalf("workers=%d: shard work counters sum to %d, want %d", workers, shardWork, cfg.Injections)
+		}
+		if shards != workers {
+			t.Fatalf("workers=%d: shard timing gauges = %d, want %d", workers, shards, workers)
+		}
 	}
 }
 

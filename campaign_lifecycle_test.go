@@ -16,6 +16,7 @@ import (
 
 	"goldeneye"
 	"goldeneye/internal/numfmt"
+	"goldeneye/internal/sampling"
 	"goldeneye/internal/telemetry"
 )
 
@@ -187,6 +188,52 @@ func TestCampaignCancelReturnsPartialPrefix(t *testing.T) {
 	if rep.Mismatches != ref.Mismatches || rep.DeltaLoss.Mean() != ref.DeltaLoss.Mean() {
 		t.Fatalf("partial prefix diverges from uninterrupted prefix: %+v vs %+v",
 			rep.CampaignResult, ref.CampaignResult)
+	}
+}
+
+// An interrupted serial campaign publishes the same end-of-run telemetry
+// as a parallel one: a cancelled sampled campaign with detectors still
+// exposes its estimator's fault-space accounting and the per-detector
+// coverage gauge.
+func TestCampaignCancelPublishesTelemetry(t *testing.T) {
+	sim, pool := loadSim(t, "mlp")
+	x, y := pool.subset(8)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	reg := telemetry.NewRegistry()
+	cfg := lifecycleConfig(sim, x, y, 40)
+	cfg.Format = &cancelAfterN{Format: numfmt.FP16(true), n: 5, calls: new(atomic.Int64), cancel: cancel}
+	cfg.Sampling = &sampling.Plan{Fraction: 0.5}
+	specs, err := goldeneye.ParseDetectors("ranger")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Detectors = specs
+	cfg.Metrics = reg
+
+	rep, err := sim.RunCampaign(ctx, cfg)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	if rep == nil || !rep.Interrupted || rep.Sampling == nil {
+		t.Fatalf("want an Interrupted sampled partial report, got %+v", rep)
+	}
+	coverage := telemetry.Label(goldeneye.MetricCampaignCoverage, "detector", "ranger")
+	var space int64
+	covered := false
+	for _, m := range reg.Snapshot() {
+		switch m.Name {
+		case goldeneye.MetricSamplingFaultSpace:
+			space = int64(m.Value)
+		case coverage:
+			covered = true
+		}
+	}
+	if space == 0 || space != int64(rep.Sampling.FaultSpace()) {
+		t.Fatalf("%s = %d, report covers %d", goldeneye.MetricSamplingFaultSpace, space, rep.Sampling.FaultSpace())
+	}
+	if !covered {
+		t.Fatalf("cancelled campaign published no %s gauge", coverage)
 	}
 }
 

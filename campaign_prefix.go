@@ -116,7 +116,7 @@ func (m *prefixMemo) fill(r *campaignRunner, samples []int) {
 		rec = detect.NewRecorder(rows)
 	}
 	x := r.scratch.gather(r.pool.X, samples)
-	ctx := nn.NewContext(r.withTiming(r.armedCleanHooks(rec)))
+	ctx := nn.NewContext(r.withTiming(r.armedCleanHooks(r.axis(), rec)))
 	cut := nn.ForwardRange(ctx, m.root, 0, m.block, 0, x)
 	if m.buf == nil {
 		m.row = cut.Len() / rows

@@ -76,35 +76,20 @@ func (sel *campaignSelection) executed(i int) bool {
 	return sel == nil || sel.flags[i]&selExecute != 0
 }
 
-// executedCount returns the number of indices the selection keeps — the
-// progress total of a sampled campaign.
-func (sel *campaignSelection) executedCount() int {
-	n := 0
-	for _, f := range sel.flags {
-		if f&selExecute != 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // emptyReport returns a zeroed estimator report over the selection's strata.
 func (sel *campaignSelection) emptyReport() *sampling.Report {
 	return sel.space.NewReport()
 }
 
-// account folds the dispatch of the owned indices in [lo, hi) into rep:
-// Drawn for every owned index, plus Pruned/Skipped for the ones that never
-// execute. Executed/Aborted arrive later through observe, so a fully
-// executed report satisfies Drawn = Pruned + Skipped + Executed + Aborted
-// per stratum; a sequentially-stopped (or interrupted) one keeps Drawn
-// above that sum — the selected-but-unexecuted mass is what holds the
-// finite-population correction below one.
-func (sel *campaignSelection) account(rep *sampling.Report, lo, hi int, owns func(int) bool) {
-	for i := lo; i < hi; i++ {
-		if !owns(i) {
-			continue
-		}
+// account folds the dispatch of the owned indices first, first+stride, …
+// below hi into rep: Drawn for every owned index, plus Pruned/Skipped for
+// the ones that never execute. Executed/Aborted arrive later through
+// observe, so a fully executed report satisfies Drawn = Pruned + Skipped +
+// Executed + Aborted per stratum; a sequentially-stopped (or interrupted)
+// one keeps Drawn above that sum — the selected-but-unexecuted mass is
+// what holds the finite-population correction below one.
+func (sel *campaignSelection) account(rep *sampling.Report, first, hi, stride int) {
+	for i := first; i < hi; i += stride {
 		s := &rep.Strata[sel.stratum[i]]
 		s.Drawn++
 		switch {
@@ -149,12 +134,12 @@ func stopBounds(plan *sampling.Plan, injections int) []int {
 	return append(bounds, injections)
 }
 
-// ciBarrier synchronizes a parallel campaign's sequential-stopping reviews:
-// workers run their review windows in lockstep, and the last worker to
-// finish each round runs the stopping check over every worker's estimator
-// state while the others are parked. Workers that exit early — error,
-// cancellation, abort threshold — must call leave exactly once so the
-// remaining workers' rounds still complete.
+// ciBarrier synchronizes a campaign's sequential-stopping reviews: the
+// engine's workers (one, for a serial run) run their review windows in
+// lockstep, and the last worker to finish each round runs the stopping
+// check over every worker's estimator state while the others are parked.
+// Workers that exit early — error, cancellation, abort threshold — must
+// call leave exactly once so the remaining workers' rounds still complete.
 type ciBarrier struct {
 	mu      sync.Mutex
 	cond    *sync.Cond

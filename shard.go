@@ -5,9 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-
-	"goldeneye/internal/metrics"
-	"goldeneye/internal/sampling"
 )
 
 // ShardConfigs splits one campaign into k deterministic stride shards:
@@ -120,6 +117,9 @@ func MergeShardReports(reports []*CampaignReport) (*CampaignReport, error) {
 		if enc := shardlessConfigJSON(sh.Config); ref != nil && enc != nil && !bytes.Equal(enc, ref) {
 			return nil, shardMergeErrf("shard %d ran a different campaign configuration", s)
 		}
+		if (sh.Sampling != nil) != (shards[0].Sampling != nil) {
+			return nil, shardMergeErrf("shard %d and shard 0 disagree on carrying estimator state", s)
+		}
 		planned := sh.Config.PlannedInjections()
 		if sh.Sampling != nil {
 			// A sampled shard executes only its selection; completeness is
@@ -139,70 +139,10 @@ func MergeShardReports(reports []*CampaignReport) (*CampaignReport, error) {
 	cfg := shards[0].Config
 	cfg.ShardIndex, cfg.ShardCount = 0, 0
 	merged := &CampaignReport{Config: cfg}
-
-	// Mirror the RunCampaignParallel merge exactly. The false-positive
-	// baseline is deterministic and identical across shards, so it comes
-	// from shard 0's map wholesale; the remaining shards contribute only
-	// their detection and recovery counts on top of it.
-	if shards[0].PerDetector != nil {
-		merged.PerDetector = make(map[string]metrics.DetectorStats, len(shards[0].PerDetector))
-		for name, d := range shards[0].PerDetector {
-			merged.PerDetector[name] = d
-		}
-	}
-	sampled := shards[0].Sampling != nil
-	if cfg.KeepTrace && !sampled {
-		merged.Trace = make([]InjectionOutcome, cfg.Injections)
-	}
-	if sampled {
-		// Start from a zeroed report over shard 0's strata and fold every
-		// shard in (shard 0 included) — the exact construction and Welford
-		// merge order RunCampaignParallel uses at workers=K, so the merged
-		// moments are bit-identical.
-		merged.Sampling = &sampling.Report{Strata: make([]sampling.Stratum, len(shards[0].Sampling.Strata))}
-		for i := range merged.Sampling.Strata {
-			merged.Sampling.Strata[i].Name = shards[0].Sampling.Strata[i].Name
-		}
-	}
-	for s, sh := range shards {
-		merged.Interrupted = merged.Interrupted || sh.Interrupted
-		merged.CampaignResult.Merge(sh.CampaignResult)
-		merged.Detected += sh.Detected
-		merged.Aborted += sh.Aborted
-		merged.Recovered += sh.Recovered
-		if s > 0 {
-			merged.PerDetector = mergeResumeDetectors(merged.PerDetector, sh.PerDetector)
-		}
-		if sampled {
-			if sh.Sampling == nil {
-				return nil, shardMergeErrf("shard %d carries no estimator state but shard 0 does", s)
-			}
-			if err := merged.Sampling.Merge(sh.Sampling); err != nil {
-				return nil, shardMergeErrf("shard %d: %v", s, err)
-			}
-		} else if sh.Sampling != nil {
-			return nil, shardMergeErrf("shard %d carries estimator state but shard 0 does not", s)
-		}
-		if cfg.KeepTrace && !sampled {
-			for j, out := range sh.Trace {
-				merged.Trace[s+j*k] = out
-			}
-		}
-	}
-	if cfg.KeepTrace && sampled {
-		// Sampled shard traces are sparse and carry their global injection
-		// index; each shard's entries are already ascending within its stride
-		// sequence. Walking global indices and consuming the owning shard's
-		// next entry when it matches reassembles exactly the order the serial
-		// and parallel sampled paths record.
-		cursors := make([]int, k)
-		for i := 0; i < cfg.Injections; i++ {
-			sh := shards[i%k]
-			if c := cursors[i%k]; c < len(sh.Trace) && sh.Trace[c].Index == i {
-				merged.Trace = append(merged.Trace, sh.Trace[c])
-				cursors[i%k]++
-			}
-		}
+	// The merge RunCampaignParallel uses at workers=K, so the merged
+	// report is bit-identical to a single node's.
+	if err := mergeReports(merged, shards); err != nil {
+		return nil, shardMergeErrf("%v", err)
 	}
 	return merged, nil
 }
