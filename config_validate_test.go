@@ -78,6 +78,8 @@ func TestCampaignConfigValidation(t *testing.T) {
 		{"nil pool", func(c *CampaignConfig) { c.Pool = nil }, "Pool"},
 		{"empty pool", func(c *CampaignConfig) { c.Pool = &EvalPool{} }, "Pool"},
 		{"oversized campaign batch", func(c *CampaignConfig) { c.BatchSize = 9 }, "BatchSize"},
+		{"unset site", func(c *CampaignConfig) { c.Site = 0 }, "Site"},
+		{"unset target", func(c *CampaignConfig) { c.Target = 0 }, "Target"},
 		{"nil format", func(c *CampaignConfig) { c.Format = nil }, "Format"},
 		{"no injections", func(c *CampaignConfig) { c.Injections = 0 }, "Injections"},
 	}
