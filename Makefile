@@ -105,11 +105,14 @@ stress-chaos:
 # multi-daemon chaos end-to-end: a three-node fleet with one daemon
 # SIGKILLed and one network-partitioned mid-campaign must merge a report
 # byte-identical to an unfailed single-node run, with completed shards
-# replayed idempotently rather than re-executed.
+# replayed idempotently rather than re-executed — and the coordinator's own
+# crash: a journaling coordinator SIGKILLed after its first finished shard
+# and restarted over its journal must finish the same job byte-identically,
+# replaying the completed shards from the nodes.
 .PHONY: stress-fleet
 stress-fleet:
 	go test -race -shuffle=on ./internal/fleet
-	go test -race -run 'TestFleetSurvivesKillAndPartition|TestFleetCoordinatorModeE2E' ./cmd/goldeneyed
+	go test -race -run 'TestFleetSurvivesKillAndPartition|TestFleetCoordinatorModeE2E|TestFleetCoordinatorKillRecovers' ./cmd/goldeneyed
 
 # Smart-campaign gate: the estimator property tests — fraction-1.0
 # byte-identity per format family, shard-merge permutation invariance of

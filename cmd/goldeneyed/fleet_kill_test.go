@@ -4,6 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
+	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -12,6 +16,8 @@ import (
 
 	"goldeneye/internal/chaos"
 	"goldeneye/internal/fleet"
+	"goldeneye/internal/sampling"
+	"goldeneye/internal/server"
 	"goldeneye/internal/server/client"
 )
 
@@ -181,15 +187,108 @@ func TestFleetCoordinatorModeE2E(t *testing.T) {
 		t.Fatalf("coordinator-mode report differs from single-node workers=2 run:\n%s\n%s", got, wantJSON)
 	}
 
-	// The coordinator rejects what it cannot shard-merge.
-	bad := killSpec(t, 73, 100)
-	bad.Workers = 4
-	if _, err := cli.Submit(ctx, bad); err == nil {
-		t.Error("coordinator accepted a workers>1 spec")
-	} else {
-		var api *client.APIError
-		if !errors.As(err, &api) || api.StatusCode != 400 {
-			t.Errorf("want 400 APIError, got %v", err)
+	// The coordinator rejects at submit what it cannot shard-merge.
+	for _, tc := range []struct {
+		name string
+		edit func(*server.JobSpec)
+	}{
+		{"sharded", func(s *server.JobSpec) { s.Campaign.ShardIndex, s.Campaign.ShardCount = 1, 2 }},
+		{"workers>1", func(s *server.JobSpec) { s.Workers = 4 }},
+		{"target-ci", func(s *server.JobSpec) { s.Campaign.Sampling = &sampling.Plan{Fraction: 1, TargetCI: 0.1} }},
+	} {
+		bad := killSpec(t, 73, 100)
+		tc.edit(bad)
+		if _, err := cli.Submit(ctx, bad); err == nil {
+			t.Errorf("%s: coordinator accepted the spec", tc.name)
+		} else {
+			var api *client.APIError
+			if !errors.As(err, &api) || api.StatusCode != 400 {
+				t.Errorf("%s: want 400 APIError, got %v", tc.name, err)
+			}
 		}
 	}
+}
+
+// TestFleetCoordinatorKillRecovers is the coordinator's own chaos gate: a
+// journaling coordinator over two daemons is SIGKILLed once a shard of its
+// campaign has finished, then restarted over the same journal. The same
+// job ID must finish with a report byte-identical to one node at
+// workers = shard count, and the restarted coordinator must replay the
+// completed shards from the nodes' idempotency indexes, not re-execute
+// them.
+func TestFleetCoordinatorKillRecovers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns daemon processes")
+	}
+	const shards = 4
+	_, node1 := spawnDaemon(t, "-addr", "127.0.0.1:0")
+	_, node2 := spawnDaemon(t, "-addr", "127.0.0.1:0")
+	coordArgs := []string{"-addr", "127.0.0.1:0", "-journal-dir", t.TempDir(),
+		"-fleet", node1 + "," + node2, "-fleet-shards", fmt.Sprint(shards)}
+	coord, coordBase := spawnDaemon(t, coordArgs...)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
+	defer cancel()
+	spec := killSpec(t, 74, 8000) // 2000 injections per shard, two shards per node
+	cli := client.New(coordBase)
+	st, err := cli.Submit(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for metricValue(t, coordBase, fleet.MetricShardsDone) < 1 {
+		if ctx.Err() != nil {
+			t.Fatal("no shard finished")
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if cur, err := cli.Job(ctx, st.ID); err != nil || cur.State.Terminal() {
+		t.Fatalf("job must still be running at the kill: %+v, %v (raise the injection count)", cur, err)
+	}
+	if err := coord.Process.Signal(syscall.SIGKILL); err != nil {
+		t.Fatal(err)
+	}
+	coord.Wait()
+
+	_, coordBase2 := spawnDaemon(t, coordArgs...)
+	rep, err := client.New(coordBase2).Stream(ctx, st.ID, nil)
+	if err != nil {
+		t.Fatalf("job %s did not survive the coordinator kill: %v", st.ID, err)
+	}
+	if replays := metricValue(t, coordBase2, fleet.MetricReplays); replays < 1 {
+		t.Errorf("restarted coordinator replayed %v shards, want >= 1", replays)
+	}
+
+	refSpec := *spec
+	refSpec.Workers = shards
+	want, err := client.New(node1).Run(ctx, &refSpec, nil)
+	if err != nil {
+		t.Fatalf("reference run: %v", err)
+	}
+	got, _ := json.Marshal(rep)
+	wantJSON, _ := json.Marshal(want)
+	if string(got) != string(wantJSON) {
+		t.Fatalf("recovered fleet report differs from single-node workers=%d run:\n%s\n%s", shards, got, wantJSON)
+	}
+}
+
+// metricValue reads one unlabeled sample from a daemon's /metrics (0 when
+// absent).
+func metricValue(t *testing.T, base, name string) float64 {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	for _, line := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("metric %s: %v", name, err)
+			}
+			return f
+		}
+	}
+	return 0
 }

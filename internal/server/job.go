@@ -68,11 +68,12 @@ type job struct {
 	// SSE streams and tests select on it.
 	finished chan struct{}
 
-	mu     sync.Mutex
-	state  JobState
-	cached bool
-	report *goldeneye.CampaignReport
-	err    error
+	mu       sync.Mutex
+	state    JobState
+	cached   bool
+	degraded bool // an Executor ran the job on reduced capacity
+	report   *goldeneye.CampaignReport
+	err      error
 
 	// jmu serializes this job's journal writes; journaled is the highest
 	// state rank written so far. Together they keep journal transitions
@@ -119,6 +120,20 @@ func (j *job) setRunning() bool {
 	}
 	j.state = JobRunning
 	return true
+}
+
+// remoteDone records an Executor run's outcome flags and, because the
+// campaign ran elsewhere and never fed the job's registry, folds the
+// report's totals into the status counters.
+func (j *job) remoteDone(rep *goldeneye.CampaignReport, degraded bool) {
+	j.mu.Lock()
+	j.degraded = degraded
+	j.mu.Unlock()
+	if rep != nil {
+		j.reg.Counter(goldeneye.MetricCampaignMismatches).Add(int64(rep.Mismatches))
+		j.reg.Counter(goldeneye.MetricCampaignDetected).Add(int64(rep.Detected))
+		j.reg.Counter(goldeneye.MetricCampaignAborted).Add(int64(rep.Aborted))
+	}
 }
 
 // setResolved records the fully resolved campaign configuration the run
@@ -172,17 +187,6 @@ func (j *job) finish(state JobState, rep *goldeneye.CampaignReport, err error, c
 	return true
 }
 
-// terminalState returns the job's state if terminal, or "" while it is
-// still queued/running.
-func (j *job) terminalState() JobState {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state.Terminal() {
-		return j.state
-	}
-	return ""
-}
-
 // result returns the terminal report and error (nil report for failed or
 // cancelled-before-completion jobs).
 func (j *job) result() (*goldeneye.CampaignReport, error) {
@@ -197,7 +201,7 @@ func (j *job) result() (*goldeneye.CampaignReport, error) {
 func (j *job) snapshot() JobStatus {
 	j.mu.Lock()
 	state := j.state
-	cached := j.cached
+	cached, degraded := j.cached, j.degraded
 	detectors := j.detectors
 	total := j.cfg.PlannedInjections()
 	if t := j.total.Load(); t > 0 {
@@ -210,14 +214,15 @@ func (j *job) snapshot() JobStatus {
 	j.mu.Unlock()
 
 	st := JobStatus{
-		ID:     j.id,
-		State:  state,
-		Model:  j.spec.Model,
-		Cached: cached,
-		Seq:    j.seq.Load(),
-		Done:   int(j.done.Load()),
-		Total:  total,
-		Error:  errText,
+		ID:       j.id,
+		State:    state,
+		Model:    j.spec.Model,
+		Cached:   cached,
+		Seq:      j.seq.Load(),
+		Done:     int(j.done.Load()),
+		Total:    total,
+		Error:    errText,
+		Degraded: degraded,
 	}
 	st.Mismatches = j.reg.Counter(goldeneye.MetricCampaignMismatches).Value()
 	st.Detected = j.reg.Counter(goldeneye.MetricCampaignDetected).Value()

@@ -17,6 +17,9 @@
 // a SIGTERM never discards work. Completed results persist through
 // internal/checkpoint keyed by the experiment sweeps' CellHash, so a
 // restarted daemon still answers repeat jobs from cache.
+//
+// With Options.Executor set, jobs run elsewhere — the fleet coordinator
+// shards them across daemons — and the rest of the service is unchanged.
 package server
 
 import (
