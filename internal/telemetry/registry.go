@@ -231,6 +231,76 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return nil
 }
 
+// MergeExposition rewrites a Prometheus text exposition concatenated from
+// several sources (a server's registry, then other processes' scrapes) so
+// that every metric family forms one contiguous group, as the text format
+// requires. Families keep their first-seen order and samples their order
+// within a family; a family's first # HELP and # TYPE lines lead it and
+// later copies are dropped. _bucket/_sum/_count samples join the
+// histogram or summary family their base name was typed as. Other comment
+// lines move to the end.
+func MergeExposition(w io.Writer, text []byte) error {
+	type family struct{ meta, samples []string }
+	var (
+		order    []string
+		families = make(map[string]*family)
+		kinds    = make(map[string]string) // family -> its # TYPE kind
+		seen     = make(map[string]bool)   // "TYPE name", "HELP name"
+		notes    []string
+	)
+	get := func(name string) *family {
+		f := families[name]
+		if f == nil {
+			f = &family{}
+			families[name] = f
+			order = append(order, name)
+		}
+		return f
+	}
+	for _, line := range strings.Split(string(text), "\n") {
+		if line = strings.TrimSpace(line); line == "" {
+			continue
+		}
+		if fields := strings.Fields(line); fields[0] == "#" {
+			if len(fields) < 3 || (fields[1] != "TYPE" && fields[1] != "HELP") {
+				notes = append(notes, line)
+				continue
+			}
+			f := get(fields[2])
+			if key := fields[1] + " " + fields[2]; !seen[key] {
+				seen[key] = true
+				f.meta = append(f.meta, line)
+				if fields[1] == "TYPE" && len(fields) > 3 {
+					kinds[fields[2]] = fields[3]
+				}
+			}
+			continue
+		}
+		name := line[:strings.IndexAny(line+" ", "{ \t")]
+		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+			if base, ok := strings.CutSuffix(name, suffix); ok && (kinds[base] == "histogram" || kinds[base] == "summary") {
+				name = base
+			}
+		}
+		f := get(name)
+		f.samples = append(f.samples, line)
+	}
+	var b strings.Builder
+	for _, name := range order {
+		f := families[name]
+		for _, l := range append(f.meta, f.samples...) {
+			b.WriteString(l)
+			b.WriteByte('\n')
+		}
+	}
+	for _, l := range notes {
+		b.WriteString(l)
+		b.WriteByte('\n')
+	}
+	_, err := io.WriteString(w, b.String())
+	return err
+}
+
 // jsonHistogram mirrors Metric's histogram fields for JSON exposition.
 type jsonHistogram struct {
 	Count   int64        `json:"count"`

@@ -286,3 +286,44 @@ func TestServeDebug(t *testing.T) {
 		t.Fatal("/debug/pprof/ not serving")
 	}
 }
+
+// TestMergeExposition pins the regrouping of a concatenated exposition:
+// each family becomes one contiguous group led by its first TYPE line,
+// histogram series follow their typed base, and stray comments go last.
+func TestMergeExposition(t *testing.T) {
+	in := `# TYPE jobs_total counter
+jobs_total{state="done"} 1
+# TYPE lat histogram
+lat_bucket{le="+Inf"} 1
+lat_sum 0.5
+lat_count 1
+# node n1 unreachable
+# TYPE jobs_total counter
+jobs_total{node="n2",state="done"} 2
+# TYPE lat histogram
+lat_bucket{node="n2",le="+Inf"} 3
+lat_sum{node="n2"} 1.5
+lat_count{node="n2"} 3
+other_total{node="n2"} 4
+`
+	want := `# TYPE jobs_total counter
+jobs_total{state="done"} 1
+jobs_total{node="n2",state="done"} 2
+# TYPE lat histogram
+lat_bucket{le="+Inf"} 1
+lat_sum 0.5
+lat_count 1
+lat_bucket{node="n2",le="+Inf"} 3
+lat_sum{node="n2"} 1.5
+lat_count{node="n2"} 3
+other_total{node="n2"} 4
+# node n1 unreachable
+`
+	var b bytes.Buffer
+	if err := MergeExposition(&b, []byte(in)); err != nil {
+		t.Fatal(err)
+	}
+	if b.String() != want {
+		t.Fatalf("merged exposition:\n%s\nwant:\n%s", b.String(), want)
+	}
+}
