@@ -88,14 +88,15 @@ bench-all:
 	go test -bench=. -benchmem ./...
 
 # Fault-tolerance gate: the chaos suite (dropped connections, stalled SSE
-# streams, full-queue bursts), journal crash-replay, cancel/complete races,
+# streams, full-queue bursts), journal crash-replay, restart from the disk
+# result cache (exhaustive and sampled reports), cancel/complete races,
 # and the kill-mid-job end-to-end (a journaling daemon SIGKILLed mid-
 # campaign, restarted, every job recovered byte-identically) — all under
 # the race detector with shuffled test order.
 .PHONY: stress-chaos
 stress-chaos:
 	go test -race -shuffle=on ./internal/chaos ./internal/server/journal
-	go test -race -shuffle=on -run 'TestIdempotent|TestReadyz|TestDeadline|TestJournalReplay|TestCancelRaces|TestSSEResume' ./internal/server
+	go test -race -shuffle=on -run 'TestIdempotent|TestReadyz|TestDeadline|TestJournalReplay|TestCancelRaces|TestSSEResume|TestDrainPersistsCache' ./internal/server
 	go test -race -shuffle=on -run 'TestSubmitRetries|TestIdempotentRetry|TestStreamResumes|TestStreamStall|TestBurstSubmit' ./internal/server/client
 	go test -race -run TestKillMidJobRecovers ./cmd/goldeneyed
 

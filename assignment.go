@@ -65,10 +65,9 @@ func (r RoleFormats) Canonical() string {
 // Format + EmulateNetwork/QuantizeWeights trio of CampaignConfig (both kept
 // as deprecated shims that lower to a uniform assignment).
 //
-// Scope rules: Default applies to every layer the configuration's default
-// hook filter matches (CONV and LINEAR for campaigns, every kind with
-// EmulationConfig.AllLayers); a PerLayer entry replaces Default wholesale
-// at exactly its layer visit index, regardless of kind. An absent role
+// Scope rules: Default applies to every CONV and LINEAR layer
+// (nn.DefaultLayers); a PerLayer entry replaces Default wholesale at
+// exactly its layer visit index, regardless of kind. An absent role
 // means native float32 for that role at that layer.
 type FormatAssignment struct {
 	// Default is the role triple applied to layers without a PerLayer
@@ -83,8 +82,8 @@ type FormatAssignment struct {
 
 // At returns the role formats in effect at a layer visit index: its
 // PerLayer entry when present, else Default. (Default's kind scoping — it
-// skips non-CONV/LINEAR layers unless AllLayers is set — is applied by the
-// consumer, which knows the layer's kind.)
+// skips non-CONV/LINEAR layers — is applied by the consumer, which knows
+// the layer's kind.)
 func (a *FormatAssignment) At(layer int) RoleFormats {
 	if a == nil {
 		return RoleFormats{}
@@ -95,17 +94,17 @@ func (a *FormatAssignment) At(layer int) RoleFormats {
 	return a.Default
 }
 
-// rolesFor resolves the roles in effect at a layer visit, honoring the
-// default filter's kind scope: PerLayer entries apply at exactly their
-// index, Default only where defFilter matches.
-func (a *FormatAssignment) rolesFor(info nn.LayerInfo, defFilter nn.Filter) RoleFormats {
+// rolesFor resolves the roles in effect at a layer visit, honoring
+// Default's kind scope: PerLayer entries apply at exactly their index,
+// Default only at CONV and LINEAR layers.
+func (a *FormatAssignment) rolesFor(info nn.LayerInfo) RoleFormats {
 	if a == nil {
 		return RoleFormats{}
 	}
 	if rf, ok := a.PerLayer[info.Index]; ok {
 		return rf
 	}
-	if !defFilter.Matches(info) {
+	if !nn.DefaultLayers().Matches(info) {
 		return RoleFormats{}
 	}
 	return a.Default
@@ -337,18 +336,18 @@ func emulateHookFn(f numfmt.Format, axis numfmt.MetaAxis) func(*tensor.Tensor) *
 
 // addActivationHooks registers asg's activation emulation on h. A uniform
 // (default-only) assignment registers the exact hook shape the legacy
-// uniform path always has — one constant-format PostForwardEpilogue on
-// defFilter — so lowered legacy configs stay bit-identical, hook for hook.
+// uniform path always has — one constant-format PostForwardEpilogue on the
+// CONV/LINEAR layers — so lowered legacy configs stay bit-identical, hook for hook.
 // Assignments with per-layer entries register one dynamic hook whose format
 // (and fused-kernel epilogue) resolves per visit.
-func addActivationHooks(h *nn.HookSet, asg *FormatAssignment, axis numfmt.MetaAxis, defFilter nn.Filter) {
+func addActivationHooks(h *nn.HookSet, asg *FormatAssignment, axis numfmt.MetaAxis) {
 	if !asg.hasActivations() {
 		return
 	}
 	if len(asg.PerLayer) == 0 {
 		f := asg.Default.Activations
 		fn := emulateHookFn(f, axis)
-		h.PostForwardEpilogue(defFilter, func(_ nn.LayerInfo, t *tensor.Tensor) *tensor.Tensor {
+		h.PostForwardEpilogue(nn.DefaultLayers(), func(_ nn.LayerInfo, t *tensor.Tensor) *tensor.Tensor {
 			return fn(t)
 		}, numfmt.EmulateEpilogue(f, axis))
 		return
@@ -357,7 +356,7 @@ func addActivationHooks(h *nn.HookSet, asg *FormatAssignment, axis numfmt.MetaAx
 	// the same format reuse one closure set.
 	eps := make(map[numfmt.Format]tensor.Epilogue)
 	resolve := func(info nn.LayerInfo) numfmt.Format {
-		return asg.rolesFor(info, defFilter).Activations
+		return asg.rolesFor(info).Activations
 	}
 	h.PostForwardEpilogueBy(nn.AllLayers(), func(info nn.LayerInfo, t *tensor.Tensor) *tensor.Tensor {
 		f := resolve(info)
@@ -384,13 +383,13 @@ func addActivationHooks(h *nn.HookSet, asg *FormatAssignment, axis numfmt.MetaAx
 // sum through it (see numfmt.AccumRound). Layers without a GEMM ignore the
 // spec. The rounding closures are cached per format and shared across
 // visits; they are stateless, so reuse is safe.
-func addAccumHooks(h *nn.HookSet, asg *FormatAssignment, defFilter nn.Filter) {
+func addAccumHooks(h *nn.HookSet, asg *FormatAssignment) {
 	if !asg.hasAccumulator() {
 		return
 	}
 	quants := make(map[numfmt.Format]func(float32) float32)
 	h.Accum(nn.AllLayers(), func(info nn.LayerInfo) nn.AccumSpec {
-		f := asg.rolesFor(info, defFilter).Accumulator
+		f := asg.rolesFor(info).Accumulator
 		if f == nil {
 			return nn.AccumSpec{}
 		}
@@ -410,12 +409,12 @@ func addAccumHooks(h *nn.HookSet, asg *FormatAssignment, defFilter nn.Filter) {
 // which converts every non-frozen model parameter uniformly — the two
 // coincide only for models whose parameters all belong to default-scoped
 // layers.
-func (s *Simulator) applyWeightAssignment(asg *FormatAssignment, defFilter nn.Filter) {
+func (s *Simulator) applyWeightAssignment(asg *FormatAssignment) {
 	if !asg.hasWeights() {
 		return
 	}
 	for _, l := range s.layers {
-		f := asg.rolesFor(l, defFilter).Weights
+		f := asg.rolesFor(l).Weights
 		if f == nil {
 			continue
 		}

@@ -162,12 +162,16 @@ type CampaignConfig struct {
 	// Detectors.
 	Recovery detect.Policy
 
-	// Resume continues a previously interrupted campaign from persisted
-	// state (see internal/checkpoint). The already-executed prefix of the
-	// deterministic fault sequence is drawn and discarded, so a resumed
-	// campaign's report is bit-identical to an uninterrupted run's.
-	// Incompatible with KeepTrace (traces are not persisted).
-	Resume *CampaignResume
+	// Resume continues a previously interrupted campaign from its partial
+	// report (persisted in wire form by internal/checkpoint). The report's
+	// Injections+Aborted executed draws of the deterministic fault
+	// sequence are drawn and discarded, and the run continues its
+	// aggregates (CampaignResult, Detected, Aborted, Recovered and the
+	// per-detector counts) in place, so a resumed campaign's report is
+	// bit-identical to an uninterrupted run's. Its Config, Trace,
+	// Sampling and Interrupted fields are not consulted. Incompatible with
+	// KeepTrace (traces are not persisted).
+	Resume *CampaignReport
 
 	// Sampling turns the campaign into a statistically-driven estimator
 	// (see internal/sampling): a deterministic per-stratum selection hash
@@ -190,31 +194,6 @@ type CampaignConfig struct {
 	// must be safe for concurrent use. It observes the campaign without
 	// altering its results; the campaign service streams it to SSE clients.
 	Progress func(done, total int)
-}
-
-// CampaignResume is the state of an interrupted campaign: how many
-// injections were executed (recorded + aborted) and the aggregates they
-// produced. Serial resumption continues the Welford accumulators in place,
-// so the final moments carry no merge reassociation.
-type CampaignResume struct {
-	// Completed is the number of injections already executed — the length
-	// of the fault-sequence prefix to replay without running inference.
-	Completed int
-
-	// Result is the interrupted run's aggregate over the prefix.
-	Result metrics.CampaignResult
-
-	// Detected and Aborted restore the report fields outside
-	// metrics.CampaignResult.
-	Detected int
-	Aborted  int
-
-	// Recovered and PerDetector restore the detection-pipeline aggregates.
-	// Only the Detections/Recovered counts of PerDetector are carried
-	// forward; false-positive statistics are re-measured by the resuming
-	// run's calibration (deterministic, so the values are identical).
-	Recovered   int
-	PerDetector map[string]metrics.DetectorStats
 }
 
 // InjectionError is one injection that aborted: a panic during the injected
@@ -410,6 +389,62 @@ func (cfg *CampaignConfig) evalPool() (*EvalPool, error) {
 // sharded reports whether the campaign is one shard of a distributed run.
 func (cfg *CampaignConfig) sharded() bool { return cfg.ShardCount > 1 }
 
+// Validate checks the configuration's model-independent rules — the ones
+// that need neither a simulator nor an evaluation pool: a format or
+// assignment, a positive injection count, a known site and target (and
+// their combination with the fault kind), the shard geometry, the sampling
+// plan and the features it excludes, the recovery policy's detectors, and
+// the resume point. Violations come back as *ConfigError. Every campaign
+// entry point runs it first; the campaign service runs it on submission,
+// before any model loads.
+func (cfg *CampaignConfig) Validate() error {
+	if cfg.Format == nil && cfg.Assignment == nil {
+		return &ConfigError{Field: "Format", Reason: "campaign requires a format"}
+	}
+	if cfg.Assignment != nil {
+		if err := cfg.Assignment.Validate(); err != nil {
+			return err
+		}
+	}
+	if cfg.Injections <= 0 {
+		return configErrf("Injections", "campaign requires a positive injection count, got %d", cfg.Injections)
+	}
+	if cfg.Site < inject.SiteValue || cfg.Site > inject.SiteAccum {
+		return configErrf("Site", "unknown injection site %s", cfg.Site)
+	}
+	if cfg.Target != inject.TargetNeuron && cfg.Target != inject.TargetWeight {
+		return configErrf("Target", "unknown injection target %s", cfg.Target)
+	}
+	if cfg.Site == inject.SiteAccum {
+		if cfg.Target != inject.TargetNeuron {
+			return &ConfigError{Field: "Target",
+				Reason: "accumulator faults corrupt partial sums of the layer output; they require a neuron target"}
+		}
+		if cfg.FaultKind == inject.KindBurst {
+			return &ConfigError{Field: "FaultKind",
+				Reason: "burst faults span the elements of one value tensor and have no accumulator-register analogue"}
+		}
+	}
+	if err := cfg.validateShard(); err != nil {
+		return err
+	}
+	if err := cfg.validateSampling(); err != nil {
+		return err
+	}
+	if cfg.Recovery != detect.PolicyNone && len(cfg.Detectors) == 0 {
+		return configErrf("Recovery", "recovery policy %s requires Detectors", cfg.Recovery)
+	}
+	if cfg.Resume != nil {
+		if cfg.KeepTrace {
+			return configErrf("Resume", "resume does not support KeepTrace campaigns")
+		}
+		if done := cfg.Resume.Injections + cfg.Resume.Aborted; done < 0 || done > cfg.Injections {
+			return configErrf("Resume", "resume point %d outside campaign of %d injections", done, cfg.Injections)
+		}
+	}
+	return nil
+}
+
 // validateShard checks the shard geometry. Zero values (unsharded) always
 // pass; a sharded campaign needs an in-range index, at most one shard per
 // injection, and no Resume state (shard reassignment re-runs whole shards —
@@ -436,6 +471,41 @@ func (cfg *CampaignConfig) validateShard() error {
 	}
 	if cfg.Resume != nil {
 		return configErrf("Resume", "sharded campaigns do not resume; re-dispatch the shard instead")
+	}
+	return nil
+}
+
+// validateSampling checks the sampling plan and the features an active
+// plan excludes.
+func (cfg *CampaignConfig) validateSampling() error {
+	if err := cfg.Sampling.Validate(); err != nil {
+		return &ConfigError{Field: "Sampling", Reason: err.Error()}
+	}
+	if cfg.Sampling.Active() {
+		if cfg.Resume != nil {
+			return configErrf("Sampling",
+				"sampled campaigns do not resume (their resume point is a fault-space index, not an executed count); re-run the campaign")
+		}
+		if cfg.Sampling.TargetCI > 0 && cfg.sharded() {
+			return configErrf("Sampling",
+				"sequential stopping needs the whole campaign's moments; a shard cannot stop on its own (drop TargetCI or the shard geometry)")
+		}
+		if cfg.Sampling.Prune {
+			switch {
+			case cfg.Site != inject.SiteValue:
+				return configErrf("Sampling",
+					"analytic pruning bounds per-bit value perturbations; it requires a value site, got %s", cfg.Site)
+			case cfg.Target != inject.TargetNeuron:
+				return configErrf("Sampling",
+					"analytic pruning compares perturbations against the layer's calibrated activation range; it requires a neuron target")
+			case cfg.FaultKind == inject.KindBurst:
+				return configErrf("Sampling",
+					"burst faults span tensor elements and have no per-bit perturbation bound to prune with")
+			case !cfg.UseRanger:
+				return configErrf("Sampling",
+					"analytic pruning needs the ranger's calibrated activation bounds; set UseRanger")
+			}
+		}
 	}
 	return nil
 }
@@ -648,54 +718,8 @@ type campaignGeom struct {
 func (s *Simulator) campaignGeometry(cfg CampaignConfig) (campaignGeom, error) {
 	var g campaignGeom
 	fail := func(err error) (campaignGeom, error) { return campaignGeom{}, err }
-	if cfg.Format == nil && cfg.Assignment == nil {
-		return fail(&ConfigError{Field: "Format", Reason: "campaign requires a format"})
-	}
-	if cfg.Assignment != nil {
-		if err := cfg.Assignment.Validate(); err != nil {
-			return fail(err)
-		}
-	}
-	if cfg.Injections <= 0 {
-		return fail(configErrf("Injections", "campaign requires a positive injection count, got %d", cfg.Injections))
-	}
-	if cfg.Site < inject.SiteValue || cfg.Site > inject.SiteAccum {
-		return fail(configErrf("Site", "unknown injection site %s", cfg.Site))
-	}
-	if cfg.Target != inject.TargetNeuron && cfg.Target != inject.TargetWeight {
-		return fail(configErrf("Target", "unknown injection target %s", cfg.Target))
-	}
-	if err := cfg.validateShard(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return fail(err)
-	}
-	if err := cfg.Sampling.Validate(); err != nil {
-		return fail(&ConfigError{Field: "Sampling", Reason: err.Error()})
-	}
-	if cfg.Sampling.Active() {
-		if cfg.Resume != nil {
-			return fail(configErrf("Sampling",
-				"sampled campaigns do not resume (the estimator state is not checkpointed); re-run the campaign"))
-		}
-		if cfg.Sampling.TargetCI > 0 && cfg.sharded() {
-			return fail(configErrf("Sampling",
-				"sequential stopping needs the whole campaign's moments; a shard cannot stop on its own (drop TargetCI or the shard geometry)"))
-		}
-		if cfg.Sampling.Prune {
-			switch {
-			case cfg.Site != inject.SiteValue:
-				return fail(configErrf("Sampling",
-					"analytic pruning bounds per-bit value perturbations; it requires a value site, got %s", cfg.Site))
-			case cfg.Target != inject.TargetNeuron:
-				return fail(configErrf("Sampling",
-					"analytic pruning compares perturbations against the layer's calibrated activation range; it requires a neuron target"))
-			case cfg.FaultKind == inject.KindBurst:
-				return fail(configErrf("Sampling",
-					"burst faults span tensor elements and have no per-bit perturbation bound to prune with"))
-			case !cfg.UseRanger:
-				return fail(configErrf("Sampling",
-					"analytic pruning needs the ranger's calibrated activation bounds; set UseRanger"))
-			}
-		}
 	}
 	pool, err := cfg.evalPool()
 	if err != nil {
@@ -708,18 +732,6 @@ func (s *Simulator) campaignGeometry(cfg CampaignConfig) (campaignGeom, error) {
 	if b := cfg.packBatch(); b > pool.Len() {
 		return fail(configErrf("BatchSize",
 			"campaign batch %d exceeds the pool's %d samples", b, pool.Len()))
-	}
-	if cfg.Recovery != detect.PolicyNone && len(cfg.Detectors) == 0 {
-		return fail(fmt.Errorf("goldeneye: recovery policy %s requires Detectors", cfg.Recovery))
-	}
-	if cfg.Resume != nil {
-		if cfg.KeepTrace {
-			return fail(fmt.Errorf("goldeneye: resume does not support KeepTrace campaigns"))
-		}
-		if cfg.Resume.Completed < 0 || cfg.Resume.Completed > cfg.Injections {
-			return fail(fmt.Errorf("goldeneye: resume point %d outside campaign of %d injections",
-				cfg.Resume.Completed, cfg.Injections))
-		}
 	}
 	g.elems = s.sizes[cfg.Layer]
 	if cfg.Target == inject.TargetNeuron && g.elems == 0 {
@@ -737,14 +749,6 @@ func (s *Simulator) campaignGeometry(cfg CampaignConfig) (campaignGeom, error) {
 		g.flips = 1
 	}
 	if cfg.Site == inject.SiteAccum {
-		if cfg.Target != inject.TargetNeuron {
-			return fail(&ConfigError{Field: "Target",
-				Reason: "accumulator faults corrupt partial sums of the layer output; they require a neuron target"})
-		}
-		if cfg.FaultKind == inject.KindBurst {
-			return fail(&ConfigError{Field: "FaultKind",
-				Reason: "burst faults span the elements of one value tensor and have no accumulator-register analogue"})
-		}
 		info, ok := s.layerInfo(cfg.Layer)
 		if !ok {
 			return fail(fmt.Errorf("goldeneye: unknown layer index %d", cfg.Layer))
@@ -757,7 +761,7 @@ func (s *Simulator) campaignGeometry(cfg CampaignConfig) (campaignGeom, error) {
 				cfg.Layer, info.Kind, info.Name))
 		}
 		g.depth = depth
-		g.inj = cfg.Assignment.rolesFor(info, nn.DefaultLayers()).Accumulator
+		g.inj = cfg.Assignment.rolesFor(info).Accumulator
 		return g, nil
 	}
 	// Value/metadata sites: resolve the injection format — the explicit
@@ -765,7 +769,7 @@ func (s *Simulator) campaignGeometry(cfg CampaignConfig) (campaignGeom, error) {
 	g.inj = cfg.Format
 	if g.inj == nil {
 		info, _ := s.layerInfo(cfg.Layer)
-		roles := cfg.Assignment.rolesFor(info, nn.DefaultLayers())
+		roles := cfg.Assignment.rolesFor(info)
 		if cfg.Target == inject.TargetWeight {
 			g.inj = roles.Weights
 		} else {
@@ -816,7 +820,7 @@ func (s *Simulator) newRunner(ctx context.Context, cfg CampaignConfig) (*campaig
 	// its historical all-parameter semantics bit for bit; an Assignment
 	// converts each assigned layer's own parameters instead.
 	if cfg.Assignment != nil {
-		s.applyWeightAssignment(cfg.Assignment, nn.DefaultLayers())
+		s.applyWeightAssignment(cfg.Assignment)
 	} else if cfg.QuantizeWeights {
 		inject.QuantizeWeights(s.model, cfg.Format)
 	}
@@ -987,8 +991,8 @@ func (r *campaignRunner) axis() numfmt.MetaAxis {
 // it always has.
 func (r *campaignRunner) emulationHooks(axis numfmt.MetaAxis) *nn.HookSet {
 	h := nn.NewHookSet()
-	addActivationHooks(h, r.emuAsg, axis, nn.DefaultLayers())
-	addAccumHooks(h, r.emuAsg, nn.DefaultLayers())
+	addActivationHooks(h, r.emuAsg, axis)
+	addAccumHooks(h, r.emuAsg)
 	return h
 }
 

@@ -160,12 +160,7 @@ func TestBatchedCampaignResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := cfg
-	res.Resume = &goldeneye.CampaignResume{
-		Completed: 7,
-		Result:    prefix.CampaignResult,
-		Detected:  prefix.Detected,
-		Aborted:   prefix.Aborted,
-	}
+	res.Resume = prefix
 	resumed, err := sim.RunCampaign(context.Background(), res)
 	if err != nil {
 		t.Fatal(err)

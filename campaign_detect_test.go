@@ -134,7 +134,7 @@ func TestDetectSerialBatchedBitIdentical(t *testing.T) {
 
 // Resumed campaigns preserve Detected/Recovered bit-identically: the
 // prefix report's detection aggregates carry forward through
-// CampaignResume on the serial path and the batched path.
+// CampaignConfig.Resume on the serial path and the batched path.
 func TestDetectResumeBitIdentical(t *testing.T) {
 	sim, pool := loadSim(t, "mlp")
 	x, y := pool.subset(8)
@@ -154,14 +154,7 @@ func TestDetectResumeBitIdentical(t *testing.T) {
 		}
 
 		resumed := full
-		resumed.Resume = &goldeneye.CampaignResume{
-			Completed:   part.Injections + part.Aborted,
-			Result:      part.CampaignResult,
-			Detected:    part.Detected,
-			Aborted:     part.Aborted,
-			Recovered:   part.Recovered,
-			PerDetector: part.PerDetector,
-		}
+		resumed.Resume = part
 		got, err := sim.RunCampaign(context.Background(), resumed)
 		if err != nil {
 			t.Fatal(err)

@@ -150,7 +150,7 @@ func runEngine(ctx context.Context, cfg CampaignConfig, workers int, first *Simu
 		errs:    make([]error, workers),
 	}
 	if cfg.Resume != nil {
-		e.skip = cfg.Resume.Completed
+		e.skip = cfg.Resume.Injections + cfg.Resume.Aborted
 		// Prior aborts count toward the threshold.
 		e.aborted.Store(int64(cfg.Resume.Aborted))
 	}
@@ -183,11 +183,13 @@ func runEngine(ctx context.Context, cfg CampaignConfig, workers int, first *Simu
 }
 
 // resumedReport returns cfg's empty report, seeded with the aggregates of
-// cfg.Resume's executed prefix when resuming.
+// cfg.Resume's executed prefix when resuming. Only the aggregates carry
+// over; the partial report's Interrupted flag, trace, sampling estimator
+// and config belong to the interrupted run.
 func resumedReport(cfg CampaignConfig) *CampaignReport {
 	rep := &CampaignReport{Config: cfg}
 	if res := cfg.Resume; res != nil {
-		rep.CampaignResult = res.Result
+		rep.CampaignResult = res.CampaignResult
 		rep.Detected, rep.Aborted, rep.Recovered = res.Detected, res.Aborted, res.Recovered
 		rep.PerDetector = mergeResumeDetectors(nil, res.PerDetector)
 	}

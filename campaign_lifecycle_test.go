@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"goldeneye"
+	"goldeneye/internal/metrics"
 	"goldeneye/internal/numfmt"
 	"goldeneye/internal/sampling"
 	"goldeneye/internal/telemetry"
@@ -294,12 +295,7 @@ func TestCampaignResumeBitIdentical(t *testing.T) {
 	}
 
 	resumed := full
-	resumed.Resume = &goldeneye.CampaignResume{
-		Completed: part.Injections + part.Aborted,
-		Result:    part.CampaignResult,
-		Detected:  part.Detected,
-		Aborted:   part.Aborted,
-	}
+	resumed.Resume = part
 	got, err := sim.RunCampaign(context.Background(), resumed)
 	if err != nil {
 		t.Fatal(err)
@@ -327,14 +323,14 @@ func TestCampaignResumeValidation(t *testing.T) {
 	x, y := pool.subset(8)
 
 	cfg := lifecycleConfig(sim, x, y, 10)
-	cfg.Resume = &goldeneye.CampaignResume{Completed: 11}
+	cfg.Resume = &goldeneye.CampaignReport{CampaignResult: metrics.CampaignResult{Injections: 11}}
 	if _, err := sim.RunCampaign(context.Background(), cfg); err == nil {
 		t.Fatal("resume point beyond the campaign must be rejected")
 	}
 
 	cfg = lifecycleConfig(sim, x, y, 10)
 	cfg.KeepTrace = true
-	cfg.Resume = &goldeneye.CampaignResume{Completed: 5}
+	cfg.Resume = &goldeneye.CampaignReport{CampaignResult: metrics.CampaignResult{Injections: 5}}
 	if _, err := sim.RunCampaign(context.Background(), cfg); err == nil {
 		t.Fatal("resume with KeepTrace must be rejected")
 	}

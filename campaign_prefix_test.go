@@ -103,8 +103,7 @@ func runPrefixCase(t *testing.T, c prefixCase, fullPassOnly bool) ([]byte, [3]in
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.Resume = &CampaignResume{Completed: 9, Result: prefix.CampaignResult,
-			Detected: prefix.Detected, Aborted: prefix.Aborted}
+		cfg.Resume = prefix
 	}
 	rep, err := RunCampaignParallel(context.Background(), cfg, c.workers, build)
 	if err != nil {

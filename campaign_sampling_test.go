@@ -10,6 +10,7 @@ import (
 
 	"goldeneye"
 	"goldeneye/internal/inject"
+	"goldeneye/internal/metrics"
 	"goldeneye/internal/numfmt"
 	"goldeneye/internal/sampling"
 	"goldeneye/internal/telemetry"
@@ -357,7 +358,7 @@ func TestSampledCampaignGuards(t *testing.T) {
 
 	resumed := base
 	resumed.Sampling = &sampling.Plan{Fraction: 0.5}
-	resumed.Resume = &goldeneye.CampaignResume{Completed: 2}
+	resumed.Resume = &goldeneye.CampaignReport{CampaignResult: metrics.CampaignResult{Injections: 2}}
 	if _, err := sim.RunCampaign(context.Background(), resumed); err == nil {
 		t.Fatal("sampled resume should be rejected")
 	}

@@ -199,23 +199,11 @@ func run(ctx context.Context, args []string) error {
 				return goldeneye.CampaignConfig{}, err
 			}
 		}
-		switch *site {
-		case "value":
-			cfg.Site = inject.SiteValue
-		case "metadata":
-			cfg.Site = inject.SiteMetadata
-		case "accum":
-			cfg.Site = inject.SiteAccum
-		default:
-			return goldeneye.CampaignConfig{}, fmt.Errorf("unknown site %q (want value, metadata, or accum)", *site)
+		if cfg.Site, err = inject.ParseSite(*site); err != nil {
+			return goldeneye.CampaignConfig{}, err
 		}
-		switch *target {
-		case "neuron":
-			cfg.Target = inject.TargetNeuron
-		case "weight":
-			cfg.Target = inject.TargetWeight
-		default:
-			return goldeneye.CampaignConfig{}, fmt.Errorf("unknown target %q", *target)
+		if cfg.Target, err = inject.ParseTarget(*target); err != nil {
+			return goldeneye.CampaignConfig{}, err
 		}
 		if cfg.Sampling, err = goldeneye.ParseSamplingPlan(*sample, *sampleStr, *prune, *pruneEps, *targetCI); err != nil {
 			return goldeneye.CampaignConfig{}, err

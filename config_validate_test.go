@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"goldeneye/internal/detect"
 	"goldeneye/internal/inject"
 	"goldeneye/internal/tensor"
 	"goldeneye/internal/zoo"
@@ -52,7 +53,8 @@ func TestNewEvalPoolValidation(t *testing.T) {
 
 // TestCampaignConfigValidation drives the campaign entry point through the
 // config edge cases: missing pool, empty pool, campaign batch exceeding
-// the pool. All must fail fast with a typed *ConfigError naming the field.
+// the pool, and the model-independent rules of CampaignConfig.Validate.
+// All must fail fast with a typed *ConfigError naming the field.
 func TestCampaignConfigValidation(t *testing.T) {
 	model, ds, err := zoo.Pretrained("mlp")
 	if err != nil {
@@ -82,6 +84,11 @@ func TestCampaignConfigValidation(t *testing.T) {
 		{"unset target", func(c *CampaignConfig) { c.Target = 0 }, "Target"},
 		{"nil format", func(c *CampaignConfig) { c.Format = nil }, "Format"},
 		{"no injections", func(c *CampaignConfig) { c.Injections = 0 }, "Injections"},
+		{"accum weight", func(c *CampaignConfig) { c.Site, c.Target = inject.SiteAccum, inject.TargetWeight }, "Target"},
+		{"accum burst", func(c *CampaignConfig) { c.Site, c.FaultKind = inject.SiteAccum, inject.KindBurst }, "FaultKind"},
+		{"recovery alone", func(c *CampaignConfig) { c.Recovery = detect.PolicyClamp }, "Recovery"},
+		{"resume past end", func(c *CampaignConfig) { c.Resume = &CampaignReport{Aborted: 4} }, "Resume"},
+		{"resume with trace", func(c *CampaignConfig) { c.Resume, c.KeepTrace = &CampaignReport{}, true }, "Resume"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -109,8 +116,16 @@ func TestCampaignConfigValidation(t *testing.T) {
 		})
 	}
 
-	// Batch exactly the pool size stays valid.
+	// The model-independent rules need no pool: the campaign service runs
+	// Validate before it resolves one.
 	cfg := base
+	cfg.Pool = nil
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("pool-less config rejected by Validate: %v", err)
+	}
+
+	// Batch exactly the pool size stays valid.
+	cfg = base
 	cfg.BatchSize = 8
 	if _, err := sim.RunCampaign(context.Background(), cfg); err != nil {
 		t.Errorf("batch == pool size: %v", err)

@@ -117,8 +117,7 @@ func engineCases(t *testing.T) []engineCase {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg.Resume = &goldeneye.CampaignResume{Completed: 19, Result: prefix.CampaignResult,
-				Detected: prefix.Detected, Aborted: prefix.Aborted}
+			cfg.Resume = prefix
 			return parallel(cfg, 2, mlpBuild)(t)
 		}},
 		{"shards3_merged", func(t *testing.T) *goldeneye.CampaignReport {

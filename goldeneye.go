@@ -297,18 +297,6 @@ type EmulationConfig struct {
 	//
 	// Deprecated: use Assignment with an Activations role.
 	Neurons bool
-
-	// AllLayers hooks every layer kind instead of the CONV/LINEAR default.
-	// With Assignment set, it widens the scope of Assignment.Default the
-	// same way (PerLayer entries always apply at exactly their index).
-	AllLayers bool
-}
-
-func (c EmulationConfig) filter() nn.Filter {
-	if c.AllLayers {
-		return nn.AllLayers()
-	}
-	return nn.DefaultLayers()
 }
 
 // runtimeAssignment lowers the configuration to the assignment its forward
@@ -329,17 +317,17 @@ func (c EmulationConfig) runtimeAssignment() *FormatAssignment {
 // emulationHooks returns a hook set applying cfg's activation and
 // accumulator emulation (nil if none is needed). Activation hooks carry the
 // format's fused-kernel epilogue, so Conv2D/Linear apply emulation to their
-// outputs while cache-hot; other layer kinds (with AllLayers) run the hook
-// function as usual. Accumulator roles round every GEMM partial sum through
-// the assigned format.
+// outputs while cache-hot; other layer kinds a PerLayer entry assigns run
+// the hook function as usual. Accumulator roles round every GEMM partial
+// sum through the assigned format.
 func emulationHooks(cfg EmulationConfig) *nn.HookSet {
 	asg := cfg.runtimeAssignment()
 	if !asg.hasActivations() && !asg.hasAccumulator() {
 		return nil
 	}
 	hooks := nn.NewHookSet()
-	addActivationHooks(hooks, asg, numfmt.AxisTensor, cfg.filter())
-	addAccumHooks(hooks, asg, cfg.filter())
+	addActivationHooks(hooks, asg, numfmt.AxisTensor)
+	addAccumHooks(hooks, asg)
 	return hooks
 }
 
@@ -355,7 +343,7 @@ func (s *Simulator) applyEmulationWeights(cfg EmulationConfig) func() {
 			return nil
 		}
 		backup := inject.BackupWeights(s.model)
-		s.applyWeightAssignment(cfg.Assignment, cfg.filter())
+		s.applyWeightAssignment(cfg.Assignment)
 		return backup.Restore
 	case cfg.Format != nil && cfg.Weights:
 		backup := inject.BackupWeights(s.model)

@@ -1,11 +1,15 @@
-// Package checkpoint persists per-cell sweep state so interrupted
-// experiment campaigns can resume where they stopped. A "cell" is one
-// campaign of a figure sweep (one model × format × layer × site
-// combination); its checkpoint records the merged aggregates, how many
-// injections were executed, and a hash of the configuration that produced
-// them. Because the fault sequence is drawn deterministically from the
-// campaign seed, a resumed cell replays the already-executed prefix and
-// its final report is bit-identical to an uninterrupted run's.
+// Package checkpoint persists per-cell campaign state so interrupted
+// experiment sweeps can resume where they stopped and the campaign
+// service's results survive restarts. A "cell" is one campaign of a
+// figure sweep (one model × format × layer × site combination) or one
+// cached service job; its checkpoint is the campaign's report — partial
+// or complete — in the report's own versioned wire encoding, plus a hash
+// of the configuration that produced it. The report is the persisted
+// state: whatever its wire encoding carries survives, and nothing else
+// decides it. Because the fault sequence is drawn deterministically from
+// the campaign seed, a partial report is enough to resume (see
+// goldeneye.CampaignConfig.Resume), and the resumed cell's final report
+// is bit-identical to an uninterrupted run's.
 //
 // Files are one JSON document per cell, written atomically (temp file +
 // rename) so a kill mid-write can never leave a truncated checkpoint.
@@ -21,10 +25,10 @@ import (
 	"path/filepath"
 	"strings"
 
-	"goldeneye/internal/metrics"
+	"goldeneye"
 )
 
-// Cell is the persisted state of one sweep cell.
+// Cell is the persisted state of one sweep cell or cached job.
 type Cell struct {
 	// Key identifies the cell within its sweep (e.g.
 	// "fig7/mlp/fp32/L03/value"). It is stored in the file as well as the
@@ -36,35 +40,13 @@ type Cell struct {
 	// the stale cell is ignored rather than resumed.
 	ConfigHash uint64 `json:"config_hash"`
 
-	// Seed is the campaign RNG seed, recorded so the deterministic fault
-	// prefix can be replayed.
-	Seed uint64 `json:"seed"`
+	// Done marks a complete report; otherwise Report is the partial report
+	// of an interrupted (or failed) run, covering its first
+	// Injections+Aborted fault draws.
+	Done bool `json:"done"`
 
-	// Planned is the campaign's total injection count; Completed is how
-	// many were executed (recorded + aborted) before the checkpoint.
-	Planned   int  `json:"planned"`
-	Completed int  `json:"completed"`
-	Done      bool `json:"done"`
-
-	// Result aggregates the executed prefix; Detected and Aborted carry
-	// the report fields outside metrics.CampaignResult.
-	Result   metrics.CampaignResult `json:"result"`
-	Detected int                    `json:"detected"`
-	Aborted  int                    `json:"aborted"`
-
-	// Recovered and Detectors carry the detection-pipeline aggregates of
-	// campaigns run with detectors configured; both are absent from (and
-	// ignored in) cells persisted without a pipeline, so pre-detector
-	// checkpoints load unchanged.
-	Recovered int                              `json:"recovered,omitempty"`
-	Detectors map[string]metrics.DetectorStats `json:"detectors,omitempty"`
-
-	// Config optionally embeds the producing configuration in its wire
-	// encoding. The campaign service stores the fully resolved config here
-	// so a cache hit can return it verbatim (e.g. with the server-selected
-	// injection layer, not the submitted -1 sentinel); sweep cells leave it
-	// empty.
-	Config json.RawMessage `json:"config,omitempty"`
+	// Report is the campaign's report in its wire encoding.
+	Report *goldeneye.CampaignReport `json:"report"`
 }
 
 // Sidecar returns a path alongside the store's cells for auxiliary
@@ -112,9 +94,11 @@ func (s *Store) path(key string) string {
 }
 
 // Load returns the checkpoint for key, or nil if none exists. A file whose
-// stored key does not match (filename-hash collision) or that fails to
-// parse (truncated by a crash predating atomic writes, manual edits) is
-// treated as absent rather than poisoning the sweep.
+// stored key does not match (filename-hash collision), that fails to parse
+// (truncated by a crash predating atomic writes, manual edits), or whose
+// report is missing or does not decode (a cell written in an older shape,
+// a report from a newer schema) is treated as absent rather than poisoning
+// the sweep: the cell is recomputed.
 func (s *Store) Load(key string) (*Cell, error) {
 	data, err := os.ReadFile(s.path(key))
 	if errors.Is(err, fs.ErrNotExist) {
@@ -127,7 +111,7 @@ func (s *Store) Load(key string) (*Cell, error) {
 	if err := json.Unmarshal(data, &c); err != nil {
 		return nil, nil
 	}
-	if c.Key != key {
+	if c.Key != key || c.Report == nil {
 		return nil, nil
 	}
 	return &c, nil

@@ -1,28 +1,30 @@
 package checkpoint
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"goldeneye"
 	"goldeneye/internal/metrics"
 )
 
 func sampleCell(key string) *Cell {
-	c := &Cell{
-		Key:        key,
-		ConfigHash: HashConfig("fp32", 3, true),
-		Seed:       42,
-		Planned:    100,
-		Completed:  37,
-		Detected:   4,
-		Aborted:    2,
+	rep := &goldeneye.CampaignReport{
+		Config: goldeneye.CampaignConfig{
+			Site: goldeneye.SiteValue, Target: goldeneye.TargetNeuron,
+			Layer: 3, Injections: 100, Seed: 42,
+		},
+		Detected: 4,
+		Aborted:  2,
 	}
-	for i := 0; i < 37; i++ {
-		c.Result.Record(i%3 == 0, float64(i)*0.125+0.01, i%7 == 0)
+	for i := 0; i < 35; i++ {
+		rep.Record(i%3 == 0, float64(i)*0.125+0.01, i%7 == 0)
 	}
-	return c
+	return &Cell{Key: key, ConfigHash: HashConfig("fp32", 3, true), Report: rep}
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -41,21 +43,24 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if got == nil {
 		t.Fatal("Load returned nil for saved cell")
 	}
-	if got.Key != want.Key || got.ConfigHash != want.ConfigHash || got.Seed != want.Seed ||
-		got.Planned != want.Planned || got.Completed != want.Completed ||
-		got.Detected != want.Detected || got.Aborted != want.Aborted {
+	if got.Key != want.Key || got.ConfigHash != want.ConfigHash || got.Done != want.Done {
 		t.Fatalf("round trip mismatch: got %+v want %+v", got, want)
 	}
-	// The Welford accumulator must survive bit-exactly: resumed campaigns
-	// continue Add() on the restored state and compare reports with ==.
-	if got.Result.Injections != want.Result.Injections ||
-		got.Result.Mismatches != want.Result.Mismatches ||
-		got.Result.NonFinite != want.Result.NonFinite {
-		t.Fatalf("result counts mismatch: got %+v want %+v", got.Result, want.Result)
+	// The report — Welford accumulators included — must survive
+	// bit-exactly: resumed campaigns continue Add() on the restored state,
+	// and cache hits serve the restored report's wire bytes.
+	a, err := json.Marshal(want.Report)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got.Result.DeltaLoss.Mean() != want.Result.DeltaLoss.Mean() ||
-		got.Result.DeltaLoss.Variance() != want.Result.DeltaLoss.Variance() ||
-		got.Result.MismatchStat.Mean() != want.Result.MismatchStat.Mean() {
+	b, err := json.Marshal(got.Report)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatalf("report round trip is not byte-identical:\n got %s\nwant %s", b, a)
+	}
+	if got.Report.DeltaLoss != want.Report.DeltaLoss || got.Report.MismatchStat != want.Report.MismatchStat {
 		t.Fatal("RunningStat JSON round trip is not bit-exact")
 	}
 }
@@ -77,7 +82,8 @@ func TestRunningStatContinuationAfterRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cell := &Cell{Key: "k", Result: metrics.CampaignResult{DeltaLoss: prefix}}
+	cell := &Cell{Key: "k", Report: &goldeneye.CampaignReport{
+		CampaignResult: metrics.CampaignResult{DeltaLoss: prefix}}}
 	if err := st.Save(cell); err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +91,7 @@ func TestRunningStatContinuationAfterRoundTrip(t *testing.T) {
 	if err != nil || loaded == nil {
 		t.Fatalf("load: %v %v", loaded, err)
 	}
-	resumed := loaded.Result.DeltaLoss
+	resumed := loaded.Report.DeltaLoss
 	for _, x := range xs[4:] {
 		resumed.Add(x)
 	}
@@ -114,12 +120,21 @@ func TestLoadCorruptTreatedAsAbsent(t *testing.T) {
 	if err := st.Save(sampleCell("cell")); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(st.path("cell"), []byte("{truncated"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	c, err := st.Load("cell")
-	if err != nil || c != nil {
-		t.Fatalf("corrupt checkpoint should read as absent, got (%v, %v)", c, err)
+	for name, doc := range map[string]string{
+		"truncated": "{truncated",
+		// The pre-report cell shape: aggregates but no report.
+		"old shape":    `{"key":"cell","config_hash":1,"seed":42,"planned":100,"completed":37,"done":true,"result":{}}`,
+		"newer schema": `{"key":"cell","done":true,"report":{"version":99}}`,
+		"null report":  `{"key":"cell","done":true,"report":null}`,
+		"undecodable":  `{"key":"cell","done":true,"report":{"version":1,"config":{"version":1,"format":"banana"}}}`,
+	} {
+		if err := os.WriteFile(st.path("cell"), []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c, err := st.Load("cell")
+		if err != nil || c != nil {
+			t.Errorf("%s checkpoint should read as absent, got (%v, %v)", name, c, err)
+		}
 	}
 }
 
@@ -132,7 +147,7 @@ func TestKeySanitizationKeepsKeysDistinct(t *testing.T) {
 	// files distinct and the stored key must disambiguate on load.
 	a, b := "fig7/mlp fp32", "fig7/mlp:fp32"
 	ca, cb := sampleCell(a), sampleCell(b)
-	cb.Completed = 99
+	cb.Report.Aborted = 9
 	if err := st.Save(ca); err != nil {
 		t.Fatal(err)
 	}
@@ -140,11 +155,11 @@ func TestKeySanitizationKeepsKeysDistinct(t *testing.T) {
 		t.Fatal(err)
 	}
 	ga, err := st.Load(a)
-	if err != nil || ga == nil || ga.Completed != ca.Completed {
+	if err != nil || ga == nil || ga.Report.Aborted != ca.Report.Aborted {
 		t.Fatalf("key %q: got %+v err %v", a, ga, err)
 	}
 	gb, err := st.Load(b)
-	if err != nil || gb == nil || gb.Completed != 99 {
+	if err != nil || gb == nil || gb.Report.Aborted != 9 {
 		t.Fatalf("key %q: got %+v err %v", b, gb, err)
 	}
 	name := filepath.Base(st.path(a))

@@ -112,8 +112,8 @@ func TestRunCellResumesInterruptedCellBitIdentical(t *testing.T) {
 	if err != nil || cell == nil {
 		t.Fatalf("interrupted cell not persisted: cell=%v err=%v", cell, err)
 	}
-	if cell.Done || cell.Completed != 12 {
-		t.Fatalf("persisted cell state wrong: done=%v completed=%d, want partial at 12", cell.Done, cell.Completed)
+	if executed := cell.Report.Injections + cell.Report.Aborted; cell.Done || executed != 12 {
+		t.Fatalf("persisted cell state wrong: done=%v executed=%d, want partial at 12", cell.Done, executed)
 	}
 
 	// Resume: only the remaining 28 injections execute, and the merged

@@ -230,44 +230,21 @@ func runCell(ctx context.Context, sim *goldeneye.Simulator, key string, cfg gold
 	}
 	if cell != nil {
 		if cell.Done {
-			return &goldeneye.CampaignReport{
-				CampaignResult: cell.Result,
-				Config:         cfg,
-				Detected:       cell.Detected,
-				Aborted:        cell.Aborted,
-				Recovered:      cell.Recovered,
-				PerDetector:    cell.Detectors,
-			}, nil
+			return cell.Report, nil
 		}
-		if cell.Completed > 0 && cell.Completed < cfg.Injections {
-			cfg.Resume = &goldeneye.CampaignResume{
-				Completed:   cell.Completed,
-				Result:      cell.Result,
-				Detected:    cell.Detected,
-				Aborted:     cell.Aborted,
-				Recovered:   cell.Recovered,
-				PerDetector: cell.Detectors,
-			}
+		// Only a proper prefix resumes. A failed cell whose last injection
+		// tripped MaxAborts may cover every draw; resuming it would run
+		// nothing and save it as done, so it re-runs (and fails) instead.
+		if n := cell.Report.Injections + cell.Report.Aborted; n > 0 && n < cfg.Injections {
+			cfg.Resume = cell.Report
 		}
 	}
 	rep, runErr := sim.RunCampaign(ctx, cfg)
 	if rep != nil {
-		// Persist even interrupted cells: Completed counts every executed
-		// injection (recorded + aborted), which is exactly the fault-
+		// Persist even interrupted cells: the partial report covers every
+		// executed draw (recorded + aborted), which is exactly the fault-
 		// sequence prefix a resume must replay.
-		save := &checkpoint.Cell{
-			Key:        key,
-			ConfigHash: hash,
-			Seed:       cfg.Seed,
-			Planned:    cfg.Injections,
-			Completed:  rep.Injections + rep.Aborted,
-			Done:       runErr == nil,
-			Result:     rep.CampaignResult,
-			Detected:   rep.Detected,
-			Aborted:    rep.Aborted,
-			Recovered:  rep.Recovered,
-			Detectors:  rep.PerDetector,
-		}
+		save := &checkpoint.Cell{Key: key, ConfigHash: hash, Done: runErr == nil, Report: rep}
 		if serr := st.Save(save); serr != nil && runErr == nil {
 			runErr = serr
 		}

@@ -44,6 +44,17 @@ func (s Site) String() string {
 	}
 }
 
+// ParseSite maps a site's String spelling ("value", "metadata", "accum")
+// back to its value.
+func ParseSite(s string) (Site, error) {
+	for _, site := range []Site{SiteValue, SiteMetadata, SiteAccum} {
+		if s == site.String() {
+			return site, nil
+		}
+	}
+	return 0, fmt.Errorf("inject: unknown injection site %q (want value, metadata, or accum)", s)
+}
+
 // Target selects what the fault corrupts: a neuron (activation) during the
 // forward pass, or a stored weight.
 type Target int
@@ -64,6 +75,17 @@ func (t Target) String() string {
 	default:
 		return fmt.Sprintf("Target(%d)", int(t))
 	}
+}
+
+// ParseTarget maps a target's String spelling ("neuron", "weight") back to
+// its value.
+func ParseTarget(s string) (Target, error) {
+	for _, t := range []Target{TargetNeuron, TargetWeight} {
+		if s == t.String() {
+			return t, nil
+		}
+	}
+	return 0, fmt.Errorf("inject: unknown injection target %q (want neuron or weight)", s)
 }
 
 // FaultKind selects the error model (paper §IV-C studies "different error

@@ -347,6 +347,24 @@ func TestSiteTargetStrings(t *testing.T) {
 	if TargetNeuron.String() != "neuron" || TargetWeight.String() != "weight" {
 		t.Fatal("Target.String mismatch")
 	}
+	for _, s := range []Site{SiteValue, SiteMetadata, SiteAccum} {
+		if got, err := ParseSite(s.String()); err != nil || got != s {
+			t.Errorf("ParseSite(%q) = %v, %v", s.String(), got, err)
+		}
+	}
+	for _, tg := range []Target{TargetNeuron, TargetWeight} {
+		if got, err := ParseTarget(tg.String()); err != nil || got != tg {
+			t.Errorf("ParseTarget(%q) = %v, %v", tg.String(), got, err)
+		}
+	}
+	for _, bad := range []string{"", "Value", "nowhere", "Site(1)"} {
+		if _, err := ParseSite(bad); err == nil {
+			t.Errorf("ParseSite(%q) accepted", bad)
+		}
+		if _, err := ParseTarget(bad); err == nil {
+			t.Errorf("ParseTarget(%q) accepted", bad)
+		}
+	}
 	f := Fault{Layer: 3, Site: SiteMetadata, Target: TargetNeuron, MetaIndex: 2, Bit: 1}
 	if f.String() != "layer 3 neuron metadata reg 2 bit 1" {
 		t.Fatalf("Fault.String = %q", f.String())

@@ -1,9 +1,6 @@
 package server
 
 import (
-	"encoding/json"
-	"fmt"
-
 	"goldeneye"
 	"goldeneye/internal/checkpoint"
 )
@@ -13,8 +10,11 @@ import (
 // pool geometry, worker count, and the campaign cell fingerprint), so a hit
 // is by construction the same report the job would recompute. A hot
 // in-memory map fronts an optional checkpoint.Store, which also makes
-// results survive daemon restarts; the disk layer reuses the sweep cell
-// format, so `cmd/experiments`-style tooling can read service results too.
+// results survive daemon restarts; the disk layer stores the report itself
+// in its wire encoding (the sweep cell format), so a restored report —
+// resolved config and sampling estimator included — encodes byte-identically
+// to the one the job produced, and `cmd/experiments`-style tooling can read
+// service results too.
 type resultCache struct {
 	mem   map[string]*goldeneye.CampaignReport
 	store *checkpoint.Store // nil = memory-only
@@ -34,7 +34,9 @@ func newResultCache(dir string) (*resultCache, error) {
 
 // get returns the cached report for key, or nil. Callers serialize access
 // (the server holds its mutex); reports are treated as immutable once
-// cached, so returning the shared pointer is safe.
+// cached, so returning the shared pointer is safe. A disk entry that does
+// not decode — written in an older cell shape, or by a newer schema — is a
+// miss.
 func (c *resultCache) get(key string, hash uint64) *goldeneye.CampaignReport {
 	if rep, ok := c.mem[key]; ok {
 		return rep
@@ -46,46 +48,16 @@ func (c *resultCache) get(key string, hash uint64) *goldeneye.CampaignReport {
 	if err != nil || cell == nil || !cell.Done {
 		return nil
 	}
-	rep := &goldeneye.CampaignReport{
-		CampaignResult: cell.Result,
-		Detected:       cell.Detected,
-		Aborted:        cell.Aborted,
-		Recovered:      cell.Recovered,
-		PerDetector:    cell.Detectors,
-	}
-	if len(cell.Config) > 0 {
-		if err := json.Unmarshal(cell.Config, &rep.Config); err != nil {
-			return nil // config from a future schema or corrupted: treat as miss
-		}
-	}
-	c.mem[key] = rep
-	return rep
+	c.mem[key] = cell.Report
+	return cell.Report
 }
 
 // put caches a completed report under key, persisting it when a store is
-// configured. The persisted cell embeds the resolved config so a future
-// daemon returns it verbatim on a hit.
+// configured.
 func (c *resultCache) put(key string, hash uint64, rep *goldeneye.CampaignReport) error {
 	c.mem[key] = rep
 	if c.store == nil {
 		return nil
 	}
-	cfgJSON, err := json.Marshal(rep.Config)
-	if err != nil {
-		return fmt.Errorf("server: encode cached config: %w", err)
-	}
-	return c.store.Save(&checkpoint.Cell{
-		Key:        key,
-		ConfigHash: hash,
-		Seed:       rep.Config.Seed,
-		Planned:    rep.Config.Injections,
-		Completed:  rep.Injections + rep.Aborted,
-		Done:       true,
-		Result:     rep.CampaignResult,
-		Detected:   rep.Detected,
-		Aborted:    rep.Aborted,
-		Recovered:  rep.Recovered,
-		Detectors:  rep.PerDetector,
-		Config:     cfgJSON,
-	})
+	return c.store.Save(&checkpoint.Cell{Key: key, ConfigHash: hash, Done: true, Report: rep})
 }

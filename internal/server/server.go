@@ -495,13 +495,16 @@ func (s *Server) runJob(j *job) {
 	s.inflight.Add(-1)
 	switch {
 	case err == nil:
-		s.finishJob(j, JobDone, rep, nil)
+		// Admit the report to the cache before the terminal transition
+		// wakes waiters and journals done: a client that sees the job done
+		// and resubmits must hit, and a journaled done finds its report.
 		s.mu.Lock()
 		perr := s.cache.put(j.key, j.hash, rep)
 		s.mu.Unlock()
 		if perr != nil {
 			s.cacheErrors.Inc()
 		}
+		s.finishJob(j, JobDone, rep, nil)
 	case j.ctx.Err() != nil:
 		s.finishJob(j, JobCancelled, rep, err)
 	case ctx.Err() != nil && rep != nil:

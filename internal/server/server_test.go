@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +15,8 @@ import (
 	"time"
 
 	"goldeneye"
+	"goldeneye/internal/inject"
+	"goldeneye/internal/sampling"
 	"goldeneye/internal/telemetry"
 )
 
@@ -317,55 +320,73 @@ func TestCancel(t *testing.T) {
 
 // TestDrainPersistsCache runs a job, drains the server, then brings up a
 // fresh server over the same cache directory: the resubmission must be a
-// cache hit served without re-execution, with byte-identical report.
+// cache hit served without re-execution, with byte-identical report — for
+// an exhaustive job and for a sampled one, whose report carries the
+// stratified estimator the disk entry must keep.
 func TestDrainPersistsCache(t *testing.T) {
-	dir := t.TempDir()
+	cases := []struct {
+		name string
+		spec func(*testing.T) *JobSpec
+	}{
+		{"exhaustive", testSpec},
+		{"sampled", func(t *testing.T) *JobSpec {
+			spec := testSpec(t)
+			spec.Campaign.Injections = 32
+			spec.Campaign.Sampling = &sampling.Plan{Fraction: 0.5}
+			return spec
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
 
-	s1, err := New(Options{CacheDir: dir, StreamInterval: 10 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts1 := httptest.NewServer(s1)
-	_, st := submit(t, ts1, testSpec(t))
-	terminal, payload, _ := readEvents(t, ts1, st.ID)
-	if terminal != "done" {
-		t.Fatalf("first run: %q", terminal)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := s1.Shutdown(ctx); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-	ts1.Close()
+			s1, err := New(Options{CacheDir: dir, StreamInterval: 10 * time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts1 := httptest.NewServer(s1)
+			_, st := submit(t, ts1, tc.spec(t))
+			terminal, payload, _ := readEvents(t, ts1, st.ID)
+			if terminal != "done" {
+				t.Fatalf("first run: %q", terminal)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			if err := s1.Shutdown(ctx); err != nil {
+				t.Fatalf("drain: %v", err)
+			}
+			ts1.Close()
 
-	// Draining servers refuse new work.
-	var executions atomic.Int64
-	s2, ts2 := newTestServer(t, Options{CacheDir: dir})
-	s2.beforeRun = func(*job) { executions.Add(1) }
-	resp, st2 := submit(t, ts2, testSpec(t))
-	if resp.StatusCode != http.StatusOK || !st2.Cached {
-		t.Fatalf("restart resubmit: status %d, %+v", resp.StatusCode, st2)
-	}
-	if executions.Load() != 0 {
-		t.Errorf("restart cache hit re-executed the campaign")
-	}
-	rresp, err := http.Get(ts2.URL + "/v1/jobs/" + st2.ID + "/report")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rresp.Body.Close()
-	var restored goldeneye.CampaignReport
-	if err := json.NewDecoder(rresp.Body).Decode(&restored); err != nil {
-		t.Fatal(err)
-	}
-	var original goldeneye.CampaignReport
-	if err := json.Unmarshal(payload, &original); err != nil {
-		t.Fatal(err)
-	}
-	a, _ := json.Marshal(original)
-	b, _ := json.Marshal(restored)
-	if !bytes.Equal(a, b) {
-		t.Errorf("restored report differs from original:\n%s\n%s", a, b)
+			// Draining servers refuse new work.
+			var executions atomic.Int64
+			s2, ts2 := newTestServer(t, Options{CacheDir: dir})
+			s2.beforeRun = func(*job) { executions.Add(1) }
+			resp, st2 := submit(t, ts2, tc.spec(t))
+			if resp.StatusCode != http.StatusOK || !st2.Cached {
+				t.Fatalf("restart resubmit: status %d, %+v", resp.StatusCode, st2)
+			}
+			if executions.Load() != 0 {
+				t.Errorf("restart cache hit re-executed the campaign")
+			}
+			rresp, err := http.Get(ts2.URL + "/v1/jobs/" + st2.ID + "/report")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rresp.Body.Close()
+			var restored goldeneye.CampaignReport
+			if err := json.NewDecoder(rresp.Body).Decode(&restored); err != nil {
+				t.Fatal(err)
+			}
+			var original goldeneye.CampaignReport
+			if err := json.Unmarshal(payload, &original); err != nil {
+				t.Fatal(err)
+			}
+			a, _ := json.Marshal(original)
+			b, _ := json.Marshal(restored)
+			if !bytes.Equal(a, b) {
+				t.Errorf("restored report differs from original:\n%s\n%s", a, b)
+			}
+		})
 	}
 }
 
@@ -380,6 +401,35 @@ func TestSubmitRejectsDraining(t *testing.T) {
 	resp, _ := submit(t, ts, testSpec(t))
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("draining submit: got %d, want 503", resp.StatusCode)
+	}
+}
+
+// TestDecodeJobSpecCampaignFields: the campaign's own rules come from
+// goldeneye.CampaignConfig.Validate, reported under a "Campaign." field,
+// after the decoder defaults an unset site and target.
+func TestDecodeJobSpecCampaignFields(t *testing.T) {
+	cases := map[string]struct{ campaign, field string }{
+		"no format":        {`{"injections":1,"seed":1,"layer":0}`, "Campaign.Format"},
+		"no injections":    {`{"format":"fp16","seed":1,"layer":0}`, "Campaign.Injections"},
+		"accum weight":     {`{"version":2,"format":"fp16","site":"accum","target":"weight","injections":1,"seed":1,"layer":0}`, "Campaign.Target"},
+		"shard index":      {`{"version":3,"format":"fp16","shard_index":2,"shard_count":2,"injections":4,"seed":1,"layer":0}`, "Campaign.ShardIndex"},
+		"recovery alone":   {`{"format":"fp16","recovery":"clamp","injections":1,"seed":1,"layer":0}`, "Campaign.Recovery"},
+		"bad fraction":     {`{"version":4,"format":"fp16","sampling":{"fraction":2},"injections":1,"seed":1,"layer":0}`, "Campaign.Sampling"},
+		"empty assignment": {`{"version":2,"assignment":{"default":{}},"injections":1,"seed":1,"layer":0}`, "Campaign.Assignment"},
+	}
+	for name, tc := range cases {
+		_, err := DecodeJobSpec(strings.NewReader(`{"model":"mlp","campaign":` + tc.campaign + `}`))
+		var ce *goldeneye.ConfigError
+		if !errors.As(err, &ce) || ce.Field != tc.field {
+			t.Errorf("%s: got %v, want a *ConfigError on %s", name, err, tc.field)
+		}
+	}
+	spec, err := DecodeJobSpec(strings.NewReader(`{"model":"mlp","campaign":{"format":"fp16","injections":1,"seed":1,"layer":0}}`))
+	if err != nil {
+		t.Fatalf("minimal spec without site or target rejected: %v", err)
+	}
+	if spec.Campaign.Site != inject.SiteValue || spec.Campaign.Target != inject.TargetNeuron {
+		t.Errorf("unset site/target defaulted to %s/%s, want value/neuron", spec.Campaign.Site, spec.Campaign.Target)
 	}
 }
 

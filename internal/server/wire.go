@@ -91,8 +91,12 @@ func (s *JobSpec) Deadline() time.Duration {
 }
 
 // Validate checks a decoded submission against the rules the daemon can
-// enforce without loading the model. Violations come back as
-// *goldeneye.ConfigError, which handlers map to 400.
+// enforce without loading the model: the job's own fields, then the
+// campaign's model-independent rules (goldeneye.CampaignConfig.Validate,
+// with "Campaign." prefixed to the field), then the campaign rules that
+// depend on the job (layer sentinel, batch against the pool, traces).
+// Violations come back as *goldeneye.ConfigError, which handlers map to
+// 400.
 func (s *JobSpec) Validate() error {
 	if s.Version > SchemaVersion {
 		return fmt.Errorf("server: job schema v%d is newer than supported v%d", s.Version, SchemaVersion)
@@ -122,44 +126,18 @@ func (s *JobSpec) Validate() error {
 			Reason: fmt.Sprintf("eval batch %d exceeds the job's %d pool samples", s.EvalBatch, s.PoolSamples())}
 	}
 	c := &s.Campaign
-	if c.Format == nil && c.Assignment == nil {
-		return &goldeneye.ConfigError{Field: "Campaign.Format", Reason: "campaign requires a format"}
-	}
-	if c.Assignment != nil {
-		if err := c.Assignment.Validate(); err != nil {
-			return err
+	if err := c.Validate(); err != nil {
+		var ce *goldeneye.ConfigError
+		if errors.As(err, &ce) {
+			ce.Field = "Campaign." + ce.Field
 		}
+		return err
 	}
-	if c.Injections <= 0 {
-		return &goldeneye.ConfigError{Field: "Campaign.Injections",
-			Reason: fmt.Sprintf("campaign requires a positive injection count, got %d", c.Injections)}
-	}
-	if c.ShardCount < 0 {
-		return &goldeneye.ConfigError{Field: "Campaign.ShardCount",
-			Reason: fmt.Sprintf("negative shard count %d", c.ShardCount)}
-	}
-	if c.ShardIndex < 0 {
-		return &goldeneye.ConfigError{Field: "Campaign.ShardIndex",
-			Reason: fmt.Sprintf("negative shard index %d", c.ShardIndex)}
-	}
-	if c.ShardCount > 1 {
-		if c.ShardIndex >= c.ShardCount {
-			return &goldeneye.ConfigError{Field: "Campaign.ShardIndex",
-				Reason: fmt.Sprintf("shard index %d outside shard count %d", c.ShardIndex, c.ShardCount)}
-		}
-		if c.ShardCount > c.Injections {
-			return &goldeneye.ConfigError{Field: "Campaign.ShardCount",
-				Reason: fmt.Sprintf("shard count %d exceeds %d injections", c.ShardCount, c.Injections)}
-		}
-		// One shard is already a stride slice of the campaign; the fleet
-		// provides the parallelism, so the per-node worker pool must not.
-		if s.Workers > 1 {
-			return &goldeneye.ConfigError{Field: "Workers",
-				Reason: fmt.Sprintf("sharded jobs run serially (the fleet provides the parallelism), got workers=%d", s.Workers)}
-		}
-	} else if c.ShardIndex != 0 {
-		return &goldeneye.ConfigError{Field: "Campaign.ShardIndex",
-			Reason: fmt.Sprintf("shard index %d requires a shard count > 1", c.ShardIndex)}
+	// One shard is already a stride slice of the campaign; the fleet
+	// provides the parallelism, so the per-node worker pool must not.
+	if c.ShardCount > 1 && s.Workers > 1 {
+		return &goldeneye.ConfigError{Field: "Workers",
+			Reason: fmt.Sprintf("sharded jobs run serially (the fleet provides the parallelism), got workers=%d", s.Workers)}
 	}
 	if c.Layer < -1 {
 		return &goldeneye.ConfigError{Field: "Campaign.Layer",
@@ -174,9 +152,6 @@ func (s *JobSpec) Validate() error {
 	if c.KeepTrace {
 		return &goldeneye.ConfigError{Field: "Campaign.KeepTrace",
 			Reason: "per-injection traces are not served over the job API"}
-	}
-	if err := c.Sampling.Validate(); err != nil {
-		return &goldeneye.ConfigError{Field: "Campaign.Sampling", Reason: err.Error()}
 	}
 	return nil
 }
@@ -204,9 +179,6 @@ func DecodeJobSpec(r io.Reader) (*JobSpec, error) {
 	if dec.More() {
 		return nil, errors.New("server: trailing data after job spec")
 	}
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
 	// The engine wants an explicit site and target; default unset ones to
 	// the CLI's defaults so minimal submissions behave like the local tool.
 	if spec.Campaign.Site == 0 {
@@ -214,6 +186,9 @@ func DecodeJobSpec(r io.Reader) (*JobSpec, error) {
 	}
 	if spec.Campaign.Target == 0 {
 		spec.Campaign.Target = inject.TargetNeuron
+	}
+	if err := spec.Validate(); err != nil {
+		return nil, err
 	}
 	return &spec, nil
 }

@@ -98,10 +98,7 @@ func TestCampaignProgress(t *testing.T) {
 		}
 		var got []int
 		resumed := base
-		resumed.Resume = &CampaignResume{
-			Completed: 3,
-			Result:    partial.CampaignResult,
-		}
+		resumed.Resume = partial
 		resumed.Progress = func(done, planned int) { got = append(got, done) }
 		if _, err := sim.RunCampaign(context.Background(), resumed); err != nil {
 			t.Fatal(err)

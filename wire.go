@@ -292,11 +292,17 @@ func (c *CampaignConfig) UnmarshalJSON(data []byte) error {
 	if out.Assignment, err = w.Assignment.assignment(); err != nil {
 		return err
 	}
-	if out.Site, err = parseSite(w.Site); err != nil {
-		return err
+	// An absent site or target decodes to the zero value, matching the Go
+	// zero value of an unset config.
+	if w.Site != "" {
+		if out.Site, err = inject.ParseSite(w.Site); err != nil {
+			return err
+		}
 	}
-	if out.Target, err = parseTarget(w.Target); err != nil {
-		return err
+	if w.Target != "" {
+		if out.Target, err = inject.ParseTarget(w.Target); err != nil {
+			return err
+		}
 	}
 	if out.FaultKind, err = parseFaultKind(w.FaultKind); err != nil {
 		return err
@@ -320,38 +326,6 @@ func (c *CampaignConfig) UnmarshalJSON(data []byte) error {
 	out.Sampling = w.Sampling
 	*c = out
 	return nil
-}
-
-// parseSite maps a wire site spelling back to its value; "" is the zero
-// site (campaigns treat it as SiteValue's absence, matching the Go zero
-// value of an unset config).
-func parseSite(s string) (inject.Site, error) {
-	switch s {
-	case "":
-		return 0, nil
-	case "value":
-		return inject.SiteValue, nil
-	case "metadata":
-		return inject.SiteMetadata, nil
-	case "accum":
-		return inject.SiteAccum, nil
-	default:
-		return 0, fmt.Errorf("goldeneye: unknown injection site %q", s)
-	}
-}
-
-// parseTarget maps a wire target spelling back to its value.
-func parseTarget(s string) (inject.Target, error) {
-	switch s {
-	case "":
-		return 0, nil
-	case "neuron":
-		return inject.TargetNeuron, nil
-	case "weight":
-		return inject.TargetWeight, nil
-	default:
-		return 0, fmt.Errorf("goldeneye: unknown injection target %q", s)
-	}
 }
 
 // parseFaultKind maps a wire error-model spelling back to its value; both
