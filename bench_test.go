@@ -63,7 +63,9 @@ func BenchmarkFig3Inference(b *testing.B) {
 		b.Run(cfg.name, func(b *testing.B) {
 			emu := goldeneye.EmulationConfig{}
 			if cfg.format != nil {
-				emu = goldeneye.EmulationConfig{Format: cfg.format, Neurons: true}
+				emu = goldeneye.EmulationConfig{Assignment: &goldeneye.FormatAssignment{
+					Default: goldeneye.RoleFormats{Activations: cfg.format},
+				}}
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -91,14 +93,14 @@ func BenchmarkFig3ErrorInjection(b *testing.B) {
 			layer := sim.InjectableLayers()[2]
 			for i := 0; i < b.N; i++ {
 				_, err := sim.RunCampaign(context.Background(), goldeneye.CampaignConfig{
-					Format:         numfmt.BFPe5m5(),
-					Site:           s,
-					Target:         goldeneye.TargetNeuron,
-					Layer:          layer,
-					Injections:     1,
-					Seed:           uint64(i),
-					Pool:           &goldeneye.EvalPool{X: x.Slice(0, 1), Y: y[:1]},
-					EmulateNetwork: true,
+					Format:     numfmt.BFPe5m5(),
+					Site:       s,
+					Target:     goldeneye.TargetNeuron,
+					Layer:      layer,
+					Injections: 1,
+					Seed:       uint64(i),
+					Pool:       &goldeneye.EvalPool{X: x.Slice(0, 1), Y: y[:1]},
+					Assignment: &goldeneye.FormatAssignment{Default: goldeneye.RoleFormats{Activations: numfmt.BFPe5m5()}},
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -153,15 +155,15 @@ func BenchmarkFig7Resiliency(b *testing.B) {
 			}
 			for i := 0; i < b.N; i++ {
 				_, err := sim.RunCampaign(context.Background(), goldeneye.CampaignConfig{
-					Format:         numfmt.BFPe5m5(),
-					Site:           s,
-					Target:         goldeneye.TargetNeuron,
-					Layer:          sim.InjectableLayers()[2],
-					Injections:     50,
-					Seed:           uint64(i),
-					Pool:           &goldeneye.EvalPool{X: xs, Y: ys},
-					UseRanger:      true,
-					EmulateNetwork: true,
+					Format:     numfmt.BFPe5m5(),
+					Site:       s,
+					Target:     goldeneye.TargetNeuron,
+					Layer:      sim.InjectableLayers()[2],
+					Injections: 50,
+					Seed:       uint64(i),
+					Pool:       &goldeneye.EvalPool{X: xs, Y: ys},
+					UseRanger:  true,
+					Assignment: &goldeneye.FormatAssignment{Default: goldeneye.RoleFormats{Activations: numfmt.BFPe5m5()}},
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -178,19 +180,19 @@ func BenchmarkFig9Tradeoff(b *testing.B) {
 	format := numfmt.NewAFP(4, 4, true)
 	xs, ys := x.Slice(0, 16), y[:16]
 	for i := 0; i < b.N; i++ {
-		sim.Evaluate(x.Slice(0, 60), y[:60], 20, goldeneye.EmulationConfig{
-			Format: format, Weights: true, Neurons: true,
-		})
+		sim.Evaluate(x.Slice(0, 60), y[:60], 20, goldeneye.EmulationConfig{Assignment: &goldeneye.FormatAssignment{
+			Default: goldeneye.RoleFormats{Activations: format}, Params: format,
+		}})
 		_, err := sim.RunCampaign(context.Background(), goldeneye.CampaignConfig{
-			Format:         format,
-			Site:           goldeneye.SiteMetadata,
-			Target:         goldeneye.TargetNeuron,
-			Layer:          sim.InjectableLayers()[1],
-			Injections:     20,
-			Seed:           uint64(i),
-			Pool:           &goldeneye.EvalPool{X: xs, Y: ys},
-			UseRanger:      true,
-			EmulateNetwork: true,
+			Format:     format,
+			Site:       goldeneye.SiteMetadata,
+			Target:     goldeneye.TargetNeuron,
+			Layer:      sim.InjectableLayers()[1],
+			Injections: 20,
+			Seed:       uint64(i),
+			Pool:       &goldeneye.EvalPool{X: xs, Y: ys},
+			UseRanger:  true,
+			Assignment: &goldeneye.FormatAssignment{Default: goldeneye.RoleFormats{Activations: format}},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -220,14 +222,14 @@ func BenchmarkParallelCampaign(b *testing.B) {
 		b.Run(fmt.Sprintf("workers_%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := goldeneye.CampaignConfig{
-					Format:         numfmt.BFPe5m5(),
-					Site:           goldeneye.SiteValue,
-					Target:         goldeneye.TargetNeuron,
-					Layer:          layer,
-					Injections:     512,
-					Seed:           uint64(i),
-					Pool:           &goldeneye.EvalPool{X: x.Slice(0, 16), Y: y[:16]},
-					EmulateNetwork: true,
+					Format:     numfmt.BFPe5m5(),
+					Site:       goldeneye.SiteValue,
+					Target:     goldeneye.TargetNeuron,
+					Layer:      layer,
+					Injections: 512,
+					Seed:       uint64(i),
+					Pool:       &goldeneye.EvalPool{X: x.Slice(0, 16), Y: y[:16]},
+					Assignment: &goldeneye.FormatAssignment{Default: goldeneye.RoleFormats{Activations: numfmt.BFPe5m5()}},
 				}
 				if _, err := goldeneye.RunCampaignParallel(context.Background(), cfg, workers, build); err != nil {
 					b.Fatal(err)
@@ -257,16 +259,16 @@ func BenchmarkCampaignBatched(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				_, err := sim.RunCampaign(context.Background(), goldeneye.CampaignConfig{
-					Format:         numfmt.BFPe5m5(),
-					Site:           goldeneye.SiteValue,
-					Target:         goldeneye.TargetNeuron,
-					Layer:          layer,
-					Injections:     injections,
-					Seed:           uint64(i),
-					Pool:           pool,
-					BatchSize:      batch,
-					UseRanger:      true,
-					EmulateNetwork: true,
+					Format:     numfmt.BFPe5m5(),
+					Site:       goldeneye.SiteValue,
+					Target:     goldeneye.TargetNeuron,
+					Layer:      layer,
+					Injections: injections,
+					Seed:       uint64(i),
+					Pool:       pool,
+					BatchSize:  batch,
+					UseRanger:  true,
+					Assignment: &goldeneye.FormatAssignment{Default: goldeneye.RoleFormats{Activations: numfmt.BFPe5m5()}},
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -277,13 +279,10 @@ func BenchmarkCampaignBatched(b *testing.B) {
 	}
 }
 
-// BenchmarkAssignmentOverhead pins the api_redesign's perf contract: the
-// legacy uniform configuration (Assignment nil — the zero value) must cost
-// the same after the redesign as before it, and its explicit
-// uniform-assignment lowering must cost the same as the legacy spelling.
-// Compare the two sub-benchmarks with benchstat; they run the identical
-// campaign through the legacy shim and through a default-only
-// FormatAssignment.
+// BenchmarkAssignmentOverhead prices per-visit format resolution: a
+// default-only assignment and a per-layer one that assigns every CONV/LINEAR
+// layer the same activation format run the identical campaign, so
+// benchstat on the two sub-benchmarks shows what per-layer entries cost.
 func BenchmarkAssignmentOverhead(b *testing.B) {
 	sim, x, y := benchSim(b, "resnet_s")
 	pool, err := goldeneye.NewEvalPool(x.Slice(0, 64), y[:64], 0)
@@ -300,18 +299,21 @@ func BenchmarkAssignmentOverhead(b *testing.B) {
 		Pool:       pool,
 		BatchSize:  8,
 	}
-	legacy := base
-	legacy.Format = f
-	legacy.EmulateNetwork = true
-	lowered := base
-	lowered.Format = f
-	lowered.Assignment = &goldeneye.FormatAssignment{
+	uniform := base
+	uniform.Format = f
+	uniform.Assignment = &goldeneye.FormatAssignment{
 		Default: goldeneye.RoleFormats{Activations: f},
+	}
+	perLayer := base
+	perLayer.Format = f
+	perLayer.Assignment = &goldeneye.FormatAssignment{PerLayer: map[int]goldeneye.RoleFormats{}}
+	for _, l := range sim.InjectableLayers() {
+		perLayer.Assignment.PerLayer[l] = goldeneye.RoleFormats{Activations: f}
 	}
 	for _, bc := range []struct {
 		name string
 		cfg  goldeneye.CampaignConfig
-	}{{"legacy_nil_assignment", legacy}, {"lowered_assignment", lowered}} {
+	}{{"default_assignment", uniform}, {"per_layer_assignment", perLayer}} {
 		bc := bc
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -92,15 +92,15 @@ func TestAccumCampaignTokenLinears(t *testing.T) {
 		}
 		linears++
 		cfg := goldeneye.CampaignConfig{
-			Format:         numfmt.FP16(true),
-			EmulateNetwork: true,
-			Site:           goldeneye.SiteAccum,
-			Target:         goldeneye.TargetNeuron,
-			Layer:          l.Index,
-			Injections:     13,
-			Seed:           uint64(l.Index),
-			Pool:           &goldeneye.EvalPool{X: x, Y: y},
-			KeepTrace:      true,
+			Format:     numfmt.FP16(true),
+			Assignment: &goldeneye.FormatAssignment{Default: goldeneye.RoleFormats{Activations: numfmt.FP16(true)}},
+			Site:       goldeneye.SiteAccum,
+			Target:     goldeneye.TargetNeuron,
+			Layer:      l.Index,
+			Injections: 13,
+			Seed:       uint64(l.Index),
+			Pool:       &goldeneye.EvalPool{X: x, Y: y},
+			KeepTrace:  true,
 		}
 		serial, err := sim.RunCampaign(context.Background(), cfg)
 		if err != nil {
@@ -141,15 +141,15 @@ func TestAccumCampaignNativeRegister(t *testing.T) {
 	sim, pool := loadSim(t, "mlp")
 	x, y := pool.subset(6)
 	cfg := goldeneye.CampaignConfig{
-		Format:         numfmt.FP16(true),
-		EmulateNetwork: true,
-		Site:           goldeneye.SiteAccum,
-		Target:         goldeneye.TargetNeuron,
-		Layer:          sim.InjectableLayers()[0],
-		Injections:     16,
-		Seed:           5,
-		Pool:           &goldeneye.EvalPool{X: x, Y: y},
-		KeepTrace:      true,
+		Format:     numfmt.FP16(true),
+		Assignment: &goldeneye.FormatAssignment{Default: goldeneye.RoleFormats{Activations: numfmt.FP16(true)}},
+		Site:       goldeneye.SiteAccum,
+		Target:     goldeneye.TargetNeuron,
+		Layer:      sim.InjectableLayers()[0],
+		Injections: 16,
+		Seed:       5,
+		Pool:       &goldeneye.EvalPool{X: x, Y: y},
+		KeepTrace:  true,
 	}
 	serial, err := sim.RunCampaign(context.Background(), cfg)
 	if err != nil {

@@ -29,15 +29,15 @@ func TestBatchedLoopBookkeepingAllocFree(t *testing.T) {
 		t.Fatalf("pool: %v", err)
 	}
 	cfg := CampaignConfig{
-		Format:         numfmt.INT8(),
-		Site:           inject.SiteValue,
-		Target:         inject.TargetNeuron,
-		Layer:          sim.InjectableLayers()[0],
-		Injections:     16,
-		Seed:           3,
-		Pool:           pool,
-		BatchSize:      4,
-		EmulateNetwork: true,
+		Format:     numfmt.INT8(),
+		Site:       inject.SiteValue,
+		Target:     inject.TargetNeuron,
+		Layer:      sim.InjectableLayers()[0],
+		Injections: 16,
+		Seed:       3,
+		Pool:       pool,
+		BatchSize:  4,
+		Assignment: &FormatAssignment{Default: RoleFormats{Activations: numfmt.INT8()}},
 	}
 	runner, err := sim.newRunner(context.Background(), cfg)
 	if err != nil {

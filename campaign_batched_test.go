@@ -64,17 +64,17 @@ func TestBatchedCampaignBitIdenticalAllFamilies(t *testing.T) {
 		}
 		for _, site := range sites {
 			cfg := goldeneye.CampaignConfig{
-				Format:         f,
-				Site:           site,
-				Target:         goldeneye.TargetNeuron,
-				Layer:          layer,
-				Injections:     23, // not a multiple of the batch: exercises the ragged tail
-				Seed:           11,
-				Pool:           &goldeneye.EvalPool{X: x, Y: y},
-				UseRanger:      true,
-				EmulateNetwork: true,
-				KeepTrace:      true,
-				MeasureDMR:     true,
+				Format:     f,
+				Site:       site,
+				Target:     goldeneye.TargetNeuron,
+				Layer:      layer,
+				Injections: 23, // not a multiple of the batch: exercises the ragged tail
+				Seed:       11,
+				Pool:       &goldeneye.EvalPool{X: x, Y: y},
+				UseRanger:  true,
+				Assignment: &goldeneye.FormatAssignment{Default: goldeneye.RoleFormats{Activations: f}},
+				KeepTrace:  true,
+				MeasureDMR: true,
 			}
 			serial, err := sim.RunCampaign(context.Background(), cfg)
 			if err != nil {
@@ -98,15 +98,15 @@ func TestBatchedCampaignParallelCompose(t *testing.T) {
 	sim, pool := loadSim(t, "mlp")
 	x, y := pool.subset(8)
 	cfg := goldeneye.CampaignConfig{
-		Format:         numfmt.INT8(),
-		Site:           goldeneye.SiteValue,
-		Target:         goldeneye.TargetNeuron,
-		Layer:          sim.InjectableLayers()[0],
-		Injections:     42,
-		Seed:           5,
-		Pool:           &goldeneye.EvalPool{X: x, Y: y},
-		EmulateNetwork: true,
-		KeepTrace:      true,
+		Format:     numfmt.INT8(),
+		Site:       goldeneye.SiteValue,
+		Target:     goldeneye.TargetNeuron,
+		Layer:      sim.InjectableLayers()[0],
+		Injections: 42,
+		Seed:       5,
+		Pool:       &goldeneye.EvalPool{X: x, Y: y},
+		Assignment: &goldeneye.FormatAssignment{Default: goldeneye.RoleFormats{Activations: numfmt.INT8()}},
+		KeepTrace:  true,
 	}
 	serial, err := sim.RunCampaign(context.Background(), cfg)
 	if err != nil {
@@ -137,15 +137,15 @@ func TestBatchedCampaignResume(t *testing.T) {
 	sim, pool := loadSim(t, "mlp")
 	x, y := pool.subset(6)
 	cfg := goldeneye.CampaignConfig{
-		Format:         numfmt.AFPe5m2(),
-		Site:           goldeneye.SiteMetadata,
-		Target:         goldeneye.TargetNeuron,
-		Layer:          sim.InjectableLayers()[0],
-		Injections:     18,
-		Seed:           3,
-		Pool:           &goldeneye.EvalPool{X: x, Y: y},
-		EmulateNetwork: true,
-		BatchSize:      4,
+		Format:     numfmt.AFPe5m2(),
+		Site:       goldeneye.SiteMetadata,
+		Target:     goldeneye.TargetNeuron,
+		Layer:      sim.InjectableLayers()[0],
+		Injections: 18,
+		Seed:       3,
+		Pool:       &goldeneye.EvalPool{X: x, Y: y},
+		Assignment: &goldeneye.FormatAssignment{Default: goldeneye.RoleFormats{Activations: numfmt.AFPe5m2()}},
+		BatchSize:  4,
 	}
 	full, err := sim.RunCampaign(context.Background(), cfg)
 	if err != nil {
@@ -202,15 +202,15 @@ func TestEvalPoolCampaignGeometry(t *testing.T) {
 	sim, pool := loadSim(t, "mlp")
 	x, y := pool.subset(6)
 	cfg := goldeneye.CampaignConfig{
-		Format:         numfmt.INT8(),
-		Site:           goldeneye.SiteValue,
-		Target:         goldeneye.TargetNeuron,
-		Layer:          sim.InjectableLayers()[0],
-		Injections:     10,
-		Seed:           8,
-		EmulateNetwork: true,
-		KeepTrace:      true,
-		Pool:           &goldeneye.EvalPool{X: x, Y: y},
+		Format:     numfmt.INT8(),
+		Site:       goldeneye.SiteValue,
+		Target:     goldeneye.TargetNeuron,
+		Layer:      sim.InjectableLayers()[0],
+		Injections: 10,
+		Seed:       8,
+		Assignment: &goldeneye.FormatAssignment{Default: goldeneye.RoleFormats{Activations: numfmt.INT8()}},
+		KeepTrace:  true,
+		Pool:       &goldeneye.EvalPool{X: x, Y: y},
 	}
 	serial, err := sim.RunCampaign(context.Background(), cfg)
 	if err != nil {
@@ -277,16 +277,16 @@ func TestBatchedCampaignTelemetry(t *testing.T) {
 	x, y := pool.subset(8)
 	reg := telemetry.NewRegistry()
 	cfg := goldeneye.CampaignConfig{
-		Format:         numfmt.INT8(),
-		Site:           goldeneye.SiteValue,
-		Target:         goldeneye.TargetNeuron,
-		Layer:          sim.InjectableLayers()[0],
-		Injections:     22,
-		Seed:           4,
-		Pool:           &goldeneye.EvalPool{X: x, Y: y},
-		EmulateNetwork: true,
-		BatchSize:      8,
-		Metrics:        reg,
+		Format:     numfmt.INT8(),
+		Site:       goldeneye.SiteValue,
+		Target:     goldeneye.TargetNeuron,
+		Layer:      sim.InjectableLayers()[0],
+		Injections: 22,
+		Seed:       4,
+		Pool:       &goldeneye.EvalPool{X: x, Y: y},
+		Assignment: &goldeneye.FormatAssignment{Default: goldeneye.RoleFormats{Activations: numfmt.INT8()}},
+		BatchSize:  8,
+		Metrics:    reg,
 	}
 	if _, err := sim.RunCampaign(context.Background(), cfg); err != nil {
 		t.Fatal(err)

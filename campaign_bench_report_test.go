@@ -154,16 +154,16 @@ func TestCampaignBenchReport(t *testing.T) {
 	run := func(format numfmt.Format, batch int) (*goldeneye.CampaignReport, float64) {
 		start := time.Now()
 		rep, err := sim.RunCampaign(t.Context(), goldeneye.CampaignConfig{
-			Format:         format,
-			Site:           goldeneye.SiteValue,
-			Target:         goldeneye.TargetNeuron,
-			Layer:          report.Layer,
-			Injections:     injections,
-			Seed:           97,
-			Pool:           pool,
-			BatchSize:      batch,
-			UseRanger:      true,
-			EmulateNetwork: true,
+			Format:     format,
+			Site:       goldeneye.SiteValue,
+			Target:     goldeneye.TargetNeuron,
+			Layer:      report.Layer,
+			Injections: injections,
+			Seed:       97,
+			Pool:       pool,
+			BatchSize:  batch,
+			UseRanger:  true,
+			Assignment: &goldeneye.FormatAssignment{Default: goldeneye.RoleFormats{Activations: format}},
 		})
 		if err != nil {
 			t.Fatalf("%s batch %d: %v", format.Name(), batch, err)
@@ -233,15 +233,15 @@ func TestCampaignBenchReport(t *testing.T) {
 	{
 		numfmt.SetFusedKernels(true)
 		base := goldeneye.CampaignConfig{
-			Format:         numfmt.FP16(true),
-			Site:           goldeneye.SiteValue,
-			Target:         goldeneye.TargetNeuron,
-			Layer:          report.Layer,
-			Injections:     injections,
-			Seed:           97,
-			Pool:           pool,
-			UseRanger:      true,
-			EmulateNetwork: true,
+			Format:     numfmt.FP16(true),
+			Site:       goldeneye.SiteValue,
+			Target:     goldeneye.TargetNeuron,
+			Layer:      report.Layer,
+			Injections: injections,
+			Seed:       97,
+			Pool:       pool,
+			UseRanger:  true,
+			Assignment: &goldeneye.FormatAssignment{Default: goldeneye.RoleFormats{Activations: numfmt.FP16(true)}},
 		}
 		exh, err := sim.RunCampaign(t.Context(), base)
 		if err != nil {

@@ -15,14 +15,14 @@ import (
 func detectConfig(t *testing.T, sim *goldeneye.Simulator, x *goldeneye.Tensor, y []int, injections int, detectors, recovery string) goldeneye.CampaignConfig {
 	t.Helper()
 	cfg := goldeneye.CampaignConfig{
-		Format:         numfmt.FP16(true),
-		Site:           goldeneye.SiteValue,
-		Target:         goldeneye.TargetNeuron,
-		Layer:          sim.InjectableLayers()[1],
-		Injections:     injections,
-		Seed:           29,
-		Pool:           &goldeneye.EvalPool{X: x, Y: y},
-		EmulateNetwork: true,
+		Format:     numfmt.FP16(true),
+		Site:       goldeneye.SiteValue,
+		Target:     goldeneye.TargetNeuron,
+		Layer:      sim.InjectableLayers()[1],
+		Injections: injections,
+		Seed:       29,
+		Pool:       &goldeneye.EvalPool{X: x, Y: y},
+		Assignment: &goldeneye.FormatAssignment{Default: goldeneye.RoleFormats{Activations: numfmt.FP16(true)}},
 	}
 	if detectors != "" {
 		specs, err := goldeneye.ParseDetectors(detectors)

@@ -21,16 +21,16 @@ func TestCampaignDeterminismAcrossWorkerCounts(t *testing.T) {
 	sim, pool := loadSim(t, "mlp")
 	x, y := pool.subset(16)
 	cfg := goldeneye.CampaignConfig{
-		Format:         numfmt.BFPe5m5(),
-		Site:           goldeneye.SiteValue,
-		Target:         goldeneye.TargetNeuron,
-		Layer:          sim.InjectableLayers()[1],
-		Injections:     96,
-		Seed:           42,
-		Pool:           &goldeneye.EvalPool{X: x, Y: y},
-		UseRanger:      true,
-		EmulateNetwork: true,
-		KeepTrace:      true,
+		Format:     numfmt.BFPe5m5(),
+		Site:       goldeneye.SiteValue,
+		Target:     goldeneye.TargetNeuron,
+		Layer:      sim.InjectableLayers()[1],
+		Injections: 96,
+		Seed:       42,
+		Pool:       &goldeneye.EvalPool{X: x, Y: y},
+		UseRanger:  true,
+		Assignment: &goldeneye.FormatAssignment{Default: goldeneye.RoleFormats{Activations: numfmt.BFPe5m5()}},
+		KeepTrace:  true,
 	}
 
 	reports := map[int]*goldeneye.CampaignReport{}
@@ -76,15 +76,15 @@ func TestCampaignTelemetry(t *testing.T) {
 	x, y := pool.subset(8)
 	reg := telemetry.NewRegistry()
 	cfg := goldeneye.CampaignConfig{
-		Format:         numfmt.FP16(true),
-		Site:           goldeneye.SiteValue,
-		Target:         goldeneye.TargetNeuron,
-		Layer:          sim.InjectableLayers()[0],
-		Injections:     30,
-		Seed:           7,
-		Pool:           &goldeneye.EvalPool{X: x, Y: y},
-		EmulateNetwork: true,
-		Metrics:        reg,
+		Format:     numfmt.FP16(true),
+		Site:       goldeneye.SiteValue,
+		Target:     goldeneye.TargetNeuron,
+		Layer:      sim.InjectableLayers()[0],
+		Injections: 30,
+		Seed:       7,
+		Pool:       &goldeneye.EvalPool{X: x, Y: y},
+		Assignment: &goldeneye.FormatAssignment{Default: goldeneye.RoleFormats{Activations: numfmt.FP16(true)}},
+		Metrics:    reg,
 	}
 	rep, err := sim.RunCampaign(context.Background(), cfg)
 	if err != nil {

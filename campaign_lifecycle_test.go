@@ -3,7 +3,7 @@ package goldeneye_test
 // Lifecycle hardening tests: panic isolation (degraded mode), cooperative
 // cancellation with partial reports, and checkpoint-style resume
 // bit-identity. The fault-triggering formats below exploit that with
-// EmulateNetwork=false, UseRanger=false, and no DMR, Format.Quantize runs
+// no Assignment, UseRanger=false, and no DMR, Format.Quantize runs
 // exactly once per executed injection (inside inject.NeuronHookMulti), so
 // panics and cancellations land at deterministic injection indices.
 

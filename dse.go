@@ -42,7 +42,9 @@ func (s *Simulator) RunDSE(x *tensor.Tensor, y []int, batch int, cfg DSEConfig) 
 		cfg.Baseline = s.Evaluate(x, y, batch, EmulationConfig{})
 	}
 	return dse.Search(cfg, func(f numfmt.Format) float64 {
-		return s.Evaluate(x, y, batch, EmulationConfig{Format: f, Weights: true, Neurons: true})
+		return s.Evaluate(x, y, batch, EmulationConfig{Assignment: &FormatAssignment{
+			Default: RoleFormats{Activations: f}, Params: f,
+		}})
 	})
 }
 

@@ -94,15 +94,17 @@ func run() error {
 	}{{name: "plain", model: plain}, {name: "fault-trained", model: hardened}} {
 		sim := goldeneye.Wrap(entry.model, ds.ValX.Slice(0, 1))
 		rep, err := sim.RunCampaign(context.Background(), goldeneye.CampaignConfig{
-			Format:         format,
-			Site:           goldeneye.SiteValue,
-			Target:         goldeneye.TargetNeuron,
-			Layer:          sim.InjectableLayers()[1],
-			Injections:     600,
-			Seed:           42,
-			Pool:           &goldeneye.EvalPool{X: ds.ValX.Slice(0, 48), Y: ds.ValY[:48]},
-			UseRanger:      false, // expose the raw fault response
-			EmulateNetwork: true,
+			Format:     format,
+			Site:       goldeneye.SiteValue,
+			Target:     goldeneye.TargetNeuron,
+			Layer:      sim.InjectableLayers()[1],
+			Injections: 600,
+			Seed:       42,
+			Pool:       &goldeneye.EvalPool{X: ds.ValX.Slice(0, 48), Y: ds.ValY[:48]},
+			UseRanger:  false, // expose the raw fault response
+			Assignment: &goldeneye.FormatAssignment{
+				Default: goldeneye.RoleFormats{Activations: format},
+			},
 		})
 		if err != nil {
 			return err

@@ -45,9 +45,9 @@ func run() error {
 				if err != nil {
 					return fmt.Errorf("%s: %w", spec, err)
 				}
-				acc := sim.Evaluate(ds.ValX, ds.ValY, 30, goldeneye.EmulationConfig{
-					Format: format, Weights: true, Neurons: true,
-				})
+				acc := sim.Evaluate(ds.ValX, ds.ValY, 30, goldeneye.EmulationConfig{Assignment: &goldeneye.FormatAssignment{
+					Default: goldeneye.RoleFormats{Activations: format}, Params: format,
+				}})
 				fmt.Printf("  %s=%.3f", format.Name(), acc)
 			}
 			fmt.Println()

@@ -41,11 +41,10 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		acc := sim.Evaluate(ds.ValX, ds.ValY, 30, goldeneye.EmulationConfig{
-			Format:  format,
-			Weights: true, // convert weights offline
-			Neurons: true, // quantize activations via layer hooks
-		})
+		acc := sim.Evaluate(ds.ValX, ds.ValY, 30, goldeneye.EmulationConfig{Assignment: &goldeneye.FormatAssignment{
+			Params:  format,                                     // convert weights offline
+			Default: goldeneye.RoleFormats{Activations: format}, // quantize activations via layer hooks
+		}})
 		fmt.Printf("%-12s accuracy=%.4f (Δ %+0.4f)\n", format.Name(), acc, acc-native)
 	}
 	return nil

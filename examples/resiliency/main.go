@@ -49,15 +49,17 @@ func run(name string, injections int) error {
 			var means [2]float64
 			for i, site := range []goldeneye.Fault{{Site: goldeneye.SiteValue}, {Site: goldeneye.SiteMetadata}} {
 				rep, err := sim.RunCampaign(context.Background(), goldeneye.CampaignConfig{
-					Format:         format,
-					Site:           site.Site,
-					Target:         goldeneye.TargetNeuron,
-					Layer:          layer,
-					Injections:     injections,
-					Seed:           uint64(layer + 1),
-					Pool:           &goldeneye.EvalPool{X: x, Y: y},
-					UseRanger:      true,
-					EmulateNetwork: true,
+					Format:     format,
+					Site:       site.Site,
+					Target:     goldeneye.TargetNeuron,
+					Layer:      layer,
+					Injections: injections,
+					Seed:       uint64(layer + 1),
+					Pool:       &goldeneye.EvalPool{X: x, Y: y},
+					UseRanger:  true,
+					Assignment: &goldeneye.FormatAssignment{
+						Default: goldeneye.RoleFormats{Activations: format},
+					},
 				})
 				if err != nil {
 					return err

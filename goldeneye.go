@@ -26,21 +26,26 @@
 //	model, ds, _ := zoo.Pretrained("resnet_s")     // or bring your own nn.Module
 //	sim := goldeneye.Wrap(model, ds.ValX)          // any batch; traced on a row-0 view
 //	pool, _ := goldeneye.NewEvalPool(ds.ValX, ds.ValY, 32)
+//	fp16 := numfmt.FP16(true)
 //	acc := sim.EvaluatePool(pool, goldeneye.EmulationConfig{
-//		Format:  numfmt.FP16(true),
-//		Weights: true,
-//		Neurons: true,
+//		Assignment: &goldeneye.FormatAssignment{
+//			Params:  fp16, // every parameter, converted offline
+//			Default: goldeneye.RoleFormats{Activations: fp16},
+//		},
 //	})
 //
 // Fault-injection campaigns take the same pool; BatchSize packs that many
 // independent faults per forward pass (per-sample format metadata keeps the
 // report bit-identical to the serial path):
 //
+//	bfp := numfmt.BFPe5m5()
 //	rep, _ := sim.RunCampaign(ctx, goldeneye.CampaignConfig{
-//		Format: numfmt.BFPe5m5(), Site: goldeneye.SiteValue,
+//		Format: bfp, Site: goldeneye.SiteValue,
 //		Target: goldeneye.TargetNeuron, Layer: sim.InjectableLayers()[0],
-//		Injections: 1000, Pool: pool, BatchSize: 32,
-//		UseRanger: true, EmulateNetwork: true,
+//		Injections: 1000, Pool: pool, BatchSize: 32, UseRanger: true,
+//		Assignment: &goldeneye.FormatAssignment{
+//			Default: goldeneye.RoleFormats{Activations: bfp},
+//		},
 //	})
 //
 // See examples/ for runnable programs and EXPERIMENTS.md for the paper
@@ -266,52 +271,12 @@ func (s *Simulator) DefaultInjectionLayer(target inject.Target) int {
 }
 
 // EmulationConfig selects how number formats are applied to the model.
-//
-// The modern surface is Assignment: a per-layer, per-role format map
-// (weights, activations, accumulator). The Format/Weights/Neurons trio is
-// the original uniform surface, kept as a deprecated shim: it lowers to a
-// uniform assignment and stays bit-identical to its historical behavior.
-// When Assignment is non-nil it takes precedence and the legacy fields are
-// ignored.
 type EmulationConfig struct {
-	// Assignment maps layers to per-role formats (mixed precision). When
-	// set, it replaces the Format/Weights/Neurons fields below.
+	// Assignment maps the network to per-role formats: Params for an
+	// offline conversion of every parameter (§V-B), per-layer roles for
+	// weights, activations and accumulators (mixed precision). Nil means
+	// native FP32 execution (the baseline).
 	Assignment *FormatAssignment
-
-	// Format is the emulated number system; nil means native FP32
-	// execution (the baseline).
-	//
-	// Deprecated: use Assignment, which generalizes the uniform
-	// Format+Weights+Neurons trio to per-layer, per-role formats. The
-	// field remains fully supported and bit-identical.
-	Format numfmt.Format
-
-	// Weights converts all weights/biases to the format (offline
-	// conversion, §V-B).
-	//
-	// Deprecated: use Assignment with a Weights role.
-	Weights bool
-
-	// Neurons quantizes layer outputs to the format during the forward
-	// pass via post-forward hooks.
-	//
-	// Deprecated: use Assignment with an Activations role.
-	Neurons bool
-}
-
-// runtimeAssignment lowers the configuration to the assignment its forward
-// passes run under: Assignment itself when set, else the uniform-activation
-// assignment the deprecated Format+Neurons fields describe. (The weights
-// role of the legacy fields is handled by applyEmulationWeights, which must
-// reproduce the historical all-parameter conversion exactly.)
-func (c EmulationConfig) runtimeAssignment() *FormatAssignment {
-	if c.Assignment != nil {
-		return c.Assignment
-	}
-	if c.Format != nil && c.Neurons {
-		return &FormatAssignment{Default: RoleFormats{Activations: c.Format}}
-	}
-	return nil
 }
 
 // emulationHooks returns a hook set applying cfg's activation and
@@ -321,7 +286,7 @@ func (c EmulationConfig) runtimeAssignment() *FormatAssignment {
 // the hook function as usual. Accumulator roles round every GEMM partial
 // sum through the assigned format.
 func emulationHooks(cfg EmulationConfig) *nn.HookSet {
-	asg := cfg.runtimeAssignment()
+	asg := cfg.Assignment
 	if !asg.hasActivations() && !asg.hasAccumulator() {
 		return nil
 	}
@@ -332,25 +297,14 @@ func emulationHooks(cfg EmulationConfig) *nn.HookSet {
 }
 
 // applyEmulationWeights performs cfg's offline weight conversion and
-// returns the restore function (nil when no conversion applies). The
-// deprecated Weights flag keeps its historical semantics — QuantizeWeights
-// converts every non-frozen model parameter, normalization scales included
-// — while an Assignment converts each assigned layer's own parameters only.
+// returns the restore function (nil when no conversion applies).
 func (s *Simulator) applyEmulationWeights(cfg EmulationConfig) func() {
-	switch {
-	case cfg.Assignment != nil:
-		if !cfg.Assignment.hasWeights() {
-			return nil
-		}
-		backup := inject.BackupWeights(s.model)
-		s.applyWeightAssignment(cfg.Assignment)
-		return backup.Restore
-	case cfg.Format != nil && cfg.Weights:
-		backup := inject.BackupWeights(s.model)
-		inject.QuantizeWeights(s.model, cfg.Format)
-		return backup.Restore
+	if !cfg.Assignment.hasWeights() {
+		return nil
 	}
-	return nil
+	backup := inject.BackupWeights(s.model)
+	s.applyWeightAssignment(cfg.Assignment)
+	return backup.Restore
 }
 
 // Evaluate returns the model's top-1 accuracy over (x, y) under the given

@@ -53,9 +53,9 @@ func TestFP32EmulationMatchesNative(t *testing.T) {
 	sim, pool := loadSim(t, "mlp")
 	x, y := pool.subset(100)
 	native := sim.Evaluate(x, y, 25, goldeneye.EmulationConfig{})
-	emulated := sim.Evaluate(x, y, 25, goldeneye.EmulationConfig{
-		Format: numfmt.FP32(true), Weights: true, Neurons: true,
-	})
+	emulated := sim.Evaluate(x, y, 25, goldeneye.EmulationConfig{Assignment: &goldeneye.FormatAssignment{
+		Default: goldeneye.RoleFormats{Activations: numfmt.FP32(true)}, Params: numfmt.FP32(true),
+	}})
 	if native != emulated {
 		t.Fatalf("FP32 emulation changed accuracy: %v vs %v", native, emulated)
 	}
@@ -68,9 +68,10 @@ func TestEvaluateRestoresWeights(t *testing.T) {
 	sim, pool := loadSim(t, "mlp")
 	x, y := pool.subset(50)
 	before := append([]float32(nil), sim.Model().Params()[0].Value.Data()...)
-	sim.Evaluate(x, y, 25, goldeneye.EmulationConfig{
-		Format: numfmt.NewFP(2, 1, true), Weights: true, Neurons: true,
-	})
+	f := numfmt.NewFP(2, 1, true)
+	sim.Evaluate(x, y, 25, goldeneye.EmulationConfig{Assignment: &goldeneye.FormatAssignment{
+		Default: goldeneye.RoleFormats{Activations: f}, Params: f,
+	}})
 	after := sim.Model().Params()[0].Value.Data()
 	for i := range before {
 		if before[i] != after[i] {
@@ -83,9 +84,10 @@ func TestAggressiveQuantizationDegradesAccuracy(t *testing.T) {
 	sim, pool := loadSim(t, "mlp")
 	x, y := pool.subset(100)
 	native := sim.Evaluate(x, y, 25, goldeneye.EmulationConfig{})
-	crushed := sim.Evaluate(x, y, 25, goldeneye.EmulationConfig{
-		Format: numfmt.NewFP(2, 1, true), Weights: true, Neurons: true,
-	})
+	f := numfmt.NewFP(2, 1, true)
+	crushed := sim.Evaluate(x, y, 25, goldeneye.EmulationConfig{Assignment: &goldeneye.FormatAssignment{
+		Default: goldeneye.RoleFormats{Activations: f}, Params: f,
+	}})
 	if crushed >= native {
 		t.Fatalf("4-bit FP should hurt accuracy: native %v, crushed %v", native, crushed)
 	}
@@ -96,15 +98,15 @@ func TestCampaignDeterministicPerSeed(t *testing.T) {
 	x, y := pool.subset(16)
 	run := func(seed uint64) *goldeneye.CampaignReport {
 		rep, err := sim.RunCampaign(context.Background(), goldeneye.CampaignConfig{
-			Format:         numfmt.FP16(true),
-			Site:           goldeneye.SiteValue,
-			Target:         goldeneye.TargetNeuron,
-			Layer:          sim.InjectableLayers()[1],
-			Injections:     50,
-			Seed:           seed,
-			Pool:           &goldeneye.EvalPool{X: x, Y: y},
-			EmulateNetwork: true,
-			KeepTrace:      true,
+			Format:     numfmt.FP16(true),
+			Site:       goldeneye.SiteValue,
+			Target:     goldeneye.TargetNeuron,
+			Layer:      sim.InjectableLayers()[1],
+			Injections: 50,
+			Seed:       seed,
+			Pool:       &goldeneye.EvalPool{X: x, Y: y},
+			Assignment: &goldeneye.FormatAssignment{Default: goldeneye.RoleFormats{Activations: numfmt.FP16(true)}},
+			KeepTrace:  true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -198,15 +200,15 @@ func TestBFPMetadataFaultsWorseThanValueFaults(t *testing.T) {
 			site = goldeneye.SiteMetadata
 		}
 		rep, err := sim.RunCampaign(context.Background(), goldeneye.CampaignConfig{
-			Format:         numfmt.BFPe5m5(),
-			Site:           site,
-			Target:         goldeneye.TargetNeuron,
-			Layer:          layer,
-			Injections:     120,
-			Seed:           11,
-			Pool:           &goldeneye.EvalPool{X: x, Y: y},
-			UseRanger:      true,
-			EmulateNetwork: true,
+			Format:     numfmt.BFPe5m5(),
+			Site:       site,
+			Target:     goldeneye.TargetNeuron,
+			Layer:      layer,
+			Injections: 120,
+			Seed:       11,
+			Pool:       &goldeneye.EvalPool{X: x, Y: y},
+			UseRanger:  true,
+			Assignment: &goldeneye.FormatAssignment{Default: goldeneye.RoleFormats{Activations: numfmt.BFPe5m5()}},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -251,15 +253,15 @@ func TestRangerSuppressesNonFinite(t *testing.T) {
 	x, y := pool.subset(16)
 	run := func(useRanger bool) *goldeneye.CampaignReport {
 		rep, err := sim.RunCampaign(context.Background(), goldeneye.CampaignConfig{
-			Format:         numfmt.FP16(true),
-			Site:           goldeneye.SiteValue,
-			Target:         goldeneye.TargetNeuron,
-			Layer:          sim.InjectableLayers()[0],
-			Injections:     200,
-			Seed:           5,
-			Pool:           &goldeneye.EvalPool{X: x, Y: y},
-			UseRanger:      useRanger,
-			EmulateNetwork: true,
+			Format:     numfmt.FP16(true),
+			Site:       goldeneye.SiteValue,
+			Target:     goldeneye.TargetNeuron,
+			Layer:      sim.InjectableLayers()[0],
+			Injections: 200,
+			Seed:       5,
+			Pool:       &goldeneye.EvalPool{X: x, Y: y},
+			UseRanger:  useRanger,
+			Assignment: &goldeneye.FormatAssignment{Default: goldeneye.RoleFormats{Activations: numfmt.FP16(true)}},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -290,7 +292,7 @@ func TestMultiBitCampaign(t *testing.T) {
 			Seed:              9,
 			Pool:              &goldeneye.EvalPool{X: x, Y: y},
 			UseRanger:         true,
-			EmulateNetwork:    true,
+			Assignment:        &goldeneye.FormatAssignment{Default: goldeneye.RoleFormats{Activations: numfmt.FP16(true)}},
 			KeepTrace:         true,
 		})
 		if err != nil {

@@ -42,20 +42,20 @@ func AblationBFPBlock(ctx context.Context, model string, w io.Writer, o Options)
 			return rows, err
 		}
 		format := numfmt.NewBFP(5, 3, block)
-		acc := sim.EvaluatePool(vp, goldeneye.EmulationConfig{
-			Format: format, Weights: true, Neurons: true,
-		})
+		acc := sim.EvaluatePool(vp, goldeneye.EmulationConfig{Assignment: &goldeneye.FormatAssignment{
+			Default: goldeneye.RoleFormats{Activations: format}, Params: format,
+		}})
 		rep, err := runCell(ctx, sim, fmt.Sprintf("ablation/%s/block%04d", model, block), goldeneye.CampaignConfig{
-			Format:         format,
-			Site:           inject.SiteMetadata,
-			Target:         inject.TargetNeuron,
-			Layer:          layer,
-			Injections:     orDefault(o.Injections, 300),
-			Seed:           uint64(block + 1),
-			Pool:           pool,
-			BatchSize:      o.campaignBatch(),
-			UseRanger:      true,
-			EmulateNetwork: true,
+			Format:     format,
+			Site:       inject.SiteMetadata,
+			Target:     inject.TargetNeuron,
+			Layer:      layer,
+			Injections: orDefault(o.Injections, 300),
+			Seed:       uint64(block + 1),
+			Pool:       pool,
+			BatchSize:  o.campaignBatch(),
+			UseRanger:  true,
+			Assignment: &goldeneye.FormatAssignment{Default: goldeneye.RoleFormats{Activations: format}},
 		}, o)
 		if err != nil {
 			return rows, err

@@ -46,17 +46,17 @@ func BitSensitivity(ctx context.Context, model string, format numfmt.Format, w i
 	pool := injPool(ds, 48, o)
 	layer := sim.InjectableLayers()[len(sim.InjectableLayers())/2]
 	report, err := sim.RunCampaign(ctx, goldeneye.CampaignConfig{
-		Format:         format,
-		Site:           inject.SiteValue,
-		Target:         inject.TargetNeuron,
-		Layer:          layer,
-		Injections:     orDefault(o.Injections, 2000),
-		Seed:           31,
-		Pool:           pool,
-		BatchSize:      o.campaignBatch(),
-		UseRanger:      false,
-		EmulateNetwork: true,
-		KeepTrace:      true,
+		Format:     format,
+		Site:       inject.SiteValue,
+		Target:     inject.TargetNeuron,
+		Layer:      layer,
+		Injections: orDefault(o.Injections, 2000),
+		Seed:       31,
+		Pool:       pool,
+		BatchSize:  o.campaignBatch(),
+		UseRanger:  false,
+		Assignment: &goldeneye.FormatAssignment{Default: goldeneye.RoleFormats{Activations: format}},
+		KeepTrace:  true,
 	})
 	if err != nil {
 		return nil, err

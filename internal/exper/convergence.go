@@ -35,17 +35,17 @@ func Convergence(ctx context.Context, model string, format numfmt.Format, layer 
 	}
 	pool := injPool(ds, 64, o)
 	report, err := sim.RunCampaign(ctx, goldeneye.CampaignConfig{
-		Format:         format,
-		Site:           inject.SiteValue,
-		Target:         inject.TargetNeuron,
-		Layer:          layer,
-		Injections:     o.injections(),
-		Seed:           42,
-		Pool:           pool,
-		BatchSize:      o.campaignBatch(),
-		UseRanger:      true,
-		EmulateNetwork: true,
-		KeepTrace:      true,
+		Format:     format,
+		Site:       inject.SiteValue,
+		Target:     inject.TargetNeuron,
+		Layer:      layer,
+		Injections: o.injections(),
+		Seed:       42,
+		Pool:       pool,
+		BatchSize:  o.campaignBatch(),
+		UseRanger:  true,
+		Assignment: &goldeneye.FormatAssignment{Default: goldeneye.RoleFormats{Activations: format}},
+		KeepTrace:  true,
 	})
 	if err != nil {
 		return nil, err

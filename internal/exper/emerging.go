@@ -64,9 +64,9 @@ func Emerging(ctx context.Context, models []string, w io.Writer, o Options) ([]E
 				if err := ctx.Err(); err != nil {
 					return rows, err
 				}
-				acc := sim.EvaluatePool(vp, goldeneye.EmulationConfig{
-					Format: format, Weights: true, Neurons: true,
-				})
+				acc := sim.EvaluatePool(vp, goldeneye.EmulationConfig{Assignment: &goldeneye.FormatAssignment{
+					Default: goldeneye.RoleFormats{Activations: format}, Params: format,
+				}})
 				row := EmergingRow{
 					Model:    paperName(name),
 					Class:    class.name,

@@ -48,17 +48,17 @@ func ErrorModels(ctx context.Context, model string, format numfmt.Format, w io.W
 		for _, kind := range kinds {
 			key := fmt.Sprintf("errormodels/%s/%s/%s/%s", model, format.Name(), kind, site)
 			rep, err := runCell(ctx, sim, key, goldeneye.CampaignConfig{
-				Format:         format,
-				Site:           site,
-				Target:         inject.TargetNeuron,
-				FaultKind:      kind,
-				Layer:          layer,
-				Injections:     orDefault(o.Injections, 500),
-				Seed:           uint64(kind)<<8 | uint64(site),
-				Pool:           pool,
-				BatchSize:      o.campaignBatch(),
-				UseRanger:      true,
-				EmulateNetwork: true,
+				Format:     format,
+				Site:       site,
+				Target:     inject.TargetNeuron,
+				FaultKind:  kind,
+				Layer:      layer,
+				Injections: orDefault(o.Injections, 500),
+				Seed:       uint64(kind)<<8 | uint64(site),
+				Pool:       pool,
+				BatchSize:  o.campaignBatch(),
+				UseRanger:  true,
+				Assignment: &goldeneye.FormatAssignment{Default: goldeneye.RoleFormats{Activations: format}},
 			}, o)
 			if err != nil {
 				return rows, err

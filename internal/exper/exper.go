@@ -179,10 +179,14 @@ func CellHash(cfg goldeneye.CampaignConfig) uint64 {
 	if cfg.Format != nil {
 		formatName = cfg.Format.Name()
 	}
+	// A legacy-shaped assignment hashes as the two flags that spelled it
+	// before assignments existed (see CampaignConfig.LegacyFlags), so those
+	// cell hashes stay valid and both spellings of a campaign share one.
+	emulate, quantize, legacy := cfg.LegacyFlags()
 	parts := []interface{}{
 		formatName, cfg.Site, cfg.Target, cfg.FaultKind, cfg.Layer,
 		cfg.Injections, cfg.FlipsPerInjection, cfg.Seed, n,
-		cfg.UseRanger, cfg.EmulateNetwork, cfg.QuantizeWeights, cfg.MeasureDMR,
+		cfg.UseRanger, emulate, quantize, cfg.MeasureDMR,
 	}
 	// Detector configuration joins the hash only when present, keeping every
 	// pre-detector cell hash (and persisted sweep state) valid.
@@ -192,10 +196,9 @@ func CellHash(cfg goldeneye.CampaignConfig) uint64 {
 		}
 		parts = append(parts, cfg.Recovery.String())
 	}
-	// Same append-only rule for format assignments: the canonical rendering
-	// joins the hash only when an assignment is present, so every uniform-
-	// format cell hash (and cached campaign-service result) stays valid.
-	if cfg.Assignment != nil {
+	// Same append-only rule for every other format assignment: its
+	// canonical rendering joins the hash.
+	if cfg.Assignment != nil && !legacy {
 		parts = append(parts, "assignment", cfg.Assignment.Canonical())
 	}
 	// Shard geometry joins the hash only for actual shards (ShardCount > 1),

@@ -121,7 +121,9 @@ func timeInference(sim *goldeneye.Simulator, batch *goldeneye.Tensor, format num
 		case format == nil:
 			sim.Logits(batch, goldeneye.EmulationConfig{})
 		case mode == "off":
-			sim.Logits(batch, goldeneye.EmulationConfig{Format: format, Neurons: true})
+			sim.Logits(batch, goldeneye.EmulationConfig{Assignment: &goldeneye.FormatAssignment{
+				Default: goldeneye.RoleFormats{Activations: format},
+			}})
 		default:
 			site := inject.SiteValue
 			if mode == "metadata" {

@@ -83,9 +83,9 @@ func Fig4(ctx context.Context, models []string, w io.Writer, o Options) ([]Fig4R
 				if err != nil {
 					continue // geometry not expressible at this width
 				}
-				acc := sim.EvaluatePool(vp, goldeneye.EmulationConfig{
-					Format: format, Weights: true, Neurons: true,
-				})
+				acc := sim.EvaluatePool(vp, goldeneye.EmulationConfig{Assignment: &goldeneye.FormatAssignment{
+					Default: goldeneye.RoleFormats{Activations: format}, Params: format,
+				}})
 				rows = append(rows, Fig4Row{
 					Model:    paperName(name),
 					Family:   string(family),

@@ -44,16 +44,16 @@ func Fig7(ctx context.Context, models []string, w io.Writer, o Options) ([]Fig7R
 				for _, site := range []inject.Site{inject.SiteValue, inject.SiteMetadata} {
 					key := fmt.Sprintf("fig7/%s/%s/L%02d/%s", name, format.Name(), layer, site)
 					report, err := runCell(ctx, sim, key, goldeneye.CampaignConfig{
-						Format:         format,
-						Site:           site,
-						Target:         inject.TargetNeuron,
-						Layer:          layer,
-						Injections:     o.injections(),
-						Seed:           uint64(layer)*1000 + uint64(site),
-						Pool:           pool,
-						BatchSize:      o.campaignBatch(),
-						UseRanger:      true,
-						EmulateNetwork: true,
+						Format:     format,
+						Site:       site,
+						Target:     inject.TargetNeuron,
+						Layer:      layer,
+						Injections: o.injections(),
+						Seed:       uint64(layer)*1000 + uint64(site),
+						Pool:       pool,
+						BatchSize:  o.campaignBatch(),
+						UseRanger:  true,
+						Assignment: &goldeneye.FormatAssignment{Default: goldeneye.RoleFormats{Activations: format}},
 					}, o)
 					if err != nil {
 						return rows, err

@@ -60,16 +60,16 @@ func Fig9(ctx context.Context, model string, threshold float64, w io.Writer, o O
 				for _, site := range []inject.Site{inject.SiteValue, inject.SiteMetadata} {
 					key := fmt.Sprintf("fig9/%s/%s/%s/L%02d/%s", model, family, format.Name(), layer, site)
 					report, err := runCell(ctx, sim, key, goldeneye.CampaignConfig{
-						Format:         format,
-						Site:           site,
-						Target:         inject.TargetNeuron,
-						Layer:          layer,
-						Injections:     orDefault(o.Injections, 200),
-						Seed:           uint64(node.Order)<<16 | uint64(layer)<<1 | uint64(site&1),
-						Pool:           pool,
-						BatchSize:      o.campaignBatch(),
-						UseRanger:      true,
-						EmulateNetwork: true,
+						Format:     format,
+						Site:       site,
+						Target:     inject.TargetNeuron,
+						Layer:      layer,
+						Injections: orDefault(o.Injections, 200),
+						Seed:       uint64(node.Order)<<16 | uint64(layer)<<1 | uint64(site&1),
+						Pool:       pool,
+						BatchSize:  o.campaignBatch(),
+						UseRanger:  true,
+						Assignment: &goldeneye.FormatAssignment{Default: goldeneye.RoleFormats{Activations: format}},
 					}, o)
 					if err != nil {
 						return rows, err

@@ -72,15 +72,15 @@ func Protection(ctx context.Context, model string, w io.Writer, o Options) ([]Pr
 		}
 		layer := layerSet[len(layerSet)/2]
 		base := goldeneye.CampaignConfig{
-			Format:         format,
-			Site:           inject.SiteValue,
-			Target:         target,
-			Layer:          layer,
-			Injections:     orDefault(o.Injections, 500),
-			Seed:           uint64(target) * 77,
-			Pool:           pool,
-			BatchSize:      o.campaignBatch(),
-			EmulateNetwork: true,
+			Format:     format,
+			Site:       inject.SiteValue,
+			Target:     target,
+			Layer:      layer,
+			Injections: orDefault(o.Injections, 500),
+			Seed:       uint64(target) * 77,
+			Pool:       pool,
+			BatchSize:  o.campaignBatch(),
+			Assignment: &goldeneye.FormatAssignment{Default: goldeneye.RoleFormats{Activations: format}},
 		}
 		for _, pc := range protectionConfigs {
 			cfg := base

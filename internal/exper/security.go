@@ -98,7 +98,9 @@ func SecurityFGSM(ctx context.Context, model string, epsilons []float64, w io.Wr
 			cfg := goldeneye.EmulationConfig{}
 			name := "native_fp32"
 			if format != nil {
-				cfg = goldeneye.EmulationConfig{Format: format, Weights: true, Neurons: true}
+				cfg = goldeneye.EmulationConfig{Assignment: &goldeneye.FormatAssignment{
+					Default: goldeneye.RoleFormats{Activations: format}, Params: format,
+				}}
 				name = format.Name()
 			}
 			clean := sim.EvaluatePool(vp, cfg)

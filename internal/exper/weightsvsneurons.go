@@ -38,16 +38,16 @@ func WeightsVsNeurons(ctx context.Context, model string, format numfmt.Format, w
 		for _, target := range []inject.Target{inject.TargetWeight, inject.TargetNeuron} {
 			key := fmt.Sprintf("wvn/%s/%s/L%02d/%s", model, format.Name(), layer, target)
 			rep, err := runCell(ctx, sim, key, goldeneye.CampaignConfig{
-				Format:         format,
-				Site:           inject.SiteValue,
-				Target:         target,
-				Layer:          layer,
-				Injections:     orDefault(o.Injections, 500),
-				Seed:           uint64(layer)<<4 | uint64(target),
-				Pool:           pool,
-				BatchSize:      o.campaignBatch(),
-				UseRanger:      true,
-				EmulateNetwork: true,
+				Format:     format,
+				Site:       inject.SiteValue,
+				Target:     target,
+				Layer:      layer,
+				Injections: orDefault(o.Injections, 500),
+				Seed:       uint64(layer)<<4 | uint64(target),
+				Pool:       pool,
+				BatchSize:  o.campaignBatch(),
+				UseRanger:  true,
+				Assignment: &goldeneye.FormatAssignment{Default: goldeneye.RoleFormats{Activations: format}},
 			}, o)
 			if err != nil {
 				return rows, err

@@ -25,16 +25,16 @@ func TestParallelCampaignMatchesSerial(t *testing.T) {
 	sim, pool := loadSim(t, "mlp")
 	x, y := pool.subset(16)
 	cfg := goldeneye.CampaignConfig{
-		Format:         numfmt.BFPe5m5(),
-		Site:           goldeneye.SiteValue,
-		Target:         goldeneye.TargetNeuron,
-		Layer:          sim.InjectableLayers()[1],
-		Injections:     120,
-		Seed:           17,
-		Pool:           &goldeneye.EvalPool{X: x, Y: y},
-		UseRanger:      true,
-		EmulateNetwork: true,
-		KeepTrace:      true,
+		Format:     numfmt.BFPe5m5(),
+		Site:       goldeneye.SiteValue,
+		Target:     goldeneye.TargetNeuron,
+		Layer:      sim.InjectableLayers()[1],
+		Injections: 120,
+		Seed:       17,
+		Pool:       &goldeneye.EvalPool{X: x, Y: y},
+		UseRanger:  true,
+		Assignment: &goldeneye.FormatAssignment{Default: goldeneye.RoleFormats{Activations: numfmt.BFPe5m5()}},
+		KeepTrace:  true,
 	}
 	serial, err := sim.RunCampaign(context.Background(), cfg)
 	if err != nil {

@@ -26,18 +26,18 @@ func shardTestConfig(t *testing.T, pool *testPool) goldeneye.CampaignConfig {
 		t.Fatalf("recovery: %v", err)
 	}
 	return goldeneye.CampaignConfig{
-		Format:         numfmt.BFPe5m5(),
-		Site:           goldeneye.SiteValue,
-		Target:         goldeneye.TargetNeuron,
-		Injections:     60,
-		Seed:           1234,
-		Pool:           &goldeneye.EvalPool{X: x, Y: y},
-		BatchSize:      4,
-		UseRanger:      true,
-		EmulateNetwork: true,
-		KeepTrace:      true,
-		Detectors:      specs,
-		Recovery:       rec,
+		Format:     numfmt.BFPe5m5(),
+		Site:       goldeneye.SiteValue,
+		Target:     goldeneye.TargetNeuron,
+		Injections: 60,
+		Seed:       1234,
+		Pool:       &goldeneye.EvalPool{X: x, Y: y},
+		BatchSize:  4,
+		UseRanger:  true,
+		Assignment: &goldeneye.FormatAssignment{Default: goldeneye.RoleFormats{Activations: numfmt.BFPe5m5()}},
+		KeepTrace:  true,
+		Detectors:  specs,
+		Recovery:   rec,
 	}
 }
 

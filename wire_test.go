@@ -1,37 +1,68 @@
-package goldeneye
+package goldeneye_test
 
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
+	"goldeneye"
 	"goldeneye/internal/detect"
+	"goldeneye/internal/exper"
 	"goldeneye/internal/inject"
 	"goldeneye/internal/sampling"
 )
 
+// wireRow is one row of the configuration round-trip table: a config, the
+// schema version its encoding stamps, and — for rows pinning a document
+// written before assignments replaced the uniform-format flags — that
+// document's exact bytes.
+type wireRow struct {
+	cfg     goldeneye.CampaignConfig
+	version int
+	doc     string
+}
+
 // wireConfigs spans the encodable configuration space: presets and generic
 // format geometries, every site/target/fault-kind spelling, detector
-// pipelines with recovery policies.
-func wireConfigs(t *testing.T) map[string]CampaignConfig {
+// pipelines with recovery policies, the legacy flag spellings of uniform
+// assignments, and a v5 mixed-precision assignment.
+func wireConfigs(t *testing.T) map[string]wireRow {
 	t.Helper()
-	mustFormat := func(spec string) Format {
-		f, err := ParseFormat(spec)
+	mustFormat := func(spec string) goldeneye.Format {
+		f, err := goldeneye.ParseFormat(spec)
 		if err != nil {
-			t.Fatalf("ParseFormat(%q): %v", spec, err)
+			t.Fatalf("goldeneye.ParseFormat(%q): %v", spec, err)
 		}
 		return f
 	}
-	return map[string]CampaignConfig{
-		"minimal": {
+	uniform := func(spec string, activations, params bool) (goldeneye.Format, *goldeneye.FormatAssignment) {
+		f := mustFormat(spec)
+		a := &goldeneye.FormatAssignment{}
+		if activations {
+			a.Default.Activations = f
+		}
+		if params {
+			a.Params = f
+		}
+		return f, a
+	}
+	genericF, genericA := uniform("bfp_e5m5_b16", true, true)
+	emulateF, emulateA := uniform("fp8_e4m3", true, false)
+	quantizeF, quantizeA := uniform("int8", false, true)
+	bothF, bothA := uniform("bfp_e5m5", true, true)
+	accumF, accumA := uniform("fp16", true, false)
+	return map[string]wireRow{
+		"minimal": {version: 1, cfg: goldeneye.CampaignConfig{
 			Format:     mustFormat("fp16"),
 			Injections: 100,
 			Seed:       1,
 			Layer:      3,
-		},
-		"generic-format": {
-			Format:            mustFormat("bfp_e5m5_b16"),
+		}},
+		"generic-format": {version: 1, cfg: goldeneye.CampaignConfig{
+			Format:            genericF,
+			Assignment:        genericA,
 			Injections:        1000,
 			FlipsPerInjection: 2,
 			Seed:              42,
@@ -41,19 +72,17 @@ func wireConfigs(t *testing.T) map[string]CampaignConfig {
 			FaultKind:         inject.KindStuckAt1,
 			BatchSize:         32,
 			UseRanger:         true,
-			EmulateNetwork:    true,
-			QuantizeWeights:   true,
 			MeasureDMR:        true,
 			MaxAborts:         5,
-		},
-		"nodenormal": {
+		}},
+		"nodenormal": {version: 1, cfg: goldeneye.CampaignConfig{
 			Format:     mustFormat("fp_e4m3_nodn"),
 			Injections: 10,
 			Seed:       7,
 			Layer:      -1,
 			FaultKind:  inject.KindBurst,
-		},
-		"detectors": {
+		}},
+		"detectors": {version: 1, cfg: goldeneye.CampaignConfig{
 			Format:     mustFormat("int8"),
 			Injections: 50,
 			Seed:       3,
@@ -65,31 +94,90 @@ func wireConfigs(t *testing.T) map[string]CampaignConfig {
 				{Kind: "sentinel"},
 			},
 			Recovery: detect.PolicyClamp,
-		},
+		}},
+		"legacy-emulate-network": {version: 1, cfg: goldeneye.CampaignConfig{
+			Format: emulateF, Assignment: emulateA,
+			Site: inject.SiteValue, Target: inject.TargetNeuron,
+			Layer: 2, Injections: 300, Seed: 5, UseRanger: true,
+		}, doc: `{"version":1,"format":"fp8_e4m3","site":"value","target":"neuron","layer":2,"injections":300,"seed":5,"use_ranger":true,"emulate_network":true}`},
+		"legacy-quantize-weights": {version: 1, cfg: goldeneye.CampaignConfig{
+			Format: quantizeF, Assignment: quantizeA,
+			Site: inject.SiteValue, Target: inject.TargetWeight,
+			Layer: 1, Injections: 64, Seed: 8, MeasureDMR: true,
+		}, doc: `{"version":1,"format":"int8","site":"value","target":"weight","layer":1,"injections":64,"seed":8,"quantize_weights":true,"measure_dmr":true}`},
+		"legacy-both-flags": {version: 1, cfg: goldeneye.CampaignConfig{
+			Format: bothF, Assignment: bothA,
+			Site: inject.SiteMetadata, Target: inject.TargetNeuron,
+			Layer: 4, Injections: 500, Seed: 9, BatchSize: 16,
+		}, doc: `{"version":1,"format":"bfp_e5m5_b0","site":"metadata","target":"neuron","layer":4,"injections":500,"seed":9,"batch_size":16,"emulate_network":true,"quantize_weights":true}`},
+		"legacy-accum-emulate-network": {version: 2, cfg: goldeneye.CampaignConfig{
+			Format: accumF, Assignment: accumA,
+			Site: inject.SiteAccum, Target: inject.TargetNeuron,
+			Layer: 3, Injections: 100, Seed: 2,
+		}, doc: `{"version":2,"format":"fp16","site":"accum","target":"neuron","layer":3,"injections":100,"seed":2,"emulate_network":true}`},
+		"v5-params-per-layer": {version: 5, cfg: goldeneye.CampaignConfig{
+			Assignment: &goldeneye.FormatAssignment{
+				Params:   mustFormat("int8"),
+				Default:  goldeneye.RoleFormats{Activations: mustFormat("fp8_e4m3")},
+				PerLayer: map[int]goldeneye.RoleFormats{2: {Weights: mustFormat("fp16"), Accumulator: mustFormat("fp32")}},
+			},
+			Site: inject.SiteValue, Target: inject.TargetWeight,
+			Layer: 2, Injections: 40, Seed: 6,
+		}},
 	}
+}
+
+// formatName is f's name, or "" for a nil format.
+func formatName(f goldeneye.Format) string {
+	if f == nil {
+		return ""
+	}
+	return f.Name()
 }
 
 // TestCampaignConfigRoundTrip pins the versioned wire contract: every field
 // that travels must survive encode→decode, and re-encoding the decoded
 // config must be byte-identical (the stability the campaign service's
-// content-addressed cache keys rely on).
+// content-addressed cache keys rely on). Rows carrying a legacy document
+// pin the lowering: the assignment-spelled config encodes to exactly that
+// document, and the document decodes to a config with the same encoding
+// and cell hash.
 func TestCampaignConfigRoundTrip(t *testing.T) {
-	for name, cfg := range wireConfigs(t) {
+	for name, row := range wireConfigs(t) {
+		cfg := row.cfg
 		t.Run(name, func(t *testing.T) {
 			data, err := json.Marshal(cfg)
 			if err != nil {
 				t.Fatalf("marshal: %v", err)
 			}
-			if !bytes.Contains(data, []byte(`"version":1`)) {
-				t.Fatalf("encoding carries no version: %s", data)
+			if stamp := fmt.Sprintf(`"version":%d`, row.version); !bytes.Contains(data, []byte(stamp)) {
+				t.Fatalf("encoding does not stamp %s: %s", stamp, data)
 			}
-			var back CampaignConfig
+			if row.doc != "" {
+				if string(data) != row.doc {
+					t.Fatalf("assignment spelling does not encode as the legacy document:\n got %s\nwant %s", data, row.doc)
+				}
+				var lowered goldeneye.CampaignConfig
+				if err := json.Unmarshal([]byte(row.doc), &lowered); err != nil {
+					t.Fatalf("unmarshal legacy document: %v", err)
+				}
+				if got, want := exper.CellHash(lowered), exper.CellHash(cfg); got != want {
+					t.Errorf("lowered document hashes %#x, assignment spelling %#x", got, want)
+				}
+			}
+			var back goldeneye.CampaignConfig
 			if err := json.Unmarshal(data, &back); err != nil {
 				t.Fatalf("unmarshal: %v", err)
 			}
 
-			if back.Format.Name() != cfg.Format.Name() {
-				t.Errorf("Format: got %q, want %q", back.Format.Name(), cfg.Format.Name())
+			if formatName(back.Format) != formatName(cfg.Format) {
+				t.Errorf("Format: got %q, want %q", formatName(back.Format), formatName(cfg.Format))
+			}
+			if back.Assignment.Canonical() != cfg.Assignment.Canonical() {
+				t.Errorf("Assignment: got %q, want %q", back.Assignment.Canonical(), cfg.Assignment.Canonical())
+			}
+			if exper.CellHash(back) != exper.CellHash(cfg) {
+				t.Errorf("cell hash drifted over the wire")
 			}
 			if back.Site != cfg.Site || back.Target != cfg.Target || back.FaultKind != cfg.FaultKind {
 				t.Errorf("site/target/kind: got %v/%v/%v, want %v/%v/%v",
@@ -100,8 +188,7 @@ func TestCampaignConfigRoundTrip(t *testing.T) {
 				back.BatchSize != cfg.BatchSize || back.MaxAborts != cfg.MaxAborts {
 				t.Errorf("scalar fields drifted: got %+v", back)
 			}
-			if back.UseRanger != cfg.UseRanger || back.EmulateNetwork != cfg.EmulateNetwork ||
-				back.QuantizeWeights != cfg.QuantizeWeights || back.MeasureDMR != cfg.MeasureDMR {
+			if back.UseRanger != cfg.UseRanger || back.MeasureDMR != cfg.MeasureDMR {
 				t.Errorf("flag fields drifted: got %+v", back)
 			}
 			if len(back.Detectors) != len(cfg.Detectors) {
@@ -131,8 +218,8 @@ func TestCampaignConfigRoundTrip(t *testing.T) {
 // TestCampaignReportRoundTrip checks the report wrapper survives the wire
 // byte-stably, including the bit-exact Welford accumulators.
 func TestCampaignReportRoundTrip(t *testing.T) {
-	cfg := wireConfigs(t)["detectors"]
-	rep := CampaignReport{
+	cfg := wireConfigs(t)["detectors"].cfg
+	rep := goldeneye.CampaignReport{
 		Config:   cfg,
 		Detected: 12,
 		Aborted:  1,
@@ -147,7 +234,7 @@ func TestCampaignReportRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
-	var back CampaignReport
+	var back goldeneye.CampaignReport
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
@@ -172,12 +259,12 @@ func TestCampaignReportRoundTrip(t *testing.T) {
 // daemon must refuse documents from a newer schema rather than misread
 // them.
 func TestWireRejectsNewerVersions(t *testing.T) {
-	var cfg CampaignConfig
+	var cfg goldeneye.CampaignConfig
 	err := json.Unmarshal([]byte(`{"version":99,"format":"fp16","injections":1,"seed":1,"layer":0}`), &cfg)
 	if err == nil || !strings.Contains(err.Error(), "newer than supported") {
 		t.Errorf("config: want newer-version rejection, got %v", err)
 	}
-	var rep CampaignReport
+	var rep goldeneye.CampaignReport
 	err = json.Unmarshal([]byte(`{"version":99,"result":{},"config":{"version":1,"layer":0,"injections":1,"seed":1}}`), &rep)
 	if err == nil || !strings.Contains(err.Error(), "newer than supported") {
 		t.Errorf("report: want newer-version rejection, got %v", err)
@@ -188,11 +275,11 @@ func TestWireRejectsNewerVersions(t *testing.T) {
 // format assignment (or an accumulator site) stamps version 2, survives
 // encode→decode with the assignment intact, and re-encodes byte-stably.
 func TestWireV2AssignmentRoundTrip(t *testing.T) {
-	asg, err := ParseFormatMap("w:bf16,a:fp8_e4m3,acc:fp32;4=a:fp16")
+	asg, err := goldeneye.ParseFormatMap("w:bf16,a:fp8_e4m3,acc:fp32;4=a:fp16")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := CampaignConfig{
+	cfg := goldeneye.CampaignConfig{
 		Assignment: asg,
 		Injections: 200,
 		Seed:       9,
@@ -207,7 +294,7 @@ func TestWireV2AssignmentRoundTrip(t *testing.T) {
 	if !bytes.Contains(data, []byte(`"version":2`)) {
 		t.Fatalf("assignment config should stamp v2: %s", data)
 	}
-	var back CampaignConfig
+	var back goldeneye.CampaignConfig
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
@@ -227,7 +314,7 @@ func TestWireV2AssignmentRoundTrip(t *testing.T) {
 
 	// The accumulator site alone (no assignment: native fp32 register)
 	// also needs v2 — a v1 decoder has no "accum" site spelling.
-	accumOnly := CampaignConfig{Format: cfg.Assignment.Default.Activations,
+	accumOnly := goldeneye.CampaignConfig{Format: cfg.Assignment.Default.Activations,
 		Injections: 1, Seed: 1, Layer: 0, Site: inject.SiteAccum}
 	data2, err := json.Marshal(accumOnly)
 	if err != nil {
@@ -238,7 +325,7 @@ func TestWireV2AssignmentRoundTrip(t *testing.T) {
 	}
 
 	// A report wrapping a v2 config is itself stamped v2.
-	rep := CampaignReport{Config: cfg}
+	rep := goldeneye.CampaignReport{Config: cfg}
 	repData, err := json.Marshal(rep)
 	if err != nil {
 		t.Fatal(err)
@@ -246,7 +333,7 @@ func TestWireV2AssignmentRoundTrip(t *testing.T) {
 	if !bytes.Contains(repData, []byte(`"version":2`)) {
 		t.Fatalf("v2 report not stamped: %s", repData)
 	}
-	var repBack CampaignReport
+	var repBack goldeneye.CampaignReport
 	if err := json.Unmarshal(repData, &repBack); err != nil {
 		t.Fatalf("report unmarshal: %v", err)
 	}
@@ -258,7 +345,7 @@ func TestWireV2AssignmentRoundTrip(t *testing.T) {
 // TestWireV2StrictDecoding: v2 documents decode strictly (unknown fields
 // are errors), while v1 documents keep the lenient legacy decoding.
 func TestWireV2StrictDecoding(t *testing.T) {
-	var cfg CampaignConfig
+	var cfg goldeneye.CampaignConfig
 	v2 := `{"version":2,"format":"fp16","injections":1,"seed":1,"layer":0,"bogus_field":true}`
 	if err := json.Unmarshal([]byte(v2), &cfg); err == nil ||
 		!strings.Contains(err.Error(), "bogus_field") {
@@ -282,11 +369,11 @@ func TestWireV2StrictDecoding(t *testing.T) {
 // plan intact, and re-encodes byte-stably; exhaustive configs never emit
 // the field, and a report's estimator state round-trips bit-exactly.
 func TestWireV4SamplingRoundTrip(t *testing.T) {
-	f, err := ParseFormat("fp16")
+	f, err := goldeneye.ParseFormat("fp16")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := CampaignConfig{
+	cfg := goldeneye.CampaignConfig{
 		Format:     f,
 		Injections: 200,
 		Seed:       9,
@@ -306,7 +393,7 @@ func TestWireV4SamplingRoundTrip(t *testing.T) {
 	if !bytes.Contains(data, []byte(`"version":4`)) {
 		t.Fatalf("sampled config should stamp v4: %s", data)
 	}
-	var back CampaignConfig
+	var back goldeneye.CampaignConfig
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
@@ -325,7 +412,7 @@ func TestWireV4SamplingRoundTrip(t *testing.T) {
 
 	// Exhaustive configs keep their pre-v4 bytes: no version bump, no
 	// sampling field.
-	plain := CampaignConfig{Format: f, Injections: 1, Seed: 1, Layer: 0}
+	plain := goldeneye.CampaignConfig{Format: f, Injections: 1, Seed: 1, Layer: 0}
 	data2, err := json.Marshal(plain)
 	if err != nil {
 		t.Fatal(err)
@@ -336,7 +423,7 @@ func TestWireV4SamplingRoundTrip(t *testing.T) {
 
 	// A report carrying estimator state is stamped v4 and its per-stratum
 	// Welford moments survive the wire bit-exactly.
-	rep := CampaignReport{Config: cfg, Sampling: &sampling.Report{
+	rep := goldeneye.CampaignReport{Config: cfg, Sampling: &sampling.Report{
 		Strata:    []sampling.Stratum{{Name: "exponent", Drawn: 40, Executed: 3}},
 		StopIndex: 128,
 	}}
@@ -350,7 +437,7 @@ func TestWireV4SamplingRoundTrip(t *testing.T) {
 	if !bytes.Contains(repData, []byte(`"version":4`)) {
 		t.Fatalf("v4 report not stamped: %s", repData)
 	}
-	var repBack CampaignReport
+	var repBack goldeneye.CampaignReport
 	if err := json.Unmarshal(repData, &repBack); err != nil {
 		t.Fatalf("report unmarshal: %v", err)
 	}
@@ -362,7 +449,7 @@ func TestWireV4SamplingRoundTrip(t *testing.T) {
 
 // TestWireRejectsCustomDetectorFactory: code-bearing specs must not travel.
 func TestWireRejectsCustomDetectorFactory(t *testing.T) {
-	cfg := wireConfigs(t)["minimal"]
+	cfg := wireConfigs(t)["minimal"].cfg
 	cfg.Detectors = []detect.Spec{{Kind: "ranger", New: func(detect.Target) (detect.Detector, error) { return nil, nil }}}
 	if _, err := json.Marshal(cfg); err == nil {
 		t.Error("want marshal error for detector with custom factory")
