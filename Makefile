@@ -87,6 +87,13 @@ benchdiff:
 bench-all:
 	go test -bench=. -benchmem ./...
 
+# Production-line count every change reports (see ROADMAP): non-blank,
+# non-comment lines of the non-test .go files outside the bench/ module.
+.PHONY: loc
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -print0 | \
+		xargs -0 grep -hvE '^\s*(//|$$)' | wc -l
+
 # Fault-tolerance gate: the chaos suite (dropped connections, stalled SSE
 # streams, full-queue bursts), journal crash-replay, restart from the disk
 # result cache (exhaustive and sampled reports), cancel/complete races,
