@@ -2,7 +2,12 @@ package goldeneye_test
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -283,4 +288,92 @@ func TestAccumCampaignABFTDetection(t *testing.T) {
 		t.Fatal(err)
 	}
 	reportsIdentical(t, "accum abft batched", batched, serial)
+}
+
+// Accumulator emulation is pinned with constants, not only compared across
+// campaign paths: the logits of vit_tiny and resnet_s with each metadata-free
+// accumulator family (FP with and without denormals, FxP, posit), and the
+// report wire bytes of accumulator-site campaigns on a token-level linear
+// and on a conv (whose bias add is the register's last rounded step), with
+// and without an accumulator format.
+func TestAccumEmulationPinned(t *testing.T) {
+	logits := map[string]string{
+		"resnet_s/fp16":      "700926ae0c11bce335aafe222b0baae370ee2f611f5d1cf40043e6156abf4186",
+		"resnet_s/bf16":      "4c54fb5b0c2fac2594b2fbd41e523b25314f15c5c54518ac968c4f236f285bd0",
+		"resnet_s/fp32_nodn": "3cdfddb285859a5dc2a1f022038245ea525a451295ba470823994b6995cd89c0",
+		"resnet_s/fxp16":     "b7330429f372b8ad8c73dc13afacf87dd7d27ef926822b0dd62f6b92979bbc16",
+		"resnet_s/posit8":    "fb3f40c0abcf985ec55fd03af41f7c287ea15cfa7a2ccbb215f969de15181e36",
+		"vit_tiny/fp16":      "d2140f49e9912f673fd5943ddb3edb03c87336f40a207e5a4ee5e85f34c42ffd",
+		"vit_tiny/bf16":      "d6c260c06f3934af46cc4a0834dbf7ccb3b4bf6b0f9eb7c7bdc224ef6553fe83",
+		"vit_tiny/fp32_nodn": "a15b1b06c71d33b0743a2528b07d840b15b8de8abccc6cb08caea5238b9a5a15",
+		"vit_tiny/fxp16":     "299e06455603f30be88ae61fa6d6f2d4748f632f414bbb7b22ccd3b0cf899421",
+		"vit_tiny/posit8":    "76897b9411557890d092ea686c0a7b3aac4cb56673a97588b9e491a3c99da799",
+	}
+	for _, model := range []string{"resnet_s", "vit_tiny"} {
+		sim, pool := loadSim(t, model)
+		x, _ := pool.subset(8)
+		for _, name := range []string{"fp16", "bf16", "fp32_nodn", "fxp16", "posit8"} {
+			roles, err := goldeneye.ParseRoleFormats("acc:" + name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			var buf [4]byte
+			for _, v := range sim.Logits(x, goldeneye.EmulationConfig{Assignment: &goldeneye.FormatAssignment{Default: roles}}).Data() {
+				binary.LittleEndian.PutUint32(buf[:], math.Float32bits(v))
+				h.Write(buf[:])
+			}
+			key := model + "/" + name
+			if got := hex.EncodeToString(h.Sum(nil)); got != logits[key] {
+				t.Errorf("%s: logits sha256 %s, pinned %s", key, got, logits[key])
+			}
+		}
+	}
+
+	campaigns := map[string]string{
+		"vit_tiny.blk0.mlp.fc1":     "efb413572af56f7dc7a964f0083fcfa8b70e0c65ac459eb345b40339cf7755f0",
+		"vit_tiny.blk0.mlp.fc1/acc": "c77c28e29c5ad9f3841d782636bff71a4626e760c806189033b975f4a305bb9c",
+		"resnet_s.s1b0.a.conv":      "3838d15c927bae3bb6ceb68c65e6e969caa64029a4fd9267e9a1b2a06eac2b75",
+		"resnet_s.s1b0.a.conv/acc":  "a27262f7d936af3d8eefb6aa0645aaf829f4e6ccc88e8ae50d28b72e3b3de640",
+	}
+	for _, layer := range []string{"vit_tiny.blk0.mlp.fc1", "resnet_s.s1b0.a.conv"} {
+		model := layer[:strings.IndexByte(layer, '.')]
+		sim, pool := loadSim(t, model)
+		x, y := pool.subset(8)
+		index := -1
+		for _, l := range sim.Layers() {
+			if l.Name == layer {
+				index = l.Index
+			}
+		}
+		if index < 0 {
+			t.Fatalf("%s has no layer %s", model, layer)
+		}
+		for _, acc := range []numfmt.Format{nil, numfmt.FP16(true)} {
+			key := layer
+			if acc != nil {
+				key += "/acc"
+			}
+			rep, err := sim.RunCampaign(context.Background(), goldeneye.CampaignConfig{
+				Format: numfmt.FP16(true),
+				Assignment: &goldeneye.FormatAssignment{Default: goldeneye.RoleFormats{
+					Activations: numfmt.FP16(true), Accumulator: acc,
+				}},
+				Site: goldeneye.SiteAccum, Target: goldeneye.TargetNeuron,
+				Layer: index, Injections: 12, Seed: 23,
+				Pool: &goldeneye.EvalPool{X: x, Y: y}, KeepTrace: true,
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", key, err)
+			}
+			wire, err := json.Marshal(rep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(wire)
+			if got := hex.EncodeToString(sum[:]); got != campaigns[key] {
+				t.Errorf("%s campaign: wire sha256 %s, pinned %s", key, got, campaigns[key])
+			}
+		}
+	}
 }
