@@ -351,13 +351,13 @@ func addActivationHooks(h *nn.HookSet, asg *FormatAssignment, axis numfmt.MetaAx
 // addAccumHooks registers asg's accumulator-format emulation on h: every
 // GEMM-backed layer with an assigned accumulator format rounds each partial
 // sum through it (see numfmt.AccumRound). Layers without a GEMM ignore the
-// spec. The rounding closures are cached per format and shared across
-// visits; they are stateless, so reuse is safe.
+// spec. The row-rounding functions are cached per format and shared
+// across visits; they are stateless, so reuse is safe.
 func addAccumHooks(h *nn.HookSet, asg *FormatAssignment) {
 	if !asg.hasAccumulator() {
 		return
 	}
-	quants := make(map[numfmt.Format]func(float32) float32)
+	quants := make(map[numfmt.Format]func([]float32))
 	h.Accum(nn.AllLayers(), func(info nn.LayerInfo) nn.AccumSpec {
 		f := asg.rolesFor(info).Accumulator
 		if f == nil {

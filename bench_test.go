@@ -49,9 +49,11 @@ func BenchmarkFig3Inference(b *testing.B) {
 	configs := []struct {
 		name   string
 		format numfmt.Format
+		accum  bool // the accumulator runs in format too
 	}{
 		{name: "native_fp32"},
 		{name: "fp16", format: numfmt.FP16(true)},
+		{name: "acc_fp16", format: numfmt.FP16(true), accum: true},
 		{name: "fp8_e4m3", format: numfmt.FP8E4M3(true)},
 		{name: "fxp_1_7_8", format: numfmt.FxP16()},
 		{name: "int8", format: numfmt.INT8()},
@@ -63,9 +65,11 @@ func BenchmarkFig3Inference(b *testing.B) {
 		b.Run(cfg.name, func(b *testing.B) {
 			emu := goldeneye.EmulationConfig{}
 			if cfg.format != nil {
-				emu = goldeneye.EmulationConfig{Assignment: &goldeneye.FormatAssignment{
-					Default: goldeneye.RoleFormats{Activations: cfg.format},
-				}}
+				roles := goldeneye.RoleFormats{Activations: cfg.format}
+				if cfg.accum {
+					roles.Accumulator = cfg.format
+				}
+				emu = goldeneye.EmulationConfig{Assignment: &goldeneye.FormatAssignment{Default: roles}}
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -410,6 +414,42 @@ func BenchmarkMatMul(b *testing.B) {
 	b.SetBytes(2 * 256 * 256 * 256) // FLOPs proxy
 	for i := 0; i < b.N; i++ {
 		a.MatMul(c)
+	}
+}
+
+// BenchmarkMatMulAccum measures the accumulator-hook GEMM at a vit_tiny
+// token-linear shape, (65×64)@(64×192): the plain kernel, an fp16
+// accumulator rounding each output row per step (numfmt.AccumRound), the
+// same rounding through a per-element scalar closure (what every partial
+// sum cost before row rounding), and a faults-only hook with one fault.
+func BenchmarkMatMulAccum(b *testing.B) {
+	r := rng.New(2)
+	a := tensor.Randn(r, 1, 65, 64)
+	w := tensor.Randn(r, 1, 64, 192)
+	fp16 := numfmt.FP16(true)
+	meta := numfmt.Metadata{Kind: numfmt.MetaNone}
+	scalar := func(row []float32) {
+		for i, v := range row {
+			row[i] = float32(fp16.FromBits(fp16.ToBits(float64(v), meta), meta))
+		}
+	}
+	stuck := func(float32) float32 { return 1e6 }
+	for _, v := range []struct {
+		name string
+		hook *tensor.AccumHook
+	}{
+		{"plain", nil},
+		{"fp16_row", &tensor.AccumHook{Quant: numfmt.AccumRound(fp16)}},
+		{"fp16_scalar", &tensor.AccumHook{Quant: scalar}},
+		{"faults_only", &tensor.AccumHook{Faults: []tensor.AccumFault{{Row: 7, Col: 11, Step: 30, Apply: stuck}}}},
+	} {
+		v := v
+		b.Run(v.name, func(b *testing.B) {
+			b.SetBytes(2 * 65 * 64 * 192) // FLOPs proxy
+			for i := 0; i < b.N; i++ {
+				a.MatMulAccum(w, v.hook)
+			}
+		})
 	}
 }
 

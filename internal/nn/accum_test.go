@@ -94,6 +94,15 @@ func TestConvAccumFaultCoordinates(t *testing.T) {
 	}
 }
 
+// rowQuant adapts a scalar rounding to the row-typed AccumSpec.Quant.
+func rowQuant(q func(float32) float32) func([]float32) {
+	return func(row []float32) {
+		for i, v := range row {
+			row[i] = q(v)
+		}
+	}
+}
+
 // Accum specs from multiple entries merge: the first non-nil Quant wins
 // and fault lists concatenate — the emulation-then-injection layering the
 // campaign engine relies on.
@@ -106,11 +115,11 @@ func TestAccumSpecMerge(t *testing.T) {
 		return math.Float32frombits(math.Float32bits(v) &^ 0xFFFF)
 	}
 	quantOnly := NewHookSet()
-	quantOnly.Accum(AllLayers(), func(LayerInfo) AccumSpec { return AccumSpec{Quant: quant} })
+	quantOnly.Accum(AllLayers(), func(LayerInfo) AccumSpec { return AccumSpec{Quant: rowQuant(quant)} })
 	wantQuant := Forward(NewContext(quantOnly), net, x)
 
 	merged := NewHookSet()
-	merged.Accum(AllLayers(), func(LayerInfo) AccumSpec { return AccumSpec{Quant: quant} })
+	merged.Accum(AllLayers(), func(LayerInfo) AccumSpec { return AccumSpec{Quant: rowQuant(quant)} })
 	merged.Accum(AllLayers(), func(LayerInfo) AccumSpec {
 		return AccumSpec{Faults: []AccumFault{{
 			Sample: 0, Elem: 1, Step: 1,
@@ -126,5 +135,46 @@ func TestAccumSpecMerge(t *testing.T) {
 		if j != 1 && !same {
 			t.Fatalf("merged spec changed quant-only element %d", j)
 		}
+	}
+}
+
+// With a quantizing accumulator the conv's bias add is one more
+// accumulation step: every output element is the rounded GEMM partial sum
+// plus its channel's bias, rounded again — and the rounding after the bias
+// add must be observable on this input.
+func TestConvQuantizedBiasAdd(t *testing.T) {
+	quant := func(v float32) float32 {
+		return math.Float32frombits(math.Float32bits(v) &^ 0x3FFF)
+	}
+	r := rng.New(12)
+	conv := NewConv2D("c", 2, 3, 3, 1, 1, r)
+	for i := range conv.Bias().Value.Data() {
+		conv.Bias().Value.Data()[i] = float32(i) - 0.3
+	}
+	const batch, side = 2, 4
+	x := tensor.Randn(r, 1, batch, 2, side, side)
+	hooks := NewHookSet()
+	hooks.Accum(AllLayers(), func(LayerInfo) AccumSpec { return AccumSpec{Quant: rowQuant(quant)} })
+	got := Forward(NewContext(hooks), NewSequential("net", conv), x)
+
+	plane := side * side
+	col := tensor.Im2Col(x, 3, 3, 1, 1)
+	pre := conv.Weight().Value.Reshape(3, -1).MatMulAccum(col, &tensor.AccumHook{Quant: rowQuant(quant)})
+	rounded := false
+	for ni := 0; ni < batch; ni++ {
+		for oc := 0; oc < 3; oc++ {
+			bv := conv.Bias().Value.Data()[oc]
+			for s := 0; s < plane; s++ {
+				sum := pre.Data()[oc*batch*plane+ni*plane+s] + bv
+				want := quant(sum)
+				rounded = rounded || want != sum
+				if g := got.Data()[(ni*3+oc)*plane+s]; math.Float32bits(g) != math.Float32bits(want) {
+					t.Fatalf("sample %d channel %d position %d: %v, want quantized bias add %v", ni, oc, s, g, want)
+				}
+			}
+		}
+	}
+	if !rounded {
+		t.Fatal("no bias add needed rounding; the test cannot see the bias-add step")
 	}
 }

@@ -94,16 +94,13 @@ func (c *Conv2D) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 		for ni := 0; ni < n; ni++ {
 			dst := out.Data()[(ni*oc+oci)*plane : (ni*oc+oci+1)*plane]
 			s := src[ni*plane : (ni+1)*plane]
+			for i := range dst {
+				dst[i] = s[i] + bv
+			}
 			if quant != nil {
 				// Bias add is the accumulator's final step: the register
 				// rounds after it like after every multiply-accumulate.
-				for i := range dst {
-					dst[i] = quant(s[i] + bv)
-				}
-			} else {
-				for i := range dst {
-					dst[i] = s[i] + bv
-				}
+				quant(dst)
 			}
 			if ep.Tile != nil {
 				ep.Tile(dst)

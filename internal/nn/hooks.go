@@ -163,12 +163,14 @@ type AccumFault struct {
 }
 
 // AccumSpec declares accumulator-interior behaviour for one layer visit:
-// an optional reduced-precision accumulator rounding (Quant, applied to
-// every partial sum) and scheduled mid-reduction faults. Only GEMM-backed
-// layers (Linear, Conv2D) consume accumulator specs; other layer kinds
-// ignore them.
+// an optional reduced-precision accumulator rounding and scheduled
+// mid-reduction faults. Quant rounds a slice of partial sums in place,
+// element by element (numfmt.AccumRound builds it); the layer's GEMM calls
+// it on each output row after every multiply-accumulate step and after the
+// bias add (see tensor.AccumHook). Only GEMM-backed layers (Linear,
+// Conv2D) consume accumulator specs; other layer kinds ignore them.
 type AccumSpec struct {
-	Quant  func(float32) float32
+	Quant  func(row []float32)
 	Faults []AccumFault
 }
 

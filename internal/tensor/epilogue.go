@@ -57,14 +57,17 @@ type AccumFault struct {
 }
 
 // AccumHook threads accumulator-interior behaviour into a GEMM. Quant, when
-// non-nil, models a reduced-precision accumulator register: every partial
-// sum is rounded through it after each multiply-accumulate (and after the
-// bias add), maintaining the invariant that the register only ever holds
-// representable values. Faults are applied at their scheduled (row, step)
-// positions. A nil hook — or one with neither field set — selects the plain
-// kernel with zero overhead.
+// non-nil, models a reduced-precision accumulator register: it rounds a
+// slice of partial sums in place, each element independently of the
+// others, and the GEMM calls it on each output row after every
+// multiply-accumulate step (and after the bias add), maintaining the
+// invariant that the register only ever holds representable values.
+// Faults are applied at their scheduled (row, step) positions, after the
+// step's rounding; faults sharing a (row, step) apply in slice order. A
+// nil hook — or one with neither field set — selects the plain kernel with
+// zero overhead.
 type AccumHook struct {
-	Quant  func(float32) float32
+	Quant  func(row []float32)
 	Faults []AccumFault
 }
 
