@@ -49,12 +49,14 @@ stress-cancel:
 	go test -race -run Cancel -count=5 .
 
 # Detection subsystem gate: the fault-free false-positive invariant (every
-# calibrated detector rides a campaign without flagging a clean inference)
-# plus serial/batched/parallel detection bit-identity, repeated under the
-# race detector to shake out shared calibration state between shards.
+# calibrated detector rides a campaign without flagging a clean inference),
+# serial/batched/parallel detection bit-identity, and the once-per-campaign
+# calibration every worker shares (its sealed pipeline armed from several
+# goroutines at once, and its failure paths), repeated under the race
+# detector.
 .PHONY: stress-detect
 stress-detect:
-	go test -race -run 'TestCampaignFaultFreeZeroFalsePositives|TestDetect' -count=3 .
+	go test -race -run 'TestCampaignFaultFreeZeroFalsePositives|TestDetect|TestCalibration' -count=3 .
 	go test -race -count=2 ./internal/detect
 
 # Campaign batching: benchstat-comparable sub-benchmarks (pipe two runs
@@ -132,12 +134,3 @@ stress-fleet:
 stress-sample:
 	go test -race -run 'TestSampled|TestParseSamplingPlan' -count=2 .
 	go test -race -count=2 ./internal/sampling
-
-# Campaign-service smoke gate: boots a real goldeneyed process on a random
-# port, submits a tiny campaign through the typed client, asserts the SSE
-# stream terminates with a completed report and a resubmission hits the
-# persistent cache, then SIGTERMs the daemon and checks it drains cleanly.
-.PHONY: serve-smoke
-serve-smoke:
-	go test ./cmd/goldeneyed -run TestDaemonSmoke -v
-	go test ./internal/server ./internal/server/client

@@ -520,30 +520,44 @@ func (cfg *CampaignConfig) packBatch() int {
 	return b
 }
 
-// campaignRunner holds one worker's prepared campaign state: quantized
-// weights, range profile, and fault-free references.
-type campaignRunner struct {
-	sim       *Simulator
-	cfg       CampaignConfig
-	pool      *EvalPool
-	batch     int
-	backup    *inject.WeightBackup
-	ranger    *inject.RangeProfile
-	cleanPred []int
-	cleanLoss []float64
-	geom      campaignGeom
+// calibration is a campaign's fault-free state: the resolved geometry, the
+// legacy UseRanger range profile, the sealed detection pipeline with its
+// measured false positives, the clean references and the sampled
+// selection. The engine builds it once per run, on the first worker to
+// reach its plan (see engine.plan), and every worker reads it; it is
+// immutable once built, so workers share it without locking. The sealed
+// pipeline's detectors are read-only after FinishCalibration, and keep any
+// per-pass state in the hooks Arm returns.
+type calibration struct {
+	cfg   CampaignConfig
+	geom  campaignGeom
+	batch int // the campaign's pack batch (see packBatch)
 
-	// injFormat is the resolved injection format (see campaignGeom.inj).
-	injFormat numfmt.Format
+	// ranger is the UseRanger range profile (nil without UseRanger).
+	ranger *detect.Ranger
 
-	// pipeline is this runner's detection pipeline (nil without
-	// cfg.Detectors). One per runner — detectors carry calibration state,
-	// so parallel workers never share instances. fpStats holds the
-	// false-positive counts measured on the runner's fault-free pool
-	// sweep; every worker measures the identical (deterministic) values,
-	// and the merge takes them from one shard only.
+	// pipeline is the sealed detection pipeline (nil without
+	// cfg.Detectors); fpStats are the false-positive counts it raised on
+	// its fault-free pool sweep.
 	pipeline *detect.Pipeline
 	fpStats  map[string]metrics.DetectorStats
+
+	// cleanPred and cleanLoss are the fault-free reference per pool sample.
+	cleanPred []int
+	cleanLoss []float64
+
+	// sel is the sampled selection (nil for an exhaustive campaign).
+	sel *campaignSelection
+}
+
+// campaignRunner is one worker's campaign state: its simulator and weight
+// backup, timing hooks, scratch and prefix memo. The embedded calibration
+// is the campaign's, shared read-only with every other worker.
+type campaignRunner struct {
+	*calibration
+
+	sim    *Simulator
+	backup *inject.WeightBackup
 
 	// timing is this runner's per-layer forward timer (nil without
 	// cfg.Metrics). One per runner because the hook closure carries
@@ -753,50 +767,60 @@ func (s *Simulator) campaignGeometry(cfg CampaignConfig) (campaignGeom, error) {
 	return g, nil
 }
 
-// newRunner validates cfg against the simulator and computes the
-// fault-free references, checking ctx between forward passes so a SIGINT
-// during setup (range profiling, clean references) aborts promptly.
-// Callers must invoke close() to restore weights.
-func (s *Simulator) newRunner(ctx context.Context, cfg CampaignConfig) (*campaignRunner, error) {
-	g, err := s.campaignGeometry(cfg)
-	if err != nil {
-		return nil, err
-	}
-	pool := g.pool
-	r := &campaignRunner{
-		sim: s, cfg: cfg, pool: pool, batch: cfg.packBatch(),
-		geom: g, injFormat: g.inj,
-	}
+// newRunner prepares s as one campaign worker: it backs up the weights and
+// converts them per cfg's assignment. Callers must invoke close() to
+// restore them, and hand the runner the campaign's calibration (use)
+// before it injects.
+func (s *Simulator) newRunner(cfg CampaignConfig) *campaignRunner {
+	r := &campaignRunner{sim: s, backup: inject.BackupWeights(s.model)}
 	if cfg.Metrics != nil {
 		r.timing = layerTimingHooks(cfg.Metrics)
 		r.prefixRows = prefixRowCounters(cfg.Metrics)
 	}
-	r.backup = inject.BackupWeights(s.model)
-	// Any early exit below must restore the weights it may have quantized.
-	fail := func(err error) (*campaignRunner, error) {
-		r.backup.Restore()
-		return nil, err
-	}
 	s.applyWeightAssignment(cfg.Assignment)
+	return r
+}
+
+// use adopts c as the runner's calibration and sizes the runner's scratch
+// and prefix memo for it.
+func (r *campaignRunner) use(c *calibration) {
+	r.calibration = c
+	r.scratch = newCampaignScratch(c.geom.pool.X, c.batch, c.geom.flips)
+	r.prefix = r.newPrefixMemo()
+}
+
+// calibrate builds the campaign's calibration over geometry g on the
+// runner's model, whose weights newRunner already converted, and adopts it
+// as it goes. It checks ctx between forward passes, so a SIGINT during
+// setup aborts promptly.
+func (r *campaignRunner) calibrate(ctx context.Context, cfg CampaignConfig, g campaignGeom) (*calibration, error) {
+	c := &calibration{cfg: cfg, geom: g, batch: cfg.packBatch()}
+	r.calibration = c
 	// The detection pipeline builds after weight quantization, so
 	// structural checksums (ABFT) describe the weights the campaign
 	// actually runs with.
 	if len(cfg.Detectors) > 0 {
-		pipe, perr := detect.Build(cfg.Detectors, cfg.Recovery, s.detectTarget())
-		if perr != nil {
-			return fail(perr)
+		pipe, err := detect.Build(cfg.Detectors, cfg.Recovery, r.sim.detectTarget())
+		if err != nil {
+			return nil, err
 		}
-		r.pipeline = pipe
+		c.pipeline = pipe
 	}
 	var calSpan telemetry.Span
-	if cfg.Metrics != nil && r.pipeline != nil {
+	if cfg.Metrics != nil && c.pipeline != nil {
 		calSpan = telemetry.StartSpan(cfg.Metrics.Histogram(MetricCampaignCalibration, telemetry.DurationBuckets))
 	}
 	if cfg.UseRanger {
-		r.ranger = inject.ProfileRanges(ctx, s.model, pool.X, 16, r.emulationHooks(numfmt.AxisTensor))
-		if err := ctx.Err(); err != nil {
-			return fail(err)
+		// Profiled tensor-wide in slices of 16, whatever the campaign's
+		// batch: the bounds of formats with shared metadata depend on it.
+		c.ranger, _ = detect.NewRanger("") // cannot fail without a cache path
+		hooks := r.emulationHooks(numfmt.AxisTensor)
+		hooks.Merge(c.ranger.CalibrationHooks())
+		pctx := nn.NewContext(hooks)
+		if err := c.sweep(ctx, 16, func(x *tensor.Tensor, _, _ int) { nn.Forward(pctx, r.sim.model, x) }); err != nil {
+			return nil, err
 		}
+		_ = c.ranger.FinishCalibration() // likewise
 	}
 
 	// Fault-free reference per pool sample. Serial campaigns compute them
@@ -807,65 +831,65 @@ func (s *Simulator) newRunner(ctx context.Context, cfg CampaignConfig) (*campaig
 	// very activations the clean references are computed on, at zero extra
 	// inference cost.
 	refHooks := r.emulationHooks(r.axis())
-	if r.pipeline != nil {
-		refHooks.Merge(r.pipeline.CalibrationHooks())
+	if c.pipeline != nil {
+		refHooks.Merge(c.pipeline.CalibrationHooks())
 	}
-	n := pool.Len()
-	r.cleanPred = make([]int, n)
-	r.cleanLoss = make([]float64, n)
+	n := g.pool.Len()
+	c.cleanPred = make([]int, n)
+	c.cleanLoss = make([]float64, n)
 	cleanCtx := nn.NewContext(r.withTiming(refHooks))
-	for lo := 0; lo < n; lo += r.batch {
-		if err := ctx.Err(); err != nil {
-			return fail(err)
-		}
-		hi := lo + r.batch
-		if hi > n {
-			hi = n
-		}
-		logits := nn.Forward(cleanCtx, s.model, pool.X.Slice(lo, hi))
-		copy(r.cleanPred[lo:hi], logits.ArgMaxRows())
-		copy(r.cleanLoss[lo:hi], train.CrossEntropyPerSample(logits, pool.Y[lo:hi]))
+	err := c.sweep(ctx, c.batch, func(x *tensor.Tensor, lo, hi int) {
+		logits := nn.Forward(cleanCtx, r.sim.model, x)
+		copy(c.cleanPred[lo:hi], logits.ArgMaxRows())
+		copy(c.cleanLoss[lo:hi], train.CrossEntropyPerSample(logits, g.pool.Y[lo:hi]))
+	})
+	if err != nil {
+		return nil, err
 	}
-	if r.pipeline != nil {
-		if err := r.pipeline.FinishCalibration(); err != nil {
-			return fail(err)
+	if c.pipeline != nil {
+		if err := c.pipeline.FinishCalibration(); err != nil {
+			return nil, err
 		}
 		// One more fault-free sweep with the pipeline armed: anything it
 		// flags is a false positive (calibrated detectors are constructed
 		// not to flag their own calibration pool; this measures it).
-		if err := r.measureFalsePositives(ctx); err != nil {
-			return fail(err)
+		if c.fpStats, err = r.measureFalsePositives(ctx); err != nil {
+			return nil, err
 		}
 		calSpan.End()
 	}
-	// Allocated last so the fail() paths above never strand a pooled
-	// buffer; close() returns it to the arena.
-	r.scratch = newCampaignScratch(pool.X, r.batch, g.flips)
-	r.prefix = r.newPrefixMemo()
-	return r, nil
+	c.sel = c.buildSelection()
+	return c, nil
+}
+
+// sweep runs pass over the pool in slices of up to batch samples, x being
+// samples [lo, hi), and checks ctx before each slice. It is campaign
+// setup's one loop over the pool; each sweep brings its own batch size and
+// hooks.
+func (c *calibration) sweep(ctx context.Context, batch int, pass func(x *tensor.Tensor, lo, hi int)) error {
+	n := c.geom.pool.Len()
+	for lo := 0; lo < n; lo += batch {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		hi := min(lo+batch, n)
+		pass(c.geom.pool.X.Slice(lo, hi), lo, hi)
+	}
+	return nil
 }
 
 // measureFalsePositives runs the armed pipeline over the fault-free pool
-// and records per-detector false-positive counts. The sweep is
-// deterministic, so every parallel worker measures identical values.
-func (r *campaignRunner) measureFalsePositives(ctx context.Context) error {
-	n := r.pool.Len()
+// and returns per-detector false-positive counts.
+func (r *campaignRunner) measureFalsePositives(ctx context.Context) (map[string]metrics.DetectorStats, error) {
+	n := r.geom.pool.Len()
 	stats := make(map[string]metrics.DetectorStats, len(r.cfg.Detectors))
 	for _, name := range r.pipeline.Names() {
 		stats[name] = metrics.DetectorStats{FaultFreeRuns: n}
 	}
 	needRerun := r.pipeline.NeedsRerun()
-	for lo := 0; lo < n; lo += r.batch {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		hi := lo + r.batch
-		if hi > n {
-			hi = n
-		}
+	err := r.sweep(ctx, r.batch, func(x *tensor.Tensor, lo, hi int) {
 		rec := detect.NewRecorder(hi - lo)
 		hooks := r.armedCleanHooks(r.axis(), rec)
-		x := r.pool.X.Slice(lo, hi)
 		logits := nn.Forward(nn.NewContext(r.withTiming(hooks)), r.sim.model, x)
 		if needRerun {
 			redo := r.armedCleanHooks(r.axis(), detect.NewRecorder(hi-lo))
@@ -879,9 +903,11 @@ func (r *campaignRunner) measureFalsePositives(ctx context.Context) error {
 			d.FalsePositives++
 			stats[e.Detector] = d
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	r.fpStats = stats
-	return nil
+	return stats, nil
 }
 
 // armedCleanHooks assembles a fault-free pass's hooks with the pipeline
@@ -906,8 +932,8 @@ func (r *campaignRunner) protect(h *nn.HookSet, rec *detect.Recorder) *nn.HookSe
 }
 
 // detectorBaseline returns a report's starting per-detector stats: zero
-// detections plus the runner's measured false-positive counts (nil without
-// a pipeline).
+// detections plus the campaign's measured false-positive counts (nil
+// without a pipeline).
 func (r *campaignRunner) detectorBaseline() map[string]metrics.DetectorStats {
 	if r.pipeline == nil {
 		return nil

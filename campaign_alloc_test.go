@@ -39,11 +39,7 @@ func TestBatchedLoopBookkeepingAllocFree(t *testing.T) {
 		BatchSize:  4,
 		Assignment: &FormatAssignment{Default: RoleFormats{Activations: numfmt.INT8()}},
 	}
-	runner, err := sim.newRunner(context.Background(), cfg)
-	if err != nil {
-		t.Fatalf("newRunner: %v", err)
-	}
-	defer runner.close()
+	runner := calibratedRunner(t, sim, cfg)
 
 	drawer := newFaultDrawer(&cfg, runner.geom)
 	rows := runner.batch
@@ -82,11 +78,7 @@ func TestBatchedLoopBookkeepingAllocFree(t *testing.T) {
 	// allocate nothing (nor does the prefix-row telemetry, with no
 	// registry attached).
 	cfg.Layer = sim.InjectableLayers()[1]
-	reuse, err := sim.newRunner(context.Background(), cfg)
-	if err != nil {
-		t.Fatalf("newRunner: %v", err)
-	}
-	defer reuse.close()
+	reuse := calibratedRunner(t, sim, cfg)
 	if reuse.prefix == nil {
 		t.Fatal("a fault past top-level child 0 must get a prefix memo")
 	}
@@ -103,6 +95,25 @@ func TestBatchedLoopBookkeepingAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("reuse-path bookkeeping allocates %.1f objects per group, want 0", allocs)
 	}
+}
+
+// calibratedRunner prepares sim as a campaign's lone worker, calibrated
+// for cfg as the engine's first worker would be; cleanup restores the
+// weights.
+func calibratedRunner(t *testing.T, sim *Simulator, cfg CampaignConfig) *campaignRunner {
+	t.Helper()
+	g, err := sim.campaignGeometry(cfg)
+	if err != nil {
+		t.Fatalf("campaignGeometry: %v", err)
+	}
+	r := sim.newRunner(cfg)
+	t.Cleanup(r.close)
+	cal, err := r.calibrate(context.Background(), cfg, g)
+	if err != nil {
+		t.Fatalf("calibrate: %v", err)
+	}
+	r.use(cal)
+	return r
 }
 
 // Runner scratch buffers must return to the shared arena on close, so the

@@ -25,6 +25,9 @@ import (
 // parallel, one shard of a fleet, sampled, sequentially stopped, resumed —
 // is one run of K workers (K = 1 for RunCampaign and for a shard):
 //
+//   - calibrate: the first worker ready builds the campaign's one
+//     calibration (clean references, sealed detectors, sampled selection)
+//     on its own model, and every worker shares it read-only;
 //   - plan: worker w owns the injection indices i ≡ w (mod K) (a shard's
 //     one worker owns i ≡ ShardIndex (mod ShardCount)); its plan is its
 //     owned indices minus a resumed prefix and the ones a sampled
@@ -101,10 +104,11 @@ func RunCampaignParallel(ctx context.Context, cfg CampaignConfig, workers int, b
 }
 
 // engine is one campaign run's shared state. Workers write only their own
-// reports and errs slots; the plan is written once, by the first worker to
-// finish setup, before any worker reads it.
+// reports and errs slots; the calibration and the plan are written once, by
+// the first worker to reach planOnce, before any worker reads them.
 type engine struct {
 	cfg     CampaignConfig
+	geom    campaignGeom
 	ctx     context.Context // cancelled when any worker fails
 	workers int
 	stride  int   // index ownership stride: workers, or a shard's ShardCount
@@ -113,7 +117,8 @@ type engine struct {
 	barrier *ciBarrier
 
 	planOnce sync.Once
-	sel      *campaignSelection
+	cal      *calibration // nil when calibration failed (calErr says why)
+	calErr   error
 	planned  int // progress total: resumed prefix plus every worker's plan
 	ct       *campaignTelemetry
 
@@ -126,7 +131,8 @@ type engine struct {
 
 // runEngine runs cfg on workers workers: worker 0 on first, the others on
 // simulators from build. Configuration errors return before any worker
-// starts; the workers then prepare their runners concurrently.
+// starts; the workers then prepare their runners concurrently, and the
+// first one ready calibrates the campaign for all of them.
 func runEngine(ctx context.Context, cfg CampaignConfig, workers int, first *Simulator, build func() (*Simulator, error)) (*CampaignReport, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -137,14 +143,15 @@ func runEngine(ctx context.Context, cfg CampaignConfig, workers int, first *Simu
 	if !cfg.Sampling.Active() {
 		cfg.Sampling = nil
 	}
-	if _, err := first.campaignGeometry(cfg); err != nil {
+	g, err := first.campaignGeometry(cfg)
+	if err != nil {
 		return nil, err
 	}
 	workers = max(min(workers, cfg.Injections), 1)
 	wctx, stop := context.WithCancel(ctx)
 	defer stop()
 	e := &engine{
-		cfg: cfg, ctx: wctx, workers: workers, stride: max(workers, cfg.ShardCount),
+		cfg: cfg, geom: g, ctx: wctx, workers: workers, stride: max(workers, cfg.ShardCount),
 		bounds:  stopBounds(cfg.Sampling, cfg.Injections),
 		reports: make([]*CampaignReport, workers),
 		errs:    make([]error, workers),
@@ -207,17 +214,26 @@ func (e *engine) first(w int) int {
 	return i
 }
 
-// plan prepares the run's index plan from the first prepared runner: the
-// sampled selection (a pure function of config, seed and ranger bounds, so
-// every runner yields the same one) and the number of injections it
-// executes. Worker w's plan is its owned indices from first(w) on that the
-// selection executes, in ascending order.
+// plan calibrates the campaign on runner r, the first worker to reach
+// planOnce, and prepares the run's index plan from the calibration's
+// selection: worker w's plan is its owned indices from first(w) on that the
+// selection executes, in ascending order. A failure, a cancellation or a
+// panic leaves e.cal nil and e.calErr set, for every worker to report.
 func (e *engine) plan(r *campaignRunner) {
-	e.sel = r.buildSelection()
+	defer func() {
+		if p := recover(); p != nil {
+			e.calErr = fmt.Errorf("campaign calibration panicked: %v", p)
+		}
+	}()
+	cal, err := r.calibrate(e.ctx, e.cfg, e.geom)
+	if err != nil {
+		e.calErr = err
+		return
+	}
 	e.planned = e.skip
 	for w := 0; w < e.workers; w++ {
 		for i := e.first(w); i < e.cfg.Injections; i += e.stride {
-			if e.sel.executed(i) {
+			if cal.sel.executed(i) {
 				e.planned++
 			}
 		}
@@ -226,11 +242,13 @@ func (e *engine) plan(r *campaignRunner) {
 	if e.cfg.Progress != nil && e.skip > 0 {
 		e.cfg.Progress(e.skip, e.planned)
 	}
+	e.cal = cal
 }
 
 // work is worker w's share of the run: build its simulator (unless given
-// one), prepare its runner, and run its plan. Failures land in errs[w] and
-// stop the sibling workers at their next group boundary.
+// one), prepare its runner, take the campaign's calibration, and run its
+// plan. Failures land in errs[w] and stop the sibling workers at their next
+// group boundary.
 func (e *engine) work(w int, sim *Simulator, build func() (*Simulator, error), stop context.CancelFunc) {
 	rep := e.reports[w]
 	fail := func(err error) {
@@ -266,25 +284,26 @@ func (e *engine) work(w int, sim *Simulator, build func() (*Simulator, error), s
 			return
 		}
 	}
-	r, err := sim.newRunner(e.ctx, e.cfg)
-	if err != nil {
-		if e.ctx.Err() != nil && errors.Is(err, e.ctx.Err()) {
+	r := sim.newRunner(e.cfg)
+	defer r.close()
+	e.planOnce.Do(func() { e.plan(r) })
+	if e.cal == nil {
+		if e.ctx.Err() != nil && errors.Is(e.calErr, e.ctx.Err()) {
 			rep.Interrupted = true
 			return
 		}
-		fail(err)
+		fail(e.calErr)
 		return
 	}
-	defer r.close()
-	e.planOnce.Do(func() { e.plan(r) })
+	r.use(e.cal)
 	rep.PerDetector = mergeResumeDetectors(r.detectorBaseline(), rep.PerDetector)
-	if e.sel != nil {
+	if r.sel != nil {
 		// The worker's whole share of the fault space is accounted up
 		// front (dispatch is analytic), so the estimator's population is
 		// the full fault space even when a review boundary stops execution
 		// early.
-		rep.Sampling = e.sel.emptyReport()
-		e.sel.account(rep.Sampling, e.first(w), e.cfg.Injections, e.stride)
+		rep.Sampling = r.sel.emptyReport()
+		r.sel.account(rep.Sampling, e.first(w), e.cfg.Injections, e.stride)
 	}
 	if err := e.run(w, r, rep, work); err != nil {
 		fail(err)
@@ -295,7 +314,7 @@ func (e *engine) work(w int, sim *Simulator, build func() (*Simulator, error), s
 // window, and folds every outcome into rep. Each window ends at the review
 // barrier when the campaign stops sequentially.
 func (e *engine) run(w int, r *campaignRunner, rep *CampaignReport, work *telemetry.Counter) error {
-	sc, n := r.scratch, r.pool.Len()
+	sc, n := r.scratch, r.geom.pool.Len()
 	drawer := newFaultDrawer(&e.cfg, r.geom)
 	i := e.first(w)
 	for round, bound := range e.bounds {
@@ -303,7 +322,7 @@ func (e *engine) run(w int, r *campaignRunner, rep *CampaignReport, work *teleme
 			// The next group: up to batch planned indices of the window.
 			idx := sc.idx[:0]
 			for ; i < bound && len(idx) < r.batch; i += e.stride {
-				if e.sel.executed(i) {
+				if r.sel.executed(i) {
 					idx = append(idx, i)
 				}
 			}
@@ -355,8 +374,8 @@ func (e *engine) fold(rep *CampaignReport, i int, out InjectionOutcome, err erro
 	if err != nil && !errors.As(err, &ie) {
 		return err
 	}
-	if e.sel != nil {
-		e.sel.observe(rep.Sampling, i, out)
+	if sel := e.cal.sel; sel != nil {
+		sel.observe(rep.Sampling, i, out)
 		out.Index = i
 	}
 	if e.cfg.KeepTrace {
@@ -405,7 +424,7 @@ func (e *engine) review(round int) int {
 	if bound >= e.cfg.Injections {
 		return 0 // final boundary: nothing left to stop early
 	}
-	reviewed := e.sel.emptyReport()
+	reviewed := e.cal.sel.emptyReport()
 	for _, rep := range e.reports {
 		// Same strata by construction; Merge cannot fail.
 		_ = reviewed.Merge(rep.Sampling)
@@ -561,7 +580,7 @@ func (r *campaignRunner) injectGroup(faultsets [][]inject.Fault, samples []int, 
 		// batch row k of the layer's GEMM.
 		var afs []nn.AccumFault
 		for k, fs := range faultsets {
-			afs = append(afs, inject.AccumFaultsFor(r.injFormat, fs, k)...)
+			afs = append(afs, inject.AccumFaultsFor(r.geom.inj, fs, k)...)
 		}
 		spec := nn.AccumSpec{Faults: afs}
 		hooks.Accum(nn.ByIndex(cfg.Layer), func(nn.LayerInfo) nn.AccumSpec { return spec })
@@ -575,22 +594,22 @@ func (r *campaignRunner) injectGroup(faultsets [][]inject.Fault, samples []int, 
 			}
 		}()
 		for _, fault := range faultsets[0] {
-			restore, err := inject.WeightFault(r.injFormat, fault, r.sim.widx)
+			restore, err := inject.WeightFault(r.geom.inj, fault, r.sim.widx)
 			if err != nil {
 				return err
 			}
 			restores = append(restores, restore)
 		}
 	case rows > 1:
-		hooks.PostForward(nn.ByIndex(cfg.Layer), inject.NeuronHookBatched(r.injFormat, faultsets))
+		hooks.PostForward(nn.ByIndex(cfg.Layer), inject.NeuronHookBatched(r.geom.inj, faultsets))
 	default:
-		hooks.PostForward(nn.ByIndex(cfg.Layer), inject.NeuronHookMulti(r.injFormat, faultsets[0]))
+		hooks.PostForward(nn.ByIndex(cfg.Layer), inject.NeuronHookMulti(r.geom.inj, faultsets[0]))
 	}
 	var rec *detect.Recorder
 	if r.pipeline != nil {
 		rec = detect.NewRecorder(rows)
 	}
-	pass := r.groupPass(samples, rows > 1, func() *tensor.Tensor { return r.scratch.gather(r.pool.X, samples) })
+	pass := r.groupPass(samples, rows > 1, func() *tensor.Tensor { return r.scratch.gather(r.geom.pool.X, samples) })
 	logits := pass(r.protect(hooks, rec))
 
 	// Re-execution without the transient fault, shared by legacy
@@ -613,7 +632,7 @@ func (r *campaignRunner) injectGroup(faultsets [][]inject.Fault, samples []int, 
 	}
 	yb := r.scratch.yb[:rows]
 	for k, s := range samples {
-		yb[k] = r.pool.Y[s]
+		yb[k] = r.geom.pool.Y[s]
 	}
 	preds, losses, nonFinite := logits.ArgMaxRows(), train.CrossEntropyPerSample(logits, yb), logits.NonFiniteRows()
 	var redoPreds, redoNonFinite []int

@@ -269,9 +269,13 @@ func TestCampaignCancelBeforeStart(t *testing.T) {
 	x, y := pool.subset(8)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := sim.RunCampaign(ctx, lifecycleConfig(sim, x, y, 40))
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("pre-cancelled context should abort setup: %v", err)
+	cfg := lifecycleConfig(sim, x, y, 40)
+	_, serial := sim.RunCampaign(ctx, cfg)
+	_, parallel := goldeneye.RunCampaignParallel(ctx, cfg, 3, mlpBuilder(t))
+	for workers, err := range map[int]error{1: serial, 3: parallel} {
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: pre-cancelled context should abort setup: %v", workers, err)
+		}
 	}
 }
 

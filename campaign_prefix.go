@@ -71,7 +71,7 @@ func (r *campaignRunner) newPrefixMemo() *prefixMemo {
 		root:    s.root,
 		block:   block,
 		first:   s.blockStart[block],
-		state:   make([]cutState, r.pool.Len()),
+		state:   make([]cutState, r.geom.pool.Len()),
 		missing: make([]int, 0, r.batch),
 		batch:   r.batch,
 		views:   make(map[int]*tensor.Tensor, 2),
@@ -115,7 +115,7 @@ func (m *prefixMemo) fill(r *campaignRunner, samples []int) {
 	if r.pipeline != nil {
 		rec = detect.NewRecorder(rows)
 	}
-	x := r.scratch.gather(r.pool.X, samples)
+	x := r.scratch.gather(r.geom.pool.X, samples)
 	ctx := nn.NewContext(r.withTiming(r.armedCleanHooks(r.axis(), rec)))
 	cut := nn.ForwardRange(ctx, m.root, 0, m.block, 0, x)
 	if m.buf == nil {

@@ -32,38 +32,35 @@ type campaignSelection struct {
 
 // buildSelection classifies the campaign's full fault space and applies the
 // sampling plan. It draws a fresh copy of the deterministic fault sequence
-// (no forward passes), so the runner's own drawer is untouched. Returns nil
-// when the campaign is exhaustive.
-func (r *campaignRunner) buildSelection() *campaignSelection {
-	plan := r.cfg.Sampling
+// (no forward passes). Returns nil when the campaign is exhaustive.
+func (c *calibration) buildSelection() *campaignSelection {
+	plan := c.cfg.Sampling
 	if !plan.Active() {
 		return nil
 	}
 	sel := &campaignSelection{
-		space:   sampling.NewSpace(r.injFormat, r.cfg.Site),
+		space:   sampling.NewSpace(c.geom.inj, c.cfg.Site),
 		plan:    plan,
-		stratum: make([]uint16, r.cfg.Injections),
-		flags:   make([]uint8, r.cfg.Injections),
+		stratum: make([]uint16, c.cfg.Injections),
+		flags:   make([]uint8, c.cfg.Injections),
 	}
 	// Pruning threshold: the target layer's calibrated activation bounds.
-	// Every worker profiles the identical (deterministic) ranges, so the
-	// mask — and with it the selection — is identical across workers.
 	var mask uint64
-	if plan.Prune && r.ranger != nil {
-		if lo, hi, ok := r.ranger.Bounds(r.cfg.Layer); ok {
-			mask = sampling.PruneMask(r.injFormat, float64(lo), float64(hi), plan.PruneEpsilon())
+	if plan.Prune && c.ranger != nil {
+		if lo, hi, ok := c.ranger.Bounds(c.cfg.Layer); ok {
+			mask = sampling.PruneMask(c.geom.inj, float64(lo), float64(hi), plan.PruneEpsilon())
 		}
 	}
-	drawer := newFaultDrawer(&r.cfg, r.geom)
-	faults := make([]inject.Fault, r.geom.flips)
-	for i := 0; i < r.cfg.Injections; i++ {
+	drawer := newFaultDrawer(&c.cfg, c.geom)
+	faults := make([]inject.Fault, c.geom.flips)
+	for i := 0; i < c.cfg.Injections; i++ {
 		drawer.nextInto(faults)
 		st := sel.space.StratumOf(faults[0])
 		sel.stratum[i] = uint16(st)
 		switch {
 		case mask != 0 && sampling.AllPrunable(faults, mask):
 			sel.flags[i] = selPruned
-		case sampling.Selected(r.cfg.Seed, i, plan.FractionFor(sel.space.Name(st))):
+		case sampling.Selected(c.cfg.Seed, i, plan.FractionFor(sel.space.Name(st))):
 			sel.flags[i] = selExecute
 		}
 	}

@@ -27,10 +27,10 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestDaemonSmoke is the serve-smoke gate: start goldeneyed on a random
-// port, submit a tiny campaign through the typed client, follow its SSE
-// stream to a completed report, verify a resubmission hits the persistent
-// cache, and check SIGTERM drains to a clean exit.
+// TestDaemonSmoke is the daemon's end-to-end smoke: start goldeneyed on a
+// random port, submit a tiny campaign through the typed client, follow its
+// SSE stream to a completed report, verify a resubmission hits the
+// persistent cache, and check SIGTERM drains to a clean exit.
 func TestDaemonSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns a daemon process")

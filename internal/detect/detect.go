@@ -8,9 +8,9 @@
 // paper's §V-B.
 //
 // Detectors are declared with cheap Spec values (safe to copy around with a
-// campaign config) and instantiated per campaign runner with Build, so
-// parallel campaign shards never share calibration state. A built Pipeline
-// goes through three phases:
+// campaign config) and instantiated once per campaign with Build. A built
+// Pipeline goes through three phases, after which every worker of the
+// campaign shares it read-only:
 //
 //  1. Calibration: CalibrationHooks ride the campaign's fault-free
 //     reference pass over the evaluation pool (ranger learns activation
@@ -107,9 +107,9 @@ type Target struct {
 }
 
 // Spec declares one detector of a campaign pipeline. Specs are declarative
-// values — copying a CampaignConfig copies them safely; the stateful
-// detector instances are built per campaign runner via Build, so parallel
-// workers never share mutable calibration state.
+// values — copying a CampaignConfig copies them safely; Build instantiates
+// the detectors once per campaign, and after calibration the campaign's
+// workers share those instances read-only (see Detector).
 type Spec struct {
 	// Kind names a built-in detector: "ranger", "sentinel", "dmr", "abft".
 	Kind string
@@ -124,6 +124,9 @@ type Spec struct {
 	CachePath string
 
 	// New, when non-nil, overrides Kind with a custom detector factory.
+	// The detector must keep the Detector contract: it copies what it
+	// needs from t and keeps no reference to t.Model or t.Modules for use
+	// when armed.
 	New func(t Target) (Detector, error)
 }
 
@@ -163,6 +166,13 @@ func Names(specs []Spec) []string {
 // detection and recovery to individual batch rows: a batched campaign pass
 // carries an independent fault per row, and reports are required to be
 // bit-identical to running those rows serially.
+//
+// A campaign builds each detector once and its parallel workers share it,
+// each on its own model copy. So once FinishCalibration has run, a detector
+// is read-only, and Arm may be called from several goroutines at once; a
+// constructor copies what it needs from its Target (as ABFT seals its
+// weight checksums) and keeps no reference to Target.Model or
+// Target.Modules for use when armed, since those are one worker's model.
 type Detector interface {
 	// Name identifies the detector in reports and metrics.
 	Name() string
@@ -179,9 +189,9 @@ type Detector interface {
 	// rec by batch row. Under PolicyClamp/PolicyZero the hooks also repair
 	// the offending activations, row-confined. Every call returns fresh
 	// hook closures; per-pass scratch state must live in the closure, not
-	// on the detector, so calibration and re-execution passes can overlap
-	// arming. A nil return means the detector needs no hooks (e.g. DMR,
-	// which only compares outputs).
+	// on the detector, so re-execution passes and concurrent workers can
+	// overlap arming. A nil return means the detector needs no hooks (e.g.
+	// DMR, which only compares outputs).
 	Arm(rec *Recorder, policy Policy) *nn.HookSet
 }
 

@@ -229,6 +229,78 @@ func TestRangerZeroPolicy(t *testing.T) {
 	}
 }
 
+// calibratedRanger calibrates a cache-free ranger on fault-free passes of
+// net over x, batch samples at a time.
+func calibratedRanger(t *testing.T, net nn.Module, x *tensor.Tensor, batch int) *Ranger {
+	t.Helper()
+	r, err := NewRanger("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := nn.NewContext(r.CalibrationHooks())
+	for lo := 0; lo < x.Dim(0); lo += batch {
+		nn.Forward(ctx, net, x.Slice(lo, min(lo+batch, x.Dim(0))))
+	}
+	if err := r.FinishCalibration(); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+func TestRangerClampHookClamps(t *testing.T) {
+	r := rng.New(7)
+	net := nn.NewSequential("net", nn.NewLinear("fc", 4, 4, r))
+	x := tensor.Randn(r, 1, 8, 4)
+	profile := calibratedRanger(t, net, x, 4)
+	lo, hi, ok := profile.Bounds(0)
+	if !ok || lo >= hi {
+		t.Fatalf("implausible bounds %v, %v", lo, hi)
+	}
+
+	// A wildly out-of-range activation must be clamped.
+	hooks := nn.NewHookSet()
+	hooks.PostForward(nn.ByIndex(0), func(_ nn.LayerInfo, t *tensor.Tensor) *tensor.Tensor {
+		out := t.Clone()
+		out.Data()[0] = 1e20
+		out.Data()[1] = float32(math.NaN())
+		return out
+	})
+	hooks.PostForward(nn.AllLayers(), profile.ClampHook())
+	y := nn.Forward(nn.NewContext(hooks), net, x.Slice(0, 1))
+	if y.CountNonFinite() != 0 {
+		t.Fatal("ClampHook must remove non-finite values")
+	}
+	if y.Data()[0] > hi || y.Data()[1] > hi {
+		t.Fatalf("values not clamped to %v: %v", hi, y.Data()[:2])
+	}
+}
+
+// ClampHook hands an in-range output back as is, without allocating; only a
+// tensor with a value to clamp is copied, and the input is left untouched.
+func TestRangerClampHookAllocFreeInRange(t *testing.T) {
+	r := rng.New(8)
+	net := nn.NewSequential("net", nn.NewLinear("fc", 4, 4, r))
+	x := tensor.Randn(r, 1, 8, 4)
+	profile := calibratedRanger(t, net, x, 8)
+	hook := profile.ClampHook()
+	info := nn.LayerInfo{Name: "fc", Kind: nn.KindLinear, Index: 0}
+	y := nn.Forward(nil, net, x) // the profiled activations: in range by construction
+	if got := hook(info, y); got != y {
+		t.Fatal("ClampHook copied an in-range tensor")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { hook(info, y) }); allocs != 0 {
+		t.Fatalf("ClampHook allocates %.1f objects on an in-range tensor, want 0", allocs)
+	}
+
+	_, hi, _ := profile.Bounds(0)
+	bad := y.Clone()
+	bad.Data()[3] = float32(math.NaN())
+	got := hook(info, bad)
+	if got == bad || got.Data()[3] != hi || !math.IsNaN(float64(bad.Data()[3])) {
+		t.Fatalf("out-of-range tensor: clamped %v into %v, want a copy holding %v", bad.Data()[3], got.Data()[3], hi)
+	}
+}
+
 func TestRangerCacheRoundTrip(t *testing.T) {
 	tgt := tinyTarget()
 	x := tensor.Randn(rng.New(4), 1, 3, 4)

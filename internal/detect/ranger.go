@@ -12,14 +12,15 @@ import (
 )
 
 // Ranger is the calibrated per-layer range guard (modeled on the Ranger
-// range-restriction detector the paper toggles in §V-B, promoted from
-// inject.RangeProfile's inline clamp into a first-class detector). During
+// range-restriction detector the paper toggles in §V-B). During
 // calibration it records the min/max output of every layer on fault-free
 // pool inferences — under the campaign's format emulation, so each format
 // family calibrates its own envelope. Armed, it flags any row whose
 // activation leaves the calibrated range or goes non-finite; PolicyClamp
 // repairs with exactly the legacy clamp semantics (NaN → hi, clamp to
-// [lo, hi]), PolicyZero zeroes the offending elements.
+// [lo, hi]), PolicyZero zeroes the offending elements. ClampHook is that
+// legacy clamp on its own, without detection: the campaign's UseRanger
+// switch.
 type Ranger struct {
 	cachePath  string
 	lo, hi     map[int]float32
@@ -133,10 +134,22 @@ func (r *Ranger) FinishCalibration() error {
 	return os.Rename(tmp.Name(), r.cachePath)
 }
 
-// outOfRange reports whether v violates [lo, hi] (non-finite counts).
+// outOfRange reports whether v violates [lo, hi]; NaN always does.
 func outOfRange(v, lo, hi float32) bool {
-	f := float64(v)
-	return math.IsNaN(f) || v < lo || v > hi
+	return !(v >= lo && v <= hi)
+}
+
+// clamp maps v into [lo, hi], NaN to hi.
+func clamp(v, lo, hi float32) float32 {
+	switch {
+	case math.IsNaN(float64(v)):
+		return hi
+	case v < lo:
+		return lo
+	case v > hi:
+		return hi
+	}
+	return v
 }
 
 // flagRow reports whether any element of seg violates [lo, hi].
@@ -152,8 +165,7 @@ func flagRow(seg []float32, lo, hi float32) bool {
 // Arm implements Detector. Repair is row-confined: only flagged rows are
 // touched, and in-range values are fixed points of the clamp, so batched
 // campaign passes deliver bit-identical activations to serial ones (and to
-// the legacy inject.RangeProfile.ClampHook, which clamped every value
-// unconditionally).
+// ClampHook, which clamps every value unconditionally).
 func (r *Ranger) Arm(rec *Recorder, policy Policy) *nn.HookSet {
 	hooks := nn.NewHookSet()
 	hooks.PostForward(nn.AllLayers(), func(info nn.LayerInfo, t *tensor.Tensor) *tensor.Tensor {
@@ -172,14 +184,7 @@ func (r *Ranger) Arm(rec *Recorder, policy Policy) *nn.HookSet {
 			case PolicyClamp:
 				seg := data[s:e]
 				for i, v := range seg {
-					switch {
-					case math.IsNaN(float64(v)):
-						seg[i] = hi
-					case v < lo:
-						seg[i] = lo
-					case v > hi:
-						seg[i] = hi
-					}
+					seg[i] = clamp(v, lo, hi)
 				}
 			case PolicyZero:
 				seg := data[s:e]
@@ -193,4 +198,19 @@ func (r *Ranger) Arm(rec *Recorder, policy Policy) *nn.HookSet {
 		return t
 	})
 	return hooks
+}
+
+// ClampHook returns a post-forward hook that clamps every layer's output to
+// its calibrated range and replaces NaN with the upper bound, recording no
+// detection. Register it AFTER injection hooks so faults are detected, not
+// prevented. An output already within range is returned as is, without
+// allocating; only a tensor with something to clamp is copied.
+func (r *Ranger) ClampHook() nn.HookFunc {
+	return func(info nn.LayerInfo, t *tensor.Tensor) *tensor.Tensor {
+		lo, hi, ok := r.Bounds(info.Index)
+		if !ok || !flagRow(t.Data(), lo, hi) {
+			return t
+		}
+		return t.Apply(func(v float32) float32 { return clamp(v, lo, hi) })
+	}
 }

@@ -1,7 +1,6 @@
 package inject
 
 import (
-	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -283,60 +282,6 @@ func TestQuantizeWeightsSkipsFrozen(t *testing.T) {
 	mean, _ = bn.RunningStats()
 	if mean[0] != 0.333 {
 		t.Fatal("frozen running stats must not be quantized")
-	}
-}
-
-func TestRangeProfileClamps(t *testing.T) {
-	r := rng.New(7)
-	net := nn.NewSequential("net", nn.NewLinear("fc", 4, 4, r))
-	x := tensor.Randn(r, 1, 8, 4)
-	profile := ProfileRanges(context.Background(), net, x, 4, nil)
-	lo, hi, ok := profile.Bounds(0)
-	if !ok || lo >= hi {
-		t.Fatalf("implausible bounds %v, %v", lo, hi)
-	}
-
-	// A wildly out-of-range activation must be clamped.
-	hooks := nn.NewHookSet()
-	hooks.PostForward(nn.ByIndex(0), func(_ nn.LayerInfo, t *tensor.Tensor) *tensor.Tensor {
-		out := t.Clone()
-		out.Data()[0] = 1e20
-		out.Data()[1] = float32(math.NaN())
-		return out
-	})
-	hooks.PostForward(nn.AllLayers(), profile.ClampHook())
-	y := nn.Forward(nn.NewContext(hooks), net, x.Slice(0, 1))
-	if y.CountNonFinite() != 0 {
-		t.Fatal("ClampHook must remove non-finite values")
-	}
-	if y.Data()[0] > hi || y.Data()[1] > hi {
-		t.Fatalf("values not clamped to %v: %v", hi, y.Data()[:2])
-	}
-}
-
-// ClampHook hands an in-range output back as is, without allocating; only a
-// tensor with a value to clamp is copied, and the input is left untouched.
-func TestClampHookAllocFreeInRange(t *testing.T) {
-	r := rng.New(8)
-	net := nn.NewSequential("net", nn.NewLinear("fc", 4, 4, r))
-	x := tensor.Randn(r, 1, 8, 4)
-	profile := ProfileRanges(context.Background(), net, x, 8, nil)
-	clamp := profile.ClampHook()
-	info := nn.LayerInfo{Name: "fc", Kind: nn.KindLinear, Index: 0}
-	y := nn.Forward(nil, net, x) // the profiled activations: in range by construction
-	if got := clamp(info, y); got != y {
-		t.Fatal("ClampHook copied an in-range tensor")
-	}
-	if allocs := testing.AllocsPerRun(100, func() { clamp(info, y) }); allocs != 0 {
-		t.Fatalf("ClampHook allocates %.1f objects on an in-range tensor, want 0", allocs)
-	}
-
-	_, hi, _ := profile.Bounds(0)
-	bad := y.Clone()
-	bad.Data()[3] = float32(math.NaN())
-	got := clamp(info, bad)
-	if got == bad || got.Data()[3] != hi || !math.IsNaN(float64(bad.Data()[3])) {
-		t.Fatalf("out-of-range tensor: clamped %v into %v, want a copy holding %v", bad.Data()[3], got.Data()[3], hi)
 	}
 }
 
