@@ -33,6 +33,17 @@ check:
 	$(MAKE) stress-cancel
 	$(MAKE) bench-smoke
 	$(MAKE) bench-check
+	$(MAKE) fuzz-smoke
+
+# Short fuzzing runs of the kernel differential targets: the fused
+# emulation kernels (whole-tensor and grouped per sample) against the
+# generic quantize→dequantize path, and accumulator row rounding against
+# the scalar round trip. A failing input lands in testdata/fuzz/ as a
+# regression seed that plain `go test` then replays.
+.PHONY: fuzz-smoke
+fuzz-smoke:
+	go test -run NONE -fuzz '^FuzzEmulateFusedVsGeneric$$' -fuzztime 10s .
+	go test -run NONE -fuzz '^FuzzAccumRoundRowVsScalar$$' -fuzztime 10s .
 
 # The benchmark is its own Go module (bench/go.mod), so the root module's
 # vet and test runs above never reach it: vet it and run its schema, smoke

@@ -8,6 +8,7 @@ import (
 
 	"goldeneye"
 	"goldeneye/internal/inject"
+	"goldeneye/internal/nn"
 	"goldeneye/internal/numfmt"
 	"goldeneye/internal/telemetry"
 )
@@ -40,12 +41,25 @@ func reportsIdentical(t *testing.T, label string, got, want *goldeneye.CampaignR
 	}
 }
 
-// The tentpole guarantee: for every format family and every supported
-// injection site, a batched campaign's report is bit-identical to the
-// serial batch-1 report under the same seed.
+// The tentpole guarantee: for every format family, every supported
+// injection site and both the single-element and the burst error model, a
+// batched campaign's report is bit-identical to the serial batch-1 report
+// under the same seed — on the MLP, whose layers hold one row per sample,
+// and on vit_tiny's first block-0 linear, whose (N·T, D) output holds T
+// token rows per sample that must share one sample's metadata.
 func TestBatchedCampaignBitIdenticalAllFamilies(t *testing.T) {
-	sim, pool := loadSim(t, "mlp")
-	x, y := pool.subset(8)
+	mlp, mlpPool := loadSim(t, "mlp")
+	vit, vitPool := loadSim(t, "vit_tiny")
+	token := -1
+	for _, l := range vit.Layers() {
+		if l.Kind == nn.KindLinear && strings.Contains(l.Name, ".blk0.") {
+			token = l.Index
+			break
+		}
+	}
+	if token < 0 {
+		t.Fatal("vit_tiny has no block-0 linear")
+	}
 	formats := []goldeneye.Format{
 		numfmt.FP8E4M3(true), // FP
 		numfmt.FxP16(),       // FxP
@@ -56,37 +70,56 @@ func TestBatchedCampaignBitIdenticalAllFamilies(t *testing.T) {
 		numfmt.LNS8(),        // LNS
 		numfmt.NewLUT(4),     // LUT (scale metadata)
 	}
-	layer := sim.InjectableLayers()[1]
-	for _, f := range formats {
-		sites := []inject.Site{goldeneye.SiteValue}
-		if inject.MetaBitWidth(f) > 0 {
-			sites = append(sites, goldeneye.SiteMetadata)
-		}
-		for _, site := range sites {
-			cfg := goldeneye.CampaignConfig{
-				Format:     f,
-				Site:       site,
-				Target:     goldeneye.TargetNeuron,
-				Layer:      layer,
-				Injections: 23, // not a multiple of the batch: exercises the ragged tail
-				Seed:       11,
-				Pool:       &goldeneye.EvalPool{X: x, Y: y},
-				UseRanger:  true,
-				Assignment: &goldeneye.FormatAssignment{Default: goldeneye.RoleFormats{Activations: f}},
-				KeepTrace:  true,
-				MeasureDMR: true,
+	models := []struct {
+		name  string
+		sim   *goldeneye.Simulator
+		pool  *testPool
+		layer int
+	}{
+		{"mlp", mlp, mlpPool, mlp.InjectableLayers()[1]},
+		{"vit_tiny", vit, vitPool, token},
+	}
+	n := 0
+	for _, m := range models {
+		x, y := m.pool.subset(8)
+		for _, f := range formats {
+			sites := []inject.Site{goldeneye.SiteValue}
+			if inject.MetaBitWidth(f) > 0 {
+				sites = append(sites, goldeneye.SiteMetadata)
 			}
-			serial, err := sim.RunCampaign(context.Background(), cfg)
-			if err != nil {
-				t.Fatalf("%s/%s serial: %v", f.Name(), site, err)
+			for _, site := range sites {
+				for _, kind := range []inject.FaultKind{inject.KindFlip, inject.KindBurst} {
+					label := m.name + "/" + f.Name() + "/" + site.String() + "/" + kind.String()
+					if n++; goldeneye.RaceEnabled && n%4 != 1 {
+						continue // the race build checks every fourth case
+					}
+					cfg := goldeneye.CampaignConfig{
+						Format:     f,
+						Site:       site,
+						Target:     goldeneye.TargetNeuron,
+						FaultKind:  kind,
+						Layer:      m.layer,
+						Injections: 23, // not a multiple of the batch: exercises the ragged tail
+						Seed:       11,
+						Pool:       &goldeneye.EvalPool{X: x, Y: y},
+						UseRanger:  true,
+						Assignment: &goldeneye.FormatAssignment{Default: goldeneye.RoleFormats{Activations: f}},
+						KeepTrace:  true,
+						MeasureDMR: true,
+					}
+					serial, err := m.sim.RunCampaign(context.Background(), cfg)
+					if err != nil {
+						t.Fatalf("%s serial: %v", label, err)
+					}
+					bcfg := cfg
+					bcfg.BatchSize = 5
+					batched, err := m.sim.RunCampaign(context.Background(), bcfg)
+					if err != nil {
+						t.Fatalf("%s batched: %v", label, err)
+					}
+					reportsIdentical(t, label, batched, serial)
+				}
 			}
-			bcfg := cfg
-			bcfg.BatchSize = 5
-			batched, err := sim.RunCampaign(context.Background(), bcfg)
-			if err != nil {
-				t.Fatalf("%s/%s batched: %v", f.Name(), site, err)
-			}
-			reportsIdentical(t, f.Name()+"/"+site.String(), batched, serial)
 		}
 	}
 }

@@ -4,7 +4,7 @@ package goldeneye_test
 // cancellation with partial reports, and checkpoint-style resume
 // bit-identity. The fault-triggering formats below exploit that with
 // no Assignment, UseRanger=false, and no DMR, Format.Quantize runs
-// exactly once per executed injection (inside inject.NeuronHookMulti), so
+// exactly once per executed injection (inside inject.NeuronHook), so
 // panics and cancellations land at deterministic injection indices.
 
 import (

@@ -116,7 +116,7 @@ func (m *prefixMemo) fill(r *campaignRunner, samples []int) {
 		rec = detect.NewRecorder(rows)
 	}
 	x := r.scratch.gather(r.geom.pool.X, samples)
-	ctx := nn.NewContext(r.withTiming(r.armedCleanHooks(r.axis(), rec)))
+	ctx := nn.NewContext(r.withTiming(r.armedCleanHooks(rows, rec)))
 	cut := nn.ForwardRange(ctx, m.root, 0, m.block, 0, x)
 	if m.buf == nil {
 		m.row = cut.Len() / rows
@@ -171,16 +171,11 @@ func (m *prefixMemo) release() {
 
 // groupPass returns how a group's passes run: from the cut when the prefix
 // memo serves every sample of the group, else from the network input,
-// which input builds. batched tells whether the passes emulate per row.
-//
-// The memo holds cuts computed under the runner's own emulation axis, so
-// only passes under that axis read it: a batched runner's single-row
-// passes (tail groups, panic fallbacks) emulate per tensor and run in
-// full. The two axes agree per sample wherever the leading axis is the
-// batch, but not on a transformer's token-level layers, whose per-row
-// metadata is per token.
-func (r *campaignRunner) groupPass(samples []int, batched bool, input func() *tensor.Tensor) func(*nn.HookSet) *tensor.Tensor {
-	if r.prefix != nil && batched == (r.batch > 1) {
+// which input builds. Every pass emulates per sample, so a cut is the same
+// whichever group computed it, and groups of any size — tail groups and
+// per-sample panic re-runs included — read the memo.
+func (r *campaignRunner) groupPass(samples []int, input func() *tensor.Tensor) func(*nn.HookSet) *tensor.Tensor {
+	if r.prefix != nil {
 		if r.prefix.start(r, samples) {
 			return func(h *nn.HookSet) *tensor.Tensor {
 				return r.prefix.run(nn.NewContext(r.withTiming(h)), samples)

@@ -239,12 +239,13 @@ func TestPrefixReuseDetectorEventForcesFullPass(t *testing.T) {
 // top-level child 0 has no prefix to reuse.
 func TestPrefixRowsTelemetry(t *testing.T) {
 	for _, c := range []struct {
-		layer, batch int
-		want         [3]int64
+		layer, batch, injections int
+		want                     [3]int64
 	}{
-		{1, 1, [3]int64{8, 16, 0}},
-		{1, 4, [3]int64{8, 16, 0}},
-		{0, 4, [3]int64{0, 0, 24}}, // the flatten, top-level child 0
+		{1, 1, 24, [3]int64{8, 16, 0}},
+		{1, 4, 24, [3]int64{8, 16, 0}},
+		{1, 4, 25, [3]int64{8, 17, 0}}, // the one-sample tail group reuses its cut
+		{0, 4, 24, [3]int64{0, 0, 24}}, // the flatten, top-level child 0
 	} {
 		sim, err := prefixBuilder("mlp", false)()
 		if err != nil {
@@ -257,7 +258,7 @@ func TestPrefixRowsTelemetry(t *testing.T) {
 			Site:       inject.SiteValue,
 			Target:     inject.TargetNeuron,
 			Layer:      sim.Layers()[c.layer].Index,
-			Injections: 24,
+			Injections: c.injections,
 			Seed:       2,
 			Pool:       &EvalPool{X: ds.ValX.Slice(0, 8), Y: ds.ValY[:8]},
 			BatchSize:  c.batch,
@@ -271,7 +272,8 @@ func TestPrefixRowsTelemetry(t *testing.T) {
 			got[i] = ctr.Value()
 		}
 		if got != c.want {
-			t.Fatalf("layer %d batch %d: prefix rows (computed, reused, full) = %v, want %v", c.layer, c.batch, got, c.want)
+			t.Fatalf("layer %d batch %d, %d injections: prefix rows (computed, reused, full) = %v, want %v",
+				c.layer, c.batch, c.injections, got, c.want)
 		}
 	}
 }

@@ -87,7 +87,8 @@ func FuzzPosit8Decode(f *testing.F) {
 // kernels: for arbitrary float inputs, every family's single-pass fused
 // Emulate must be bit-identical to the generic quantize→dequantize
 // reference (numfmt.EmulateGeneric), NaN included: both paths canonicalize
-// every NaN input to float32(math.NaN()).
+// every NaN input to float32(math.NaN()). The grouped case holds the
+// same for the per-sample path (numfmt.EmulateBatched over two samples).
 func FuzzEmulateFusedVsGeneric(f *testing.F) {
 	f.Add(uint32(0), uint32(math.Float32bits(1.0)), uint32(math.Float32bits(-3.5)), uint32(0x7FC00001))
 	f.Add(uint32(math.Float32bits(1e30)), uint32(math.Float32bits(-1e-30)),
@@ -105,12 +106,23 @@ func FuzzEmulateFusedVsGeneric(f *testing.F) {
 		for _, format := range formats {
 			fused := format.Emulate(x)
 			generic := numfmt.EmulateGeneric(format, x)
+			// Grouped: the same values as two 2-element samples, each
+			// emulated under its own metadata, against the generic
+			// reference of each sample alone.
+			grouped := numfmt.EmulateBatched(format, x.Reshape(4, 1), 2)
+			halves := numfmt.EmulateGeneric(format, x.Reshape(4, 1).Slice(0, 2)).Data()
+			halves = append(halves, numfmt.EmulateGeneric(format, x.Reshape(4, 1).Slice(2, 4)).Data()...)
 			for i := range fused.Data() {
 				fv, gv := fused.Data()[i], generic.Data()[i]
 				if math.Float32bits(fv) != math.Float32bits(gv) {
 					t.Fatalf("%s: element %d (input %08x): fused %v (%08x) vs generic %v (%08x)",
 						format.Name(), i, math.Float32bits(x.Data()[i]),
 						fv, math.Float32bits(fv), gv, math.Float32bits(gv))
+				}
+				if bv, hv := grouped.Data()[i], halves[i]; math.Float32bits(bv) != math.Float32bits(hv) {
+					t.Fatalf("%s: grouped element %d (input %08x): fused %v (%08x) vs generic %v (%08x)",
+						format.Name(), i, math.Float32bits(x.Data()[i]),
+						bv, math.Float32bits(bv), hv, math.Float32bits(hv))
 				}
 			}
 		}

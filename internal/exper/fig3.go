@@ -152,7 +152,7 @@ func emulationWithFault(format numfmt.Format, fault inject.Fault, target int) *g
 	hooks.PostForward(nn.DefaultLayers(), func(_ nn.LayerInfo, t *tensor.Tensor) *tensor.Tensor {
 		return format.Emulate(t)
 	})
-	hooks.PostForward(nn.ByIndex(target), inject.NeuronHook(format, fault))
+	hooks.PostForward(nn.ByIndex(target), inject.NeuronHook(format, [][]inject.Fault{{fault}}))
 	return hooks
 }
 

@@ -25,7 +25,7 @@ func batchedFixture(rows, cols int) *tensor.Tensor {
 func TestFlipInBatchedEncodingRowIsolation(t *testing.T) {
 	in := batchedFixture(3, 8)
 	f := numfmt.INT8()
-	enc := numfmt.QuantizeBatched(f, in)
+	enc := numfmt.QuantizeBatched(f, in, 3)
 	before := append([]numfmt.Bits(nil), enc.Codes...)
 	fault := Fault{Site: SiteValue, Row: 1, Element: 5, Bit: 2}
 	if err := FlipInEncoding(enc, fault); err != nil {
@@ -58,7 +58,7 @@ func TestFlipInBatchedEncodingRowIsolation(t *testing.T) {
 func TestFlipInBatchedEncodingBurstConfined(t *testing.T) {
 	in := batchedFixture(2, 6)
 	f := numfmt.FxP16()
-	enc := numfmt.QuantizeBatched(f, in)
+	enc := numfmt.QuantizeBatched(f, in, 2)
 	before := append([]numfmt.Bits(nil), enc.Codes...)
 	if err := FlipInEncoding(enc, Fault{Site: SiteValue, Kind: KindBurst, Row: 1, Bit: 0}); err != nil {
 		t.Fatal(err)
@@ -77,7 +77,7 @@ func TestFlipInBatchedEncodingBurstConfined(t *testing.T) {
 func TestFlipInBatchedEncodingMetadataPerRow(t *testing.T) {
 	in := batchedFixture(3, 8)
 	f := numfmt.BFPe5m5()
-	enc := numfmt.QuantizeBatched(f, in)
+	enc := numfmt.QuantizeBatched(f, in, 3)
 	want0 := append([]uint8(nil), enc.RowMeta[0].SharedExp...)
 	want2 := append([]uint8(nil), enc.RowMeta[2].SharedExp...)
 	if err := FlipInEncoding(enc, Fault{Site: SiteMetadata, Row: 1, MetaIndex: 0, Bit: 1}); err != nil {
@@ -98,7 +98,7 @@ func TestFlipInBatchedEncodingMetadataPerRow(t *testing.T) {
 }
 
 func TestFlipInBatchedEncodingRowOutOfRange(t *testing.T) {
-	enc := numfmt.QuantizeBatched(numfmt.INT8(), batchedFixture(2, 4))
+	enc := numfmt.QuantizeBatched(numfmt.INT8(), batchedFixture(2, 4), 2)
 	if err := FlipInEncoding(enc, Fault{Site: SiteValue, Row: 2, Element: 0, Bit: 0}); err == nil {
 		t.Fatal("expected a row-range error")
 	}
@@ -107,24 +107,33 @@ func TestFlipInBatchedEncodingRowOutOfRange(t *testing.T) {
 	}
 }
 
-// NeuronHookBatched must reproduce NeuronHookMulti row by row: injecting N
-// distinct faults in one batched pass gives each row exactly the tensor a
-// batch-1 injection of its fault would.
+// NeuronHook over N samples must reproduce its one-sample form sample by
+// sample: injecting N distinct fault sets in one pass gives each sample
+// exactly the tensor a batch-1 injection of its faults would — one leading
+// row per sample, or T token rows per sample, whose value, burst and
+// metadata faults then span all T rows.
 func TestNeuronHookBatchedMatchesSerial(t *testing.T) {
-	in := batchedFixture(3, 10)
-	faults := [][]Fault{
-		{{Site: SiteValue, Element: 1, Bit: 3}},
-		{{Site: SiteMetadata, MetaIndex: 0, Bit: 2}},
-		{{Site: SiteValue, Element: 7, Bit: 0}, {Site: SiteValue, Element: 2, Bit: 4}},
+	const samples, span = 3, 20
+	inputs := map[string]*tensor.Tensor{
+		"rows":   batchedFixture(samples, span),
+		"tokens": batchedFixture(samples, span).Reshape(samples*4, span/4),
 	}
-	for _, f := range []numfmt.Format{numfmt.INT8(), numfmt.BFPe5m5(), numfmt.AFPe5m2()} {
-		got := NeuronHookBatched(f, faults)(nn.LayerInfo{}, in)
-		for r := 0; r < 3; r++ {
-			want := NeuronHookMulti(f, faults[r])(nn.LayerInfo{}, in.Slice(r, r+1))
-			for j := 0; j < 10; j++ {
-				if got.Data()[r*10+j] != want.Data()[j] {
-					t.Fatalf("%s: row %d elem %d = %v, batch-1 %v",
-						f.Name(), r, j, got.Data()[r*10+j], want.Data()[j])
+	faults := [][]Fault{
+		{{Site: SiteValue, Element: 13, Bit: 3}},
+		{{Site: SiteMetadata, MetaIndex: 0, Bit: 2}, {Site: SiteValue, Kind: KindBurst, Bit: 1}},
+		{{Site: SiteValue, Element: 17, Bit: 0}, {Site: SiteValue, Element: 2, Bit: 4}},
+	}
+	for name, in := range inputs {
+		g := in.Dim(0) / samples
+		for _, f := range []numfmt.Format{numfmt.INT8(), numfmt.BFPe5m5(), numfmt.AFPe5m2()} {
+			got := NeuronHook(f, faults)(nn.LayerInfo{}, in)
+			for s := 0; s < samples; s++ {
+				want := NeuronHook(f, faults[s:s+1])(nn.LayerInfo{}, in.Slice(s*g, (s+1)*g))
+				for j := 0; j < span; j++ {
+					if got.Data()[s*span+j] != want.Data()[j] {
+						t.Fatalf("%s/%s: sample %d elem %d = %v, batch-1 %v",
+							name, f.Name(), s, j, got.Data()[s*span+j], want.Data()[j])
+					}
 				}
 			}
 		}

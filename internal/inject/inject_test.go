@@ -200,7 +200,7 @@ func TestNeuronHookInjects(t *testing.T) {
 	format := numfmt.FP8E4M3(true)
 	fault := Fault{Layer: 0, Site: SiteValue, Target: TargetNeuron, Element: 1, Bit: 7} // sign bit
 	hooks := nn.NewHookSet()
-	hooks.PostForward(nn.ByIndex(0), NeuronHook(format, fault))
+	hooks.PostForward(nn.ByIndex(0), NeuronHook(format, [][]Fault{{fault}}))
 	faulty := nn.Forward(nn.NewContext(hooks), net, x)
 	if faulty.AllClose(clean, 1e-6) {
 		t.Fatal("neuron fault did not propagate to the output")

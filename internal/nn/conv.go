@@ -60,8 +60,9 @@ func (c *Conv2D) Pad() int { return c.pad }
 // Forward implements Module. A staged epilogue (fused emulation of the
 // output) is applied during NCHW assembly: element-local epilogues run on
 // each (sample, channel) plane right after its bias add while the plane
-// is cache-hot; per-row and whole-tensor epilogues run once after
-// assembly with the batch-row geometry EmulateBatched uses.
+// is cache-hot; epilogues with per-sample or tensor-wide metadata run once
+// on the assembled NCHW output, whose samples are the contiguous spans
+// EmulateBatched groups.
 func (c *Conv2D) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	if x.Rank() != 4 {
 		panic(fmt.Sprintf("nn: %s expects NCHW input, got %v", c.name, x.Shape()))
@@ -107,7 +108,7 @@ func (c *Conv2D) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 	}
-	ep.Apply(out.Data(), n, oc*plane)
+	ep.Apply(out.Data())
 	return out
 }
 

@@ -37,8 +37,9 @@ func assertBitsEqual(t *testing.T, got, want *tensor.Tensor, label string) {
 }
 
 // A fused epilogue must produce bit-identical forward outputs to the
-// whole-tensor post hook it replaces, for element-local (FP → Tile),
-// whole-tensor (BFP → Whole), and per-row (AxisBatch → Rows) forms.
+// post hook it replaces, for element-local (FP → Tile) and metadata-
+// bearing (BFP, AFP, INT → Whole) forms, with one sample (tensor-wide
+// metadata) or per-sample metadata over the batch's 4 samples.
 func TestEpilogueForwardBitIdentical(t *testing.T) {
 	formats := []numfmt.Format{
 		numfmt.FP16(true),
@@ -47,25 +48,16 @@ func TestEpilogueForwardBitIdentical(t *testing.T) {
 		numfmt.INT8(),
 	}
 	for _, f := range formats {
-		for _, axis := range []numfmt.MetaAxis{numfmt.AxisTensor, numfmt.AxisBatch} {
+		for _, n := range []int{1, 4} {
 			m, x := epilogueTestModel(t)
+			emulate := func(_ LayerInfo, a *tensor.Tensor) *tensor.Tensor { return numfmt.EmulateBatched(f, a, n) }
 
 			hooked := NewHookSet()
-			hooked.PostForward(DefaultLayers(), func(_ LayerInfo, a *tensor.Tensor) *tensor.Tensor {
-				if axis == numfmt.AxisBatch {
-					return numfmt.EmulateBatched(f, a)
-				}
-				return f.Emulate(a)
-			})
+			hooked.PostForward(DefaultLayers(), emulate)
 			want := Forward(NewContext(hooked), m, x)
 
 			fused := NewHookSet()
-			fused.PostForwardEpilogue(DefaultLayers(), func(_ LayerInfo, a *tensor.Tensor) *tensor.Tensor {
-				if axis == numfmt.AxisBatch {
-					return numfmt.EmulateBatched(f, a)
-				}
-				return f.Emulate(a)
-			}, numfmt.EmulateEpilogue(f, axis))
+			fused.PostForwardEpilogue(DefaultLayers(), emulate, numfmt.EmulateEpilogue(f, n))
 			got := Forward(NewContext(fused), m, x)
 
 			assertBitsEqual(t, got, want, f.Name())
@@ -86,7 +78,7 @@ func TestEpilogueSkipsFallbackPreservesOrder(t *testing.T) {
 	hooks.PostForwardEpilogue(DefaultLayers(), func(_ LayerInfo, a *tensor.Tensor) *tensor.Tensor {
 		fnCalls++
 		return f.Emulate(a)
-	}, numfmt.EmulateEpilogue(f, numfmt.AxisTensor))
+	}, numfmt.EmulateEpilogue(f, 1))
 	hooks.PostForward(DefaultLayers(), func(_ LayerInfo, a *tensor.Tensor) *tensor.Tensor {
 		// Downstream hooks (injection, clamping) must observe already-
 		// emulated values, exactly as with the unfused composition.
@@ -119,7 +111,7 @@ func TestEpilogueOnlyFirstMatchingHookFuses(t *testing.T) {
 	hooks.PostForwardEpilogue(DefaultLayers(), func(_ LayerInfo, a *tensor.Tensor) *tensor.Tensor {
 		order = append(order, "second")
 		return f.Emulate(a)
-	}, numfmt.EmulateEpilogue(f, numfmt.AxisTensor))
+	}, numfmt.EmulateEpilogue(f, 1))
 	Forward(NewContext(hooks), m, x)
 	for i := 0; i+1 < len(order); i += 2 {
 		if order[i] != "first" || order[i+1] != "second" {

@@ -7,8 +7,9 @@ import "goldeneye/internal/tensor"
 // tensor replaces the activation, which is how format emulation and neuron
 // fault injection are realized. A hook fires once per forward pass
 // regardless of the batch size — a batched campaign pass hands the hook
-// the whole multi-row activation (see inject.NeuronHookBatched), not one
-// call per row.
+// the whole activation of all its samples (see inject.NeuronHook), not one
+// call per sample; a hook that scopes state per sample is built knowing
+// the pass's sample count.
 type HookFunc func(layer LayerInfo, t *tensor.Tensor) *tensor.Tensor
 
 // Filter selects which layer visits a hook fires on. The zero value matches
@@ -104,8 +105,9 @@ type HookSet struct {
 // NewHookSet returns an empty hook set.
 func NewHookSet() *HookSet { return &HookSet{} }
 
-// Merge appends every hook of other (in order) to h. Pre-existing hooks of
-// h keep firing first.
+// Merge appends a copy of every hook entry of other (in order) to h.
+// Pre-existing hooks of h keep firing first, and other is left unchanged,
+// so one set can be merged into many.
 func (h *HookSet) Merge(other *HookSet) {
 	if other == nil {
 		return

@@ -144,7 +144,7 @@ func (f *AFP) Emulate(t *tensor.Tensor) *tensor.Tensor {
 // kernel. Each row derives its own bias register from the row's maximum
 // magnitude — exactly what Quantize does per tensor — so the result is
 // bit-identical to quantizing each row separately (the EmulateBatched
-// per-row contract; rows=1 gives whole-tensor semantics).
+// per-sample contract; rows=1 gives whole-tensor semantics).
 func (f *AFP) emulateRowsInPlace(data []float32, rows, rowLen int) {
 	for r := 0; r < rows; r++ {
 		row := data[r*rowLen : (r+1)*rowLen]

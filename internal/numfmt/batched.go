@@ -1,6 +1,7 @@
 package numfmt
 
 import (
+	"fmt"
 	"sync"
 
 	"goldeneye/internal/tensor"
@@ -11,14 +12,17 @@ import (
 // §IV-B). Formats whose metadata is computed from tensor-wide statistics
 // (the INT/LUT scale from AbsMax, the AFP exponent bias, BFP's shared
 // exponents blocked over the flattened tensor) would otherwise couple a
-// sample's codes to its batchmates; here every batch row is quantized from
-// a row-sliced view, so its codes and registers match a batch-1 encoding of
-// the same sample exactly.
+// sample's codes to its batchmates; here a pass over n samples quantizes
+// each sample — its contiguous Dim(0)/n leading rows — from a sliced view,
+// so its codes and registers match a batch-1 encoding of the same sample
+// exactly. One sample is the whole tensor: n = 1 is plain per-tensor
+// quantization.
 
 // batchInvariant reports whether f quantizes each element independently of
-// the rest of the tensor, making whole-batch calls bit-identical to per-row
-// calls. Only the formats audited for element independence qualify; unknown
-// Format implementations conservatively take the per-row path.
+// the rest of the tensor, making whole-batch calls bit-identical to
+// per-sample calls. Only the formats audited for element independence
+// qualify; unknown Format implementations conservatively take the
+// per-sample path.
 func batchInvariant(f Format) bool {
 	switch f.(type) {
 	case *FP, *FxP, *LNS, *Posit:
@@ -28,96 +32,110 @@ func batchInvariant(f Format) bool {
 }
 
 // emulateRowParallelMin is the element count above which EmulateBatched
-// fans per-row emulation out across goroutines (mirrors the tensor
+// fans per-sample emulation out across goroutines (mirrors the tensor
 // package's matmul parallel threshold).
 const emulateRowParallelMin = 16 * 1024
 
-// QuantizeBatched converts t (batch on axis 0) into format space with
-// per-row metadata: row r's codes and registers are exactly those of
-// f.Quantize applied to the single-sample slice t[r:r+1]. The returned
-// encoding uses AxisBatch and leaves Meta zero.
-func QuantizeBatched(f Format, t *tensor.Tensor) *Encoding {
-	n := t.Dim(0)
-	rowLen := t.Len() / n
-	enc := &Encoding{
-		Codes:        make([]Bits, t.Len()),
-		Shape:        append([]int(nil), t.Shape()...),
-		MetadataAxis: AxisBatch,
-		RowMeta:      make([]Metadata, n),
+// sampleRows returns the leading rows each of a pass's n samples occupies
+// in t. It panics when n does not divide t's leading dimension: the hooks
+// of an n-sample pass only ever see n-sample activations.
+func sampleRows(t *tensor.Tensor, n int) int {
+	if n < 1 || t.Dim(0)%n != 0 {
+		panic(fmt.Sprintf("numfmt: %d samples do not divide the %d leading rows of %v", n, t.Dim(0), t.Shape()))
 	}
-	for r := 0; r < n; r++ {
-		re := f.Quantize(t.Slice(r, r+1))
-		copy(enc.Codes[r*rowLen:(r+1)*rowLen], re.Codes)
-		enc.RowMeta[r] = re.Meta
+	return t.Dim(0) / n
+}
+
+// QuantizeBatched converts t, the activation of an n-sample pass, into
+// format space with per-sample metadata: sample s's codes and registers
+// are exactly those of f.Quantize applied to its own Dim(0)/n leading
+// rows. For n > 1 the encoding holds them in RowMeta and leaves Meta zero;
+// n = 1 is f.Quantize(t).
+func QuantizeBatched(f Format, t *tensor.Tensor, n int) *Encoding {
+	g := sampleRows(t, n)
+	if n == 1 {
+		return f.Quantize(t)
+	}
+	span := t.Len() / n
+	enc := &Encoding{
+		Codes:   make([]Bits, t.Len()),
+		Shape:   append([]int(nil), t.Shape()...),
+		RowMeta: make([]Metadata, n),
+	}
+	for s := 0; s < n; s++ {
+		se := f.Quantize(t.Slice(s*g, (s+1)*g))
+		copy(enc.Codes[s*span:(s+1)*span], se.Codes)
+		enc.RowMeta[s] = se.Meta
 	}
 	return enc
 }
 
-// DequantizeBatched reconstructs real values from an AxisBatch encoding,
-// decoding each row under its own metadata. It is the inverse of
-// QuantizeBatched and bit-identical per row to f.Dequantize on a batch-1
-// encoding.
+// DequantizeBatched reconstructs real values from a QuantizeBatched
+// encoding, decoding each sample under its own metadata. It is the inverse
+// of QuantizeBatched and bit-identical per sample to f.Dequantize on a
+// batch-1 encoding.
 func DequantizeBatched(f Format, enc *Encoding) *tensor.Tensor {
-	if enc.MetadataAxis != AxisBatch {
+	if enc.RowMeta == nil {
 		return f.Dequantize(enc)
 	}
 	n := len(enc.RowMeta)
-	rowLen := len(enc.Codes) / n
-	rowShape := append([]int{1}, enc.Shape[1:]...)
+	span := len(enc.Codes) / n
+	sampleShape := append([]int{enc.Shape[0] / n}, enc.Shape[1:]...)
 	out := tensor.New(enc.Shape...)
 	dst := out.Data()
-	for r := 0; r < n; r++ {
-		row := &Encoding{
-			Codes: enc.Codes[r*rowLen : (r+1)*rowLen],
-			Shape: rowShape,
-			Meta:  enc.RowMeta[r],
+	for s := 0; s < n; s++ {
+		se := &Encoding{
+			Codes: enc.Codes[s*span : (s+1)*span],
+			Shape: sampleShape,
+			Meta:  enc.RowMeta[s],
 		}
-		copy(dst[r*rowLen:(r+1)*rowLen], f.Dequantize(row).Data())
+		copy(dst[s*span:(s+1)*span], f.Dequantize(se).Data())
 	}
 	return out
 }
 
-// EmulateBatched is the batched inference-emulation hot path: emulation in
-// which every batch row's metadata is derived from that row alone.
-// Batch-invariant formats keep their whole-tensor fast path (already
-// bit-identical per row). Metadata-bearing formats with a fused kernel
-// (INT, BFP, AFP) run it directly over row slices of one output buffer —
-// no per-row tensor allocation, no quantize/dequantize round trip — with a
+// EmulateBatched is the batched inference-emulation hot path: emulation of
+// an n-sample pass's activation t in which every sample's metadata is
+// derived from that sample alone (n = 1: f.Emulate(t)). Batch-invariant
+// formats keep their whole-tensor fast path (already bit-identical per
+// sample). Metadata-bearing formats with a fused kernel (INT, BFP, AFP)
+// run it directly over sample slices of one output buffer — no per-sample
+// tensor allocation, no quantize/dequantize round trip — with a
 // GOMAXPROCS-bounded fan-out for large activations. Formats without a
-// fused kernel (LUT), or with fused kernels disabled, emulate row-sliced
-// views through their own Emulate, which is what the fused rows are pinned
+// fused kernel (LUT), or with fused kernels disabled, emulate sliced views
+// through their own Emulate, which is what the fused path is pinned
 // bit-identical to.
-func EmulateBatched(f Format, t *tensor.Tensor) *tensor.Tensor {
-	n := t.Dim(0)
-	if n <= 1 || batchInvariant(f) {
+func EmulateBatched(f Format, t *tensor.Tensor, n int) *tensor.Tensor {
+	g := sampleRows(t, n)
+	if n == 1 || batchInvariant(f) {
 		return f.Emulate(t)
 	}
-	rowLen := t.Len() / n
+	span := t.Len() / n
 	if re, ok := f.(rowEmulator); ok && FusedKernels() {
 		countEmulate(t.Len())
 		countKernelFused()
 		out := t.Clone()
-		emulateRowsParallel(re, out.Data(), n, rowLen)
+		emulateRowsParallel(re, out.Data(), n, span)
 		return out
 	}
 	out := tensor.New(t.Shape()...)
 	dst := out.Data()
-	emulateRow := func(r int) {
-		copy(dst[r*rowLen:(r+1)*rowLen], f.Emulate(t.Slice(r, r+1)).Data())
+	emulateSample := func(s int) {
+		copy(dst[s*span:(s+1)*span], f.Emulate(t.Slice(s*g, (s+1)*g)).Data())
 	}
 	if t.Len() >= emulateRowParallelMin {
 		var wg sync.WaitGroup
 		wg.Add(n)
-		for r := 0; r < n; r++ {
-			go func(r int) {
+		for s := 0; s < n; s++ {
+			go func(s int) {
 				defer wg.Done()
-				emulateRow(r)
-			}(r)
+				emulateSample(s)
+			}(s)
 		}
 		wg.Wait()
 	} else {
-		for r := 0; r < n; r++ {
-			emulateRow(r)
+		for s := 0; s < n; s++ {
+			emulateSample(s)
 		}
 	}
 	return out

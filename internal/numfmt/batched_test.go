@@ -33,31 +33,61 @@ func batchedInput(rows, cols int) *tensor.Tensor {
 	return t
 }
 
+// tokenInput builds an (N·T, D) activation — T token rows per sample, the
+// layout of a transformer's linears — whose samples have deliberately
+// different magnitudes, as batchedInput's rows do.
+func tokenInput(samples, tokens, d int) *tensor.Tensor {
+	return batchedInput(samples, tokens*d).Reshape(samples*tokens, d)
+}
+
+// groupedCase is an n-sample activation: one leading row per sample, or T
+// token rows per sample, whose metadata must then cover all T rows.
+type groupedCase struct {
+	name string
+	in   *tensor.Tensor
+	n    int
+}
+
+func groupedCases() []groupedCase {
+	return []groupedCase{
+		{"rows", batchedInput(4, 17), 4},
+		{"tokens", tokenInput(3, 4, 5), 3},
+	}
+}
+
+// sample returns sample s of c as its own tensor: the reference every
+// grouped entry point must match.
+func (c groupedCase) sample(s int) *tensor.Tensor {
+	g := c.in.Dim(0) / c.n
+	return c.in.Slice(s*g, (s+1)*g)
+}
+
 func TestQuantizeBatchedMatchesPerRow(t *testing.T) {
-	in := batchedInput(4, 17)
-	rows, rowLen := 4, 17
-	for _, f := range batchedFormats() {
-		enc := QuantizeBatched(f, in)
-		if enc.MetadataAxis != AxisBatch || enc.Rows() != rows {
-			t.Fatalf("%s: batched encoding has axis %v, %d rows", f.Name(), enc.MetadataAxis, enc.Rows())
-		}
-		for r := 0; r < rows; r++ {
-			ref := f.Quantize(in.Slice(r, r+1))
-			for j := 0; j < rowLen; j++ {
-				if enc.Codes[r*rowLen+j] != ref.Codes[j] {
-					t.Fatalf("%s: row %d code %d = %#x, batch-1 %#x",
-						f.Name(), r, j, enc.Codes[r*rowLen+j], ref.Codes[j])
+	for _, c := range groupedCases() {
+		span := c.in.Len() / c.n
+		for _, f := range batchedFormats() {
+			enc := QuantizeBatched(f, c.in, c.n)
+			if len(enc.RowMeta) != c.n {
+				t.Fatalf("%s/%s: batched encoding has %d metadata sets, want %d", c.name, f.Name(), len(enc.RowMeta), c.n)
+			}
+			for r := 0; r < c.n; r++ {
+				ref := f.Quantize(c.sample(r))
+				for j := 0; j < span; j++ {
+					if enc.Codes[r*span+j] != ref.Codes[j] {
+						t.Fatalf("%s/%s: sample %d code %d = %#x, batch-1 %#x",
+							c.name, f.Name(), r, j, enc.Codes[r*span+j], ref.Codes[j])
+					}
 				}
-			}
-			got, want := enc.RowMeta[r], ref.Meta
-			if got.Kind != want.Kind || got.Scale != want.Scale ||
-				got.BlockSize != want.BlockSize || got.ExpBias != want.ExpBias ||
-				len(got.SharedExp) != len(want.SharedExp) {
-				t.Fatalf("%s: row %d metadata %+v, batch-1 %+v", f.Name(), r, got, want)
-			}
-			for b := range want.SharedExp {
-				if got.SharedExp[b] != want.SharedExp[b] {
-					t.Fatalf("%s: row %d shared exp %d differs", f.Name(), r, b)
+				got, want := enc.RowMeta[r], ref.Meta
+				if got.Kind != want.Kind || got.Scale != want.Scale ||
+					got.BlockSize != want.BlockSize || got.ExpBias != want.ExpBias ||
+					len(got.SharedExp) != len(want.SharedExp) {
+					t.Fatalf("%s/%s: sample %d metadata %+v, batch-1 %+v", c.name, f.Name(), r, got, want)
+				}
+				for b := range want.SharedExp {
+					if got.SharedExp[b] != want.SharedExp[b] {
+						t.Fatalf("%s/%s: sample %d shared exp %d differs", c.name, f.Name(), r, b)
+					}
 				}
 			}
 		}
@@ -67,7 +97,7 @@ func TestQuantizeBatchedMatchesPerRow(t *testing.T) {
 func TestDequantizeBatchedRoundTrip(t *testing.T) {
 	in := batchedInput(3, 11)
 	for _, f := range batchedFormats() {
-		got := DequantizeBatched(f, QuantizeBatched(f, in)).Data()
+		got := DequantizeBatched(f, QuantizeBatched(f, in, 3)).Data()
 		for r := 0; r < 3; r++ {
 			want := f.Dequantize(f.Quantize(in.Slice(r, r+1))).Data()
 			for j, w := range want {
@@ -79,18 +109,48 @@ func TestDequantizeBatchedRoundTrip(t *testing.T) {
 	}
 }
 
+// EmulateBatched and the fused EmulateEpilogue must both equal per-sample
+// Emulate, and refuse a sample count that does not divide the leading
+// rows rather than mis-group samples.
 func TestEmulateBatchedMatchesPerRow(t *testing.T) {
-	in := batchedInput(5, 13)
-	for _, f := range batchedFormats() {
-		got := EmulateBatched(f, in).Data()
-		for r := 0; r < 5; r++ {
-			want := f.Emulate(in.Slice(r, r+1)).Data()
-			for j, w := range want {
-				if got[r*13+j] != w {
-					t.Fatalf("%s: row %d elem %d = %v, batch-1 %v", f.Name(), r, j, got[r*13+j], w)
+	for _, c := range groupedCases() {
+		span := c.in.Len() / c.n
+		for _, f := range batchedFormats() {
+			got := EmulateBatched(f, c.in, c.n).Data()
+			fused := c.in.Clone().Data()
+			ep := EmulateEpilogue(f, c.n)
+			if ep.Tile != nil {
+				ep.Tile(fused)
+			}
+			ep.Apply(fused)
+			if ep.Empty() {
+				fused = got // no fused kernel: the hook path is EmulateBatched
+			}
+			for r := 0; r < c.n; r++ {
+				want := f.Emulate(c.sample(r)).Data()
+				for j, w := range want {
+					if got[r*span+j] != w || fused[r*span+j] != w {
+						t.Fatalf("%s/%s: sample %d elem %d = %v (epilogue %v), batch-1 %v",
+							c.name, f.Name(), r, j, got[r*span+j], fused[r*span+j], w)
+					}
 				}
 			}
 		}
+	}
+	in := tokenInput(3, 4, 5) // 12 leading rows, 60 elements
+	for name, call := range map[string]func(){
+		"EmulateBatched":  func() { EmulateBatched(INT8(), in, 5) },
+		"QuantizeBatched": func() { QuantizeBatched(INT8(), in, 5) },
+		"EmulateEpilogue": func() { EmulateEpilogue(INT8(), 7).Apply(in.Clone().Data()) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted a sample count that does not divide its input", name)
+				}
+			}()
+			call()
+		}()
 	}
 }
 
@@ -99,7 +159,7 @@ func TestEmulateBatchedMatchesPerRow(t *testing.T) {
 func TestEmulateBatchedParallelPath(t *testing.T) {
 	in := batchedInput(8, emulateRowParallelMin/8+3)
 	f := INT8()
-	got := EmulateBatched(f, in).Data()
+	got := EmulateBatched(f, in, 8).Data()
 	cols := in.Len() / 8
 	for r := 0; r < 8; r++ {
 		want := f.Emulate(in.Slice(r, r+1)).Data()
@@ -112,9 +172,9 @@ func TestEmulateBatchedParallelPath(t *testing.T) {
 }
 
 func TestEncodingCloneCopiesRowMeta(t *testing.T) {
-	enc := QuantizeBatched(BFPe5m5(), batchedInput(2, 9))
+	enc := QuantizeBatched(BFPe5m5(), batchedInput(2, 9), 2)
 	c := enc.Clone()
-	if c.MetadataAxis != AxisBatch || len(c.RowMeta) != 2 {
+	if len(c.RowMeta) != 2 {
 		t.Fatalf("clone lost batch metadata: %+v", c)
 	}
 	c.RowMeta[0].SharedExp[0] ^= 0xff

@@ -200,7 +200,7 @@ func (f *BFP) Emulate(t *tensor.Tensor) *tensor.Tensor {
 // emulateRowsInPlace implements rowEmulator: the fused single-pass BFP
 // kernel. Each row is treated as its own tensor — blocks never straddle a
 // row boundary — so the result is bit-identical to quantizing and
-// dequantizing each row separately (the EmulateBatched per-row contract;
+// dequantizing each row separately (the EmulateBatched per-sample contract;
 // rows=1 gives whole-tensor semantics).
 //
 // Per block: one max-magnitude scan derives the shared exponent's step,

@@ -96,32 +96,6 @@ func (m Metadata) Clone() Metadata {
 	return c
 }
 
-// MetaAxis declares the scope of an Encoding's metadata: whether one set of
-// hardware registers covers the whole tensor or each batch row carries its
-// own. Per-row metadata is what makes batched fault injection bit-identical
-// to batch-1 execution — a sample's scale/bias/shared exponents never depend
-// on its batchmates.
-type MetaAxis int
-
-// Metadata axes. The zero value is the historical per-tensor scope, so
-// existing encodings keep their meaning.
-const (
-	AxisTensor MetaAxis = iota // one Metadata for the whole tensor (Encoding.Meta)
-	AxisBatch                  // one Metadata per batch row (Encoding.RowMeta)
-)
-
-// String returns the axis's short name.
-func (a MetaAxis) String() string {
-	switch a {
-	case AxisTensor:
-		return "tensor"
-	case AxisBatch:
-		return "batch"
-	default:
-		return fmt.Sprintf("MetaAxis(%d)", int(a))
-	}
-}
-
 // Encoding is a tensor in format space: the per-element bit patterns plus
 // any metadata. It is the hardware-faithful representation that the fault
 // injector mutates.
@@ -130,34 +104,19 @@ type Encoding struct {
 	Shape []int
 	Meta  Metadata
 
-	// MetadataAxis declares how the metadata is scoped. With AxisTensor
-	// (the zero value) Meta covers every element; with AxisBatch, Meta is
-	// unused and RowMeta[r] holds the registers of batch row r, whose codes
-	// occupy the r-th contiguous slice of Codes.
-	MetadataAxis MetaAxis
-
-	// RowMeta holds one Metadata per batch row for AxisBatch encodings
-	// (len(RowMeta) == Shape[0]); nil for AxisTensor encodings.
+	// RowMeta, when non-nil, scopes the metadata per sample (see
+	// QuantizeBatched): RowMeta[s] holds the registers of sample s, whose
+	// codes occupy the s-th of len(RowMeta) equal contiguous spans of
+	// Codes, and Meta is unused. Nil means Meta covers every element.
 	RowMeta []Metadata
-}
-
-// Rows returns the number of batch rows the encoding addresses: Shape[0]
-// for AxisBatch encodings, 1 otherwise (per-tensor metadata treats the
-// whole tensor as a single row).
-func (e *Encoding) Rows() int {
-	if e.MetadataAxis == AxisBatch {
-		return len(e.RowMeta)
-	}
-	return 1
 }
 
 // Clone returns a deep copy of the encoding.
 func (e *Encoding) Clone() *Encoding {
 	c := &Encoding{
-		Codes:        append([]Bits(nil), e.Codes...),
-		Shape:        append([]int(nil), e.Shape...),
-		Meta:         e.Meta.Clone(),
-		MetadataAxis: e.MetadataAxis,
+		Codes: append([]Bits(nil), e.Codes...),
+		Shape: append([]int(nil), e.Shape...),
+		Meta:  e.Meta.Clone(),
 	}
 	if e.RowMeta != nil {
 		c.RowMeta = make([]Metadata, len(e.RowMeta))

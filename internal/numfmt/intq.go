@@ -91,6 +91,9 @@ func (q *INT) Emulate(t *tensor.Tensor) *tensor.Tensor {
 	out := t.Clone()
 	data := out.Data()
 	if scale == 0 {
+		// float32 underflow of the scale register: every code quantizes
+		// to 0 (quantizeCode), which decodes to +0.
+		clear(data)
 		return out
 	}
 	maxC := float64(q.qmax)
@@ -116,7 +119,8 @@ func (q *INT) Emulate(t *tensor.Tensor) *tensor.Tensor {
 // emulateRowsInPlace implements rowEmulator: the fused per-row INT kernel.
 // Each row derives its own scale register — float32-truncated exactly as
 // scaleFor does — so the result is bit-identical to quantizing each row as
-// its own tensor (the EmulateBatched per-row contract).
+// its own tensor (the EmulateBatched per-sample contract, one row per
+// sample).
 func (q *INT) emulateRowsInPlace(data []float32, rows, rowLen int) {
 	maxC := float64(q.qmax)
 	for r := 0; r < rows; r++ {
@@ -135,9 +139,9 @@ func (q *INT) emulateRowsInPlace(data []float32, rows, rowLen int) {
 			scale = float64(float32(maxAbs / maxC))
 		}
 		if scale == 0 {
-			// float32 underflow of the scale register: the generic path
-			// leaves every code at 0·scale semantics undefined, and the
-			// whole-tensor Emulate returns the clone unchanged. Match it.
+			// float32 underflow of the scale register: every code
+			// quantizes to 0 (quantizeCode), which decodes to +0.
+			clear(row)
 			continue
 		}
 		for i, v := range row {

@@ -22,6 +22,7 @@ package numfmt
 // search-based decodes have no profitable arithmetic fusion.
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -56,7 +57,7 @@ var fusedDisabled atomic.Bool
 // SetFusedKernels enables or disables the fused single-pass emulation
 // kernels and returns the previous setting. Disabling restores the
 // pre-fusion paths — the generic quantize→dequantize double pass for BFP
-// and AFP, and the per-row Slice+Emulate loop in EmulateBatched — which is
+// and AFP, and the per-sample Slice+Emulate loop in EmulateBatched — which is
 // the serial baseline the bench matrix measures speedups against. FP, FxP,
 // and INT keep their whole-tensor arithmetic fast paths in both modes
 // (those predate the fused kernels and are part of the baseline).
@@ -85,15 +86,15 @@ func HasFusedKernel(f Format) bool {
 
 // EmulateEpilogue returns a tensor.Epilogue that applies f's fused
 // emulation kernel in place to freshly produced layer outputs — the
-// cache-hot alternative to a follow-up whole-tensor Emulate pass. axis
-// selects the metadata scope: AxisTensor derives metadata from the whole
-// output (the serial campaign path), AxisBatch from each batch row alone
-// (the batched path's bit-identity contract). Element-local formats fuse
-// at tile granularity so matmul workers emulate their own output chunks.
+// cache-hot alternative to a follow-up EmulateBatched pass over an n-sample
+// pass's activation. Metadata is derived from each sample's contiguous
+// len/n span alone (n = 1: from the whole output), matching EmulateBatched
+// bit for bit. Element-local formats fuse at tile granularity so matmul
+// workers emulate their own output chunks.
 //
 // The returned epilogue is empty — and callers fall back to the hook path
 // — when f has no fused kernel or fused kernels are disabled.
-func EmulateEpilogue(f Format, axis MetaAxis) tensor.Epilogue {
+func EmulateEpilogue(f Format, n int) tensor.Epilogue {
 	re, ok := f.(rowEmulator)
 	if !ok || !FusedKernels() {
 		return tensor.Epilogue{}
@@ -106,24 +107,20 @@ func EmulateEpilogue(f Format, axis MetaAxis) tensor.Epilogue {
 			re.emulateRowsInPlace(chunk, 1, len(chunk))
 		}}
 	}
-	if axis == AxisBatch {
-		return tensor.Epilogue{Rows: func(data []float32, rows, rowLen int) {
-			countEmulate(len(data))
-			countKernelFused()
-			emulateRowsParallel(re, data, rows, rowLen)
-		}}
-	}
 	return tensor.Epilogue{Whole: func(data []float32) {
+		if len(data)%n != 0 {
+			panic(fmt.Sprintf("numfmt: %d samples do not divide a %d-element output", n, len(data)))
+		}
 		countEmulate(len(data))
 		countKernelFused()
-		re.emulateRowsInPlace(data, 1, len(data))
+		emulateRowsParallel(re, data, n, len(data)/n)
 	}}
 }
 
-// emulateRowsParallel applies re's fused kernel over rows with a bounded
-// worker fan-out: contiguous row chunks, one goroutine per GOMAXPROCS
-// slot, mirroring the tensor package's parallelRows. Small tensors stay
-// on the calling goroutine.
+// emulateRowsParallel applies re's fused kernel over rows (a pass's
+// samples) with a bounded worker fan-out: contiguous row chunks, one
+// goroutine per GOMAXPROCS slot, mirroring the tensor package's
+// parallelRows. Small tensors stay on the calling goroutine.
 func emulateRowsParallel(re rowEmulator, data []float32, rows, rowLen int) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > rows {

@@ -49,8 +49,8 @@ func TestMatMulBiasNilBias(t *testing.T) {
 }
 
 // Tile epilogues run inside the producing workers over disjoint chunks
-// that exactly cover the output; Rows and Whole run once after the
-// barrier with the full storage.
+// that exactly cover the output; Whole runs once after the barrier with
+// the full storage.
 func TestMatMulBiasEpilogueCoverage(t *testing.T) {
 	r := rng.New(9)
 	m, k, n := 40, 16, 512 // m*n over matmulParallelThreshold: parallel path
@@ -69,18 +69,6 @@ func TestMatMulBiasEpilogueCoverage(t *testing.T) {
 	}
 	want := a.MatMul(b).AddScalar(1)
 	bitsEqual(t, got, want)
-
-	rowsCalls := 0
-	got = a.MatMulBias(b, nil, Epilogue{Rows: func(data []float32, rows, rowLen int) {
-		rowsCalls++
-		if rows != m || rowLen != n || len(data) != m*n {
-			t.Fatalf("Rows got (%d, %d, len %d)", rows, rowLen, len(data))
-		}
-	}})
-	if rowsCalls != 1 {
-		t.Fatalf("Rows ran %d times", rowsCalls)
-	}
-	bitsEqual(t, got, a.MatMul(b))
 
 	wholeCalls := 0
 	a.MatMulBias(b, nil, Epilogue{Whole: func(data []float32) {

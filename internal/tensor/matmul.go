@@ -163,7 +163,7 @@ func (t *Tensor) MatMulAccum(o *Tensor, h *AccumHook) *Tensor {
 // MatMul(o).Add(bias), which performs the same additions in the same
 // order, but without materializing the intermediate product. The epilogue
 // runs per output chunk inside the worker goroutines (Tile) or once after
-// the parallel barrier (Rows/Whole); see Epilogue.
+// the parallel barrier (Whole); see Epilogue.
 //
 // This is the layer-forward fast path: emulation (or any element-local
 // transform) touches each output element while its cache line is still
@@ -218,7 +218,7 @@ func (t *Tensor) MatMulBias(o, bias *Tensor, ep Epilogue) *Tensor {
 	} else {
 		work(0, m)
 	}
-	ep.Apply(out.data, m, n)
+	ep.Apply(out.data)
 	return out
 }
 
