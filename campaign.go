@@ -3,6 +3,7 @@ package goldeneye
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
 	"goldeneye/internal/detect"
 	"goldeneye/internal/inject"
@@ -523,11 +524,13 @@ func (cfg *CampaignConfig) packBatch() int {
 // calibration is a campaign's fault-free state: the resolved geometry, the
 // legacy UseRanger range profile, the sealed detection pipeline with its
 // measured false positives, the clean references and the sampled
-// selection. The engine builds it once per run, on the first worker to
-// reach its plan (see engine.plan), and every worker reads it; it is
-// immutable once built, so workers share it without locking. The sealed
-// pipeline's detectors are read-only after FinishCalibration, and keep any
-// per-pass state in the hooks Arm returns.
+// selection. The engine builds it once per run, with every worker running
+// its share of the setup sweeps on its own model (see engine.setup): each
+// slice writes only its own samples' references, and its calibration
+// observations stay in its pass until the slices fold in pool order. It is
+// immutable once setup completes, so workers share it without locking.
+// The sealed pipeline's detectors are read-only after FinishCalibration,
+// and keep any per-pass state in the hooks Arm returns.
 type calibration struct {
 	cfg   CampaignConfig
 	geom  campaignGeom
@@ -789,20 +792,20 @@ func (r *campaignRunner) use(c *calibration) {
 	r.prefix = r.newPrefixMemo()
 }
 
-// calibrate builds the campaign's calibration over geometry g on the
-// runner's model, whose weights newRunner already converted, and adopts it
-// as it goes. It checks ctx between forward passes, so a SIGINT during
-// setup aborts promptly.
-func (r *campaignRunner) calibrate(ctx context.Context, cfg CampaignConfig, g campaignGeom) (*calibration, error) {
+// newCalibration lays out the campaign's calibration over geometry g: it
+// builds the detection pipeline on the runner's model, whose weights
+// newRunner already converted, and returns the calibration, empty but for
+// its shape, with the setup phases that fill it. The engine's workers run
+// the phases together (see engine.setup).
+func (r *campaignRunner) newCalibration(cfg CampaignConfig, g campaignGeom) (*calibration, []*setupPhase, error) {
 	c := &calibration{cfg: cfg, geom: g, batch: cfg.packBatch()}
-	r.calibration = c
 	// The detection pipeline builds after weight quantization, so
 	// structural checksums (ABFT) describe the weights the campaign
 	// actually runs with.
 	if len(cfg.Detectors) > 0 {
 		pipe, err := detect.Build(cfg.Detectors, cfg.Recovery, r.sim.detectTarget())
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		c.pipeline = pipe
 	}
@@ -810,92 +813,157 @@ func (r *campaignRunner) calibrate(ctx context.Context, cfg CampaignConfig, g ca
 	if cfg.Metrics != nil && c.pipeline != nil {
 		calSpan = telemetry.StartSpan(cfg.Metrics.Histogram(MetricCampaignCalibration, telemetry.DurationBuckets))
 	}
+	n := g.pool.Len()
+	c.cleanPred = make([]int, n)
+	c.cleanLoss = make([]float64, n)
+
+	// The UseRanger profile and the clean references form one queue, as
+	// neither depends on the other.
+	refs := newSetupPhase(c.seal)
 	if cfg.UseRanger {
 		// Profiled tensor-wide in slices of 16, whatever the campaign's
 		// batch: the bounds of formats with shared metadata depend on it.
 		c.ranger, _ = detect.NewRanger("") // cannot fail without a cache path
-		hooks := emulationHooks(cfg.Assignment, 1)
-		hooks.Merge(c.ranger.CalibrationHooks())
-		pctx := nn.NewContext(hooks)
-		if err := c.sweep(ctx, 16, func(x *tensor.Tensor, _, _ int) { nn.Forward(pctx, r.sim.model, x) }); err != nil {
-			return nil, err
-		}
-		_ = c.ranger.FinishCalibration() // likewise
+		refs.sweep(n, 16, (*campaignRunner).profileSlice)
 	}
-
-	// Fault-free reference per pool sample, swept in slices of the
-	// campaign's batch under per-sample emulation, which is bit-identical
-	// per sample to the batch-1 references. The detectors' calibration
-	// hooks, built once, ride the same passes: the ranger learns its
-	// bounds and ABFT its residual envelope from the very activations the
-	// clean references are computed on, at zero extra inference cost.
-	var calHooks *nn.HookSet
-	if c.pipeline != nil {
-		calHooks = c.pipeline.CalibrationHooks()
+	refs.sweep(n, c.batch, (*campaignRunner).referenceSlice)
+	if c.pipeline == nil {
+		return c, []*setupPhase{refs}, nil
 	}
-	n := g.pool.Len()
-	c.cleanPred = make([]int, n)
-	c.cleanLoss = make([]float64, n)
-	err := c.sweep(ctx, c.batch, func(x *tensor.Tensor, lo, hi int) {
-		hooks := emulationHooks(cfg.Assignment, hi-lo)
-		hooks.Merge(calHooks)
-		logits := nn.Forward(nn.NewContext(r.withTiming(hooks)), r.sim.model, x)
-		copy(c.cleanPred[lo:hi], logits.ArgMaxRows())
-		copy(c.cleanLoss[lo:hi], train.CrossEntropyPerSample(logits, g.pool.Y[lo:hi]))
-	})
-	if err != nil {
-		return nil, err
+	// One more fault-free sweep with the sealed pipeline armed: anything
+	// it flags is a false positive (calibrated detectors are constructed
+	// not to flag their own calibration pool; this measures it).
+	c.fpStats = make(map[string]metrics.DetectorStats, len(cfg.Detectors))
+	for _, name := range c.pipeline.Names() {
+		c.fpStats[name] = metrics.DetectorStats{FaultFreeRuns: n}
 	}
-	if c.pipeline != nil {
-		if err := c.pipeline.FinishCalibration(); err != nil {
-			return nil, err
-		}
-		// One more fault-free sweep with the pipeline armed: anything it
-		// flags is a false positive (calibrated detectors are constructed
-		// not to flag their own calibration pool; this measures it).
-		if c.fpStats, err = r.measureFalsePositives(ctx); err != nil {
-			return nil, err
-		}
+	fp := newSetupPhase(func() error {
 		calSpan.End()
-	}
-	c.sel = c.buildSelection()
-	return c, nil
+		return nil
+	})
+	fp.sweep(n, c.batch, (*campaignRunner).falsePositiveSlice)
+	return c, []*setupPhase{refs, fp}, nil
 }
 
-// sweep runs pass over the pool in slices of up to batch samples, x being
-// samples [lo, hi), and checks ctx before each slice. It is campaign
-// setup's one loop over the pool; each sweep brings its own batch size and
-// hooks.
-func (c *calibration) sweep(ctx context.Context, batch int, pass func(x *tensor.Tensor, lo, hi int)) error {
-	n := c.geom.pool.Len()
-	for lo := 0; lo < n; lo += batch {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		hi := min(lo+batch, n)
-		pass(c.geom.pool.X.Slice(lo, hi), lo, hi)
+// seal seals the UseRanger profile and the detection pipeline once their
+// calibration passes are folded.
+func (c *calibration) seal() error {
+	if c.ranger != nil {
+		_ = c.ranger.FinishCalibration() // cannot fail without a cache path
+	}
+	if c.pipeline != nil {
+		return c.pipeline.FinishCalibration()
 	}
 	return nil
 }
 
-// measureFalsePositives runs the armed pipeline over the fault-free pool
-// and returns per-detector false-positive counts.
-func (r *campaignRunner) measureFalsePositives(ctx context.Context) (map[string]metrics.DetectorStats, error) {
-	n := r.geom.pool.Len()
-	stats := make(map[string]metrics.DetectorStats, len(r.cfg.Detectors))
-	for _, name := range r.pipeline.Names() {
-		stats[name] = metrics.DetectorStats{FaultFreeRuns: n}
+// setupPhase is one step of a campaign's cooperative setup: a queue of
+// pool slices that the engine's workers claim from a shared counter, each
+// slice running on the claiming worker's runner. The worker that completes
+// the phase's last slice folds the slices' calibration passes in queue
+// order — pool order within each sweep — and then runs seal (see
+// engine.join).
+type setupPhase struct {
+	slices []setupSlice
+	folds  []func() // per slice: its calibration pass's fold, or nil
+	seal   func() error
+
+	next atomic.Int64  // the next slice to claim
+	left atomic.Int64  // slices not yet completed
+	done chan struct{} // closed once the phase is complete
+}
+
+// setupSlice is pool samples [lo, hi) of one sweep; pass runs them on a
+// worker's runner and returns the fold of the calibration pass it made, if
+// any.
+type setupSlice struct {
+	lo, hi int
+	pass   func(r *campaignRunner, x *tensor.Tensor, lo, hi int) func()
+}
+
+func newSetupPhase(seal func() error) *setupPhase {
+	return &setupPhase{seal: seal, done: make(chan struct{})}
+}
+
+// sweep queues the pool's n samples in slices of up to batch samples, each
+// run by pass.
+func (p *setupPhase) sweep(n, batch int, pass func(r *campaignRunner, x *tensor.Tensor, lo, hi int) func()) {
+	for lo := 0; lo < n; lo += batch {
+		p.slices = append(p.slices, setupSlice{lo: lo, hi: min(lo+batch, n), pass: pass})
 	}
-	needRerun := r.pipeline.NeedsRerun()
-	err := r.sweep(ctx, r.batch, func(x *tensor.Tensor, lo, hi int) {
-		rec := detect.NewRecorder(hi - lo)
-		hooks := r.armedCleanHooks(hi-lo, rec)
-		logits := nn.Forward(nn.NewContext(r.withTiming(hooks)), r.sim.model, x)
-		if needRerun {
-			redo := r.armedCleanHooks(hi-lo, detect.NewRecorder(hi-lo))
-			again := nn.Forward(nn.NewContext(r.withTiming(redo)), r.sim.model, x)
-			r.pipeline.CompareOutputs(rec, logits, again)
+	p.folds = make([]func(), len(p.slices))
+	p.left.Store(int64(len(p.slices)))
+}
+
+// claim returns the next unclaimed slice's index, len(p.slices) or more
+// once the queue is empty.
+func (p *setupPhase) claim() int { return int(p.next.Add(1)) - 1 }
+
+// run runs slice i on runner r, checking ctx first, so a SIGINT during
+// setup aborts promptly.
+func (p *setupPhase) run(ctx context.Context, r *campaignRunner, i int) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	s := p.slices[i]
+	p.folds[i] = s.pass(r, r.geom.pool.X.Slice(s.lo, s.hi), s.lo, s.hi)
+	return nil
+}
+
+// complete folds the phase's calibration passes in queue order and seals
+// the phase.
+func (p *setupPhase) complete() error {
+	for _, fold := range p.folds {
+		if fold != nil {
+			fold()
 		}
+	}
+	return p.seal()
+}
+
+// profileSlice runs one slice of the UseRanger profile under tensor-wide
+// emulation: the slice is the profile's batch.
+func (r *campaignRunner) profileSlice(x *tensor.Tensor, _, _ int) func() {
+	hooks := emulationHooks(r.cfg.Assignment, 1)
+	cal, fold := r.ranger.CalibrationHooks()
+	hooks.Merge(cal)
+	nn.Forward(nn.NewContext(hooks), r.sim.model, x)
+	return fold
+}
+
+// referenceSlice computes the fault-free references of pool samples
+// [lo, hi) under per-sample emulation, which is bit-identical per sample to
+// the batch-1 references. A calibration pass of the pipeline rides the same
+// forward pass: the ranger learns its bounds and ABFT its residual envelope
+// from the very activations the clean references are computed on, at zero
+// extra inference cost.
+func (r *campaignRunner) referenceSlice(x *tensor.Tensor, lo, hi int) func() {
+	hooks := emulationHooks(r.cfg.Assignment, hi-lo)
+	var fold func()
+	if r.pipeline != nil {
+		var cal *nn.HookSet
+		cal, fold = r.pipeline.CalibrationHooks()
+		hooks.Merge(cal)
+	}
+	logits := nn.Forward(nn.NewContext(r.withTiming(hooks)), r.sim.model, x)
+	copy(r.cleanPred[lo:hi], logits.ArgMaxRows())
+	copy(r.cleanLoss[lo:hi], train.CrossEntropyPerSample(logits, r.geom.pool.Y[lo:hi]))
+	return fold
+}
+
+// falsePositiveSlice runs the armed pipeline over pool samples [lo, hi),
+// with the duplicate execution a comparator (DMR) needs, and returns the
+// fold that counts the slice's flags as false positives.
+func (r *campaignRunner) falsePositiveSlice(x *tensor.Tensor, lo, hi int) func() {
+	rec := detect.NewRecorder(hi - lo)
+	logits := nn.Forward(nn.NewContext(r.withTiming(r.armedCleanHooks(hi-lo, rec))), r.sim.model, x)
+	if r.pipeline.NeedsRerun() {
+		redo := r.armedCleanHooks(hi-lo, detect.NewRecorder(hi-lo))
+		again := nn.Forward(nn.NewContext(r.withTiming(redo)), r.sim.model, x)
+		r.pipeline.CompareOutputs(rec, logits, again)
+	}
+	stats := r.fpStats
+	return func() {
 		// The recorder dedupes per (detector, row), so each event is one
 		// flagged fault-free inference.
 		for _, e := range rec.Events() {
@@ -903,11 +971,7 @@ func (r *campaignRunner) measureFalsePositives(ctx context.Context) (map[string]
 			d.FalsePositives++
 			stats[e.Detector] = d
 		}
-	})
-	if err != nil {
-		return nil, err
 	}
-	return stats, nil
 }
 
 // armedCleanHooks assembles the hooks of a fault-free pass over n samples

@@ -1,7 +1,6 @@
 package goldeneye
 
 import (
-	"context"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -98,22 +97,19 @@ func TestBatchedLoopBookkeepingAllocFree(t *testing.T) {
 }
 
 // calibratedRunner prepares sim as a campaign's lone worker, calibrated
-// for cfg as the engine's first worker would be; cleanup restores the
+// for cfg as the engine calibrates at one worker; cleanup restores the
 // weights.
 func calibratedRunner(t *testing.T, sim *Simulator, cfg CampaignConfig) *campaignRunner {
 	t.Helper()
-	g, err := sim.campaignGeometry(cfg)
-	if err != nil {
-		t.Fatalf("campaignGeometry: %v", err)
+	cal, runners, err := setupAt(cfg, []*Simulator{sim})
+	for _, r := range runners {
+		t.Cleanup(r.close)
 	}
-	r := sim.newRunner(cfg)
-	t.Cleanup(r.close)
-	cal, err := r.calibrate(context.Background(), cfg, g)
 	if err != nil {
 		t.Fatalf("calibrate: %v", err)
 	}
-	r.use(cal)
-	return r
+	runners[0].use(cal)
+	return runners[0]
 }
 
 // Runner scratch buffers must return to the shared arena on close, so the

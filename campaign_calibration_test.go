@@ -70,50 +70,97 @@ func TestCalibrationOncePerCampaign(t *testing.T) {
 	})
 }
 
-// failingDetector fails its calibration: FinishCalibration returns err, or,
-// with panics set, its calibration hook panics.
+// failingDetector fails its calibration: FinishCalibration returns err,
+// and with hook set, the pass-th CalibrationHooks call (from 1) gets
+// hook(pass) as its post-forward hook.
 type failingDetector struct {
 	err    error
-	panics bool
+	hook   func(pass int64) nn.HookFunc
+	passes atomic.Int64
 }
 
-func (failingDetector) Name() string { return "failing" }
+func (*failingDetector) Name() string { return "failing" }
 
-func (d failingDetector) CalibrationHooks() *nn.HookSet {
-	if !d.panics {
-		return nil
+func (d *failingDetector) CalibrationHooks() (*nn.HookSet, func()) {
+	if d.hook == nil {
+		return nil, nil
 	}
 	h := nn.NewHookSet()
-	h.PostForward(nn.AllLayers(), func(nn.LayerInfo, *goldeneye.Tensor) *goldeneye.Tensor {
-		panic("calibration hook corrupted")
-	})
-	return h
+	h.PostForward(nn.AllLayers(), d.hook(d.passes.Add(1)))
+	return h, func() {}
 }
 
-func (d failingDetector) FinishCalibration() error { return d.err }
+func (d *failingDetector) FinishCalibration() error { return d.err }
 
-func (failingDetector) Arm(*detect.Recorder, detect.Policy) *nn.HookSet { return nil }
+func (*failingDetector) Arm(*detect.Recorder, detect.Policy) *nn.HookSet { return nil }
 
-// A calibration that fails — an error or a panic inside the engine's
-// calibrate-once step — reaches every worker: the run returns the failure
+func panicHook(nn.LayerInfo, *goldeneye.Tensor) *goldeneye.Tensor {
+	panic("calibration hook corrupted")
+}
+
+func passHook(_ nn.LayerInfo, t *goldeneye.Tensor) *goldeneye.Tensor { return t }
+
+// A calibration that fails — an error or a panic in any worker's share of
+// the setup, or a cancellation while it runs — reaches every worker: the
+// run returns the failure (or, cancelled, the interrupted report)
 // promptly (RunCampaignParallel returns only once every worker goroutine
 // has exited), and every worker's converted weights are restored.
 func TestCalibrationFailure(t *testing.T) {
 	ref, pool := loadSim(t, "mlp")
-	x, y := pool.subset(8)
+	const samples = 8 // one calibration slice per sample at batch 1
+	x, y := pool.subset(samples)
 	pristine := append([]float32(nil), ref.Model().Params()[0].Value.Data()...)
 	errBoom := errors.New("calibration sealed nothing")
+	calibrationFailed := func(rep *goldeneye.CampaignReport, err error) bool {
+		return rep == nil && err != nil && strings.Contains(err.Error(), "calibration panicked")
+	}
 	for _, tc := range []struct {
 		name string
-		det  failingDetector
-		want func(error) bool
+		det  func(cancel context.CancelFunc) *failingDetector
+		want func(*goldeneye.CampaignReport, error) bool
 	}{
-		{"finish_error", failingDetector{err: errBoom}, func(err error) bool { return errors.Is(err, errBoom) }},
-		{"hook_panic", failingDetector{panics: true}, func(err error) bool {
-			return err != nil && strings.Contains(err.Error(), "calibration panicked")
+		{"finish_error", func(context.CancelFunc) *failingDetector { return &failingDetector{err: errBoom} },
+			func(rep *goldeneye.CampaignReport, err error) bool { return rep == nil && errors.Is(err, errBoom) }},
+		{"hook_panic", func(context.CancelFunc) *failingDetector {
+			return &failingDetector{hook: func(int64) nn.HookFunc { return panicHook }}
+		}, calibrationFailed},
+		// Only the last pass handed out panics, and only once the first
+		// pass's worker is parked inside its forward pass: a helper worker
+		// runs it.
+		{"last_slice_panic", func(context.CancelFunc) *failingDetector {
+			lastHanded := make(chan struct{})
+			return &failingDetector{hook: func(pass int64) nn.HookFunc {
+				switch pass {
+				case 1:
+					return func(info nn.LayerInfo, t *goldeneye.Tensor) *goldeneye.Tensor {
+						select {
+						case <-lastHanded:
+						case <-time.After(time.Minute):
+						}
+						return t
+					}
+				case samples:
+					close(lastHanded)
+					return panicHook
+				}
+				return passHook
+			}}
+		}, calibrationFailed},
+		{"cancel", func(cancel context.CancelFunc) *failingDetector {
+			return &failingDetector{hook: func(pass int64) nn.HookFunc {
+				if pass == 1 {
+					cancel()
+				}
+				return passHook
+			}}
+		}, func(rep *goldeneye.CampaignReport, err error) bool {
+			return rep != nil && rep.Interrupted && rep.Injections == 0 && errors.Is(err, context.Canceled)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			det := tc.det(cancel)
 			var (
 				mu      sync.Mutex
 				sims    []*goldeneye.Simulator
@@ -149,7 +196,7 @@ func TestCalibrationFailure(t *testing.T) {
 							converted.Store(true)
 						}
 					}
-					return tc.det, nil
+					return det, nil
 				}}},
 			}
 			type result struct {
@@ -158,7 +205,7 @@ func TestCalibrationFailure(t *testing.T) {
 			}
 			done := make(chan result, 1)
 			go func() {
-				rep, err := goldeneye.RunCampaignParallel(context.Background(), cfg, 3, build)
+				rep, err := goldeneye.RunCampaignParallel(ctx, cfg, 3, build)
 				done <- result{rep, err}
 			}()
 			var res result
@@ -167,8 +214,8 @@ func TestCalibrationFailure(t *testing.T) {
 			case <-time.After(2 * time.Minute):
 				t.Fatal("failed calibration left the campaign hanging")
 			}
-			if !tc.want(res.err) || res.rep != nil {
-				t.Fatalf("got report %v and error %v, want the calibration failure", res.rep, res.err)
+			if !tc.want(res.rep, res.err) {
+				t.Fatalf("got report %+v and error %v, want the calibration failure", res.rep, res.err)
 			}
 			if !converted.Load() {
 				t.Fatal("calibration ran on unconverted weights; the restore check below would prove nothing")

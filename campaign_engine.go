@@ -24,9 +24,12 @@ import (
 // parallel, one shard of a fleet, sampled, sequentially stopped, resumed —
 // is one run of K workers (K = 1 for RunCampaign and for a shard):
 //
-//   - calibrate: the first worker ready builds the campaign's one
-//     calibration (clean references, sealed detectors, sampled selection)
-//     on its own model, and every worker shares it read-only;
+//   - calibrate: the workers build the campaign's one calibration (clean
+//     references, sealed detectors, sampled selection) together: the first
+//     worker ready lays it out, every worker claims slices of each setup
+//     sweep from a shared counter and runs them on its own model, and the
+//     slices' calibration passes fold in pool order, so the calibration is
+//     bit-identical at any K; every worker then shares it read-only;
 //   - plan: worker w owns the injection indices i ≡ w (mod K) (a shard's
 //     one worker owns i ≡ ShardIndex (mod ShardCount)); its plan is its
 //     owned indices minus a resumed prefix and the ones a sampled
@@ -103,8 +106,9 @@ func RunCampaignParallel(ctx context.Context, cfg CampaignConfig, workers int, b
 }
 
 // engine is one campaign run's shared state. Workers write only their own
-// reports and errs slots; the calibration and the plan are written once, by
-// the first worker to reach planOnce, before any worker reads them.
+// reports and errs slots; the calibration is laid out once, by the first
+// worker to reach setupOnce, filled slice by slice by every worker (each
+// slice its own slots), and sealed and planned before any worker injects.
 type engine struct {
 	cfg     CampaignConfig
 	geom    campaignGeom
@@ -115,11 +119,15 @@ type engine struct {
 	bounds  []int // sequential-stopping review windows (see stopBounds)
 	barrier *ciBarrier
 
-	planOnce sync.Once
-	cal      *calibration // nil when calibration failed (calErr says why)
-	calErr   error
-	planned  int // progress total: resumed prefix plus every worker's plan
-	ct       *campaignTelemetry
+	setupOnce sync.Once
+	planOnce  sync.Once
+	cal       *calibration  // the campaign's calibration (see setup)
+	phases    []*setupPhase // cal's setup phases, run in order
+	planned   int           // progress total: resumed prefix plus every worker's plan
+	ct        *campaignTelemetry
+
+	// calErr is the setup's first failure; cal is unusable once it is set.
+	calErr atomic.Pointer[error]
 
 	done    atomic.Int64 // executed injections, for Progress
 	aborted atomic.Int64 // panicked injections, for MaxAborts
@@ -213,22 +221,84 @@ func (e *engine) first(w int) int {
 	return i
 }
 
-// plan calibrates the campaign on runner r, the first worker to reach
-// planOnce, and prepares the run's index plan from the calibration's
-// selection: worker w's plan is its owned indices from first(w) on that the
-// selection executes, in ascending order. A failure, a cancellation or a
-// panic leaves e.cal nil and e.calErr set, for every worker to report.
-func (e *engine) plan(r *campaignRunner) {
+// setup is a worker's share of the campaign's calibration, run on its
+// runner r. The first worker ready lays the calibration out on its model;
+// every worker then joins each setup phase in turn, however late it
+// arrives, and the first one past the last phase plans the run. It returns
+// the setup's first failure — an error, a cancellation or a panic in any
+// worker's slice — which every worker sees.
+func (e *engine) setup(r *campaignRunner) error {
+	e.setupOnce.Do(func() {
+		e.guard(func() error {
+			cal, phases, err := r.newCalibration(e.cfg, e.geom)
+			e.cal, e.phases = cal, phases
+			return err
+		})
+	})
+	r.calibration = e.cal
+	for _, p := range e.phases {
+		e.join(p, r)
+	}
+	e.planOnce.Do(func() {
+		if e.setupErr() == nil {
+			e.guard(e.plan)
+		}
+	})
+	return e.setupErr()
+}
+
+// join runs slices of phase p on runner r until p's queue is empty, then
+// waits for the slices other workers still run. The worker completing the
+// last slice folds and seals the phase. After a failure the remaining
+// slices are claimed but skipped, so the phase still completes and no
+// worker waits for ever.
+func (e *engine) join(p *setupPhase, r *campaignRunner) {
+	for i := p.claim(); i < len(p.slices); i = p.claim() {
+		if e.setupErr() == nil {
+			e.guard(func() error { return p.run(e.ctx, r, i) })
+		}
+		if p.left.Add(-1) == 0 {
+			if e.setupErr() == nil {
+				e.guard(p.complete)
+			}
+			close(p.done)
+		}
+	}
+	<-p.done
+}
+
+// guard runs one step of the campaign's setup, recording its error, or its
+// panic, as the setup's failure.
+func (e *engine) guard(step func() error) {
 	defer func() {
 		if p := recover(); p != nil {
-			e.calErr = fmt.Errorf("campaign calibration panicked: %v", p)
+			e.failSetup(fmt.Errorf("campaign calibration panicked: %v", p))
 		}
 	}()
-	cal, err := r.calibrate(e.ctx, e.cfg, e.geom)
+	e.failSetup(step())
+}
+
+// failSetup records err (when non-nil) unless an earlier failure is
+// recorded already.
+func (e *engine) failSetup(err error) {
 	if err != nil {
-		e.calErr = err
-		return
+		e.calErr.CompareAndSwap(nil, &err)
 	}
+}
+
+func (e *engine) setupErr() error {
+	if err := e.calErr.Load(); err != nil {
+		return *err
+	}
+	return nil
+}
+
+// plan, the setup's last step, prepares the run's index plan from the
+// sealed calibration's selection: worker w's plan is its owned indices
+// from first(w) on that the selection executes, in ascending order.
+func (e *engine) plan() error {
+	cal := e.cal
+	cal.sel = cal.buildSelection()
 	e.planned = e.skip
 	for w := 0; w < e.workers; w++ {
 		for i := e.first(w); i < e.cfg.Injections; i += e.stride {
@@ -241,13 +311,13 @@ func (e *engine) plan(r *campaignRunner) {
 	if e.cfg.Progress != nil && e.skip > 0 {
 		e.cfg.Progress(e.skip, e.planned)
 	}
-	e.cal = cal
+	return nil
 }
 
 // work is worker w's share of the run: build its simulator (unless given
-// one), prepare its runner, take the campaign's calibration, and run its
-// plan. Failures land in errs[w] and stop the sibling workers at their next
-// group boundary.
+// one), prepare its runner, run its share of the campaign's setup, and run
+// its plan. Failures land in errs[w] and stop the sibling workers at their
+// next group boundary.
 func (e *engine) work(w int, sim *Simulator, build func() (*Simulator, error), stop context.CancelFunc) {
 	rep := e.reports[w]
 	fail := func(err error) {
@@ -285,13 +355,12 @@ func (e *engine) work(w int, sim *Simulator, build func() (*Simulator, error), s
 	}
 	r := sim.newRunner(e.cfg)
 	defer r.close()
-	e.planOnce.Do(func() { e.plan(r) })
-	if e.cal == nil {
-		if e.ctx.Err() != nil && errors.Is(e.calErr, e.ctx.Err()) {
+	if err := e.setup(r); err != nil {
+		if e.ctx.Err() != nil && errors.Is(err, e.ctx.Err()) {
 			rep.Interrupted = true
 			return
 		}
-		fail(e.calErr)
+		fail(err)
 		return
 	}
 	r.use(e.cal)

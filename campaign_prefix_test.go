@@ -167,9 +167,9 @@ func TestPrefixReuseByteIdentical(t *testing.T) {
 // half the pool.
 type flagger struct{ layer int }
 
-func (flagger) Name() string                  { return "flagger" }
-func (flagger) CalibrationHooks() *nn.HookSet { return nil }
-func (flagger) FinishCalibration() error      { return nil }
+func (flagger) Name() string                            { return "flagger" }
+func (flagger) CalibrationHooks() (*nn.HookSet, func()) { return nil, nil }
+func (flagger) FinishCalibration() error                { return nil }
 func (f flagger) Arm(rec *detect.Recorder, _ detect.Policy) *nn.HookSet {
 	h := nn.NewHookSet()
 	h.PostForward(nn.ByIndex(f.layer), func(info nn.LayerInfo, t *tensor.Tensor) *tensor.Tensor {

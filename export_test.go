@@ -1,4 +1,35 @@
 package goldeneye
 
+import (
+	"context"
+	"sync"
+)
+
 // RaceEnabled exposes raceEnabled to the external goldeneye_test package.
 const RaceEnabled = raceEnabled
+
+// setupAt runs only the setup of campaign cfg, on one worker per
+// simulator, all starting at once. It returns the calibration, the
+// workers' runners (close restores each worker's weights) and the setup's
+// error.
+func setupAt(cfg CampaignConfig, sims []*Simulator) (*calibration, []*campaignRunner, error) {
+	g, err := sims[0].campaignGeometry(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	e := &engine{cfg: cfg, geom: g, ctx: context.Background(), workers: len(sims), stride: len(sims)}
+	runners := make([]*campaignRunner, len(sims))
+	for w, sim := range sims {
+		runners[w] = sim.newRunner(cfg)
+	}
+	var wg sync.WaitGroup
+	for _, r := range runners {
+		wg.Add(1)
+		go func(r *campaignRunner) {
+			defer wg.Done()
+			_ = e.setup(r) // every worker sees the same first failure
+		}(r)
+	}
+	wg.Wait()
+	return e.cal, runners, e.setupErr()
+}

@@ -220,15 +220,23 @@ func (a *ABFT) hooks(fn func(idx, sample, samples int, resid float64)) *nn.HookS
 	return hooks
 }
 
-// CalibrationHooks implements Detector: the fault-free pass records each
-// layer's largest per-sample residual (batch grouping is irrelevant —
-// samples are independent).
-func (a *ABFT) CalibrationHooks() *nn.HookSet {
-	return a.hooks(func(idx, _, _ int, resid float64) {
-		if resid > a.maxResid[idx] {
-			a.maxResid[idx] = resid
+// CalibrationHooks implements Detector: the pass records each layer's
+// largest per-sample residual (batch grouping is irrelevant — samples are
+// independent), and its fold raises the detector's maxima to the pass's.
+func (a *ABFT) CalibrationHooks() (*nn.HookSet, func()) {
+	maxResid := make(map[int]float64)
+	hooks := a.hooks(func(idx, _, _ int, resid float64) {
+		if resid > maxResid[idx] {
+			maxResid[idx] = resid
 		}
 	})
+	return hooks, func() {
+		for idx, resid := range maxResid {
+			if resid > a.maxResid[idx] {
+				a.maxResid[idx] = resid
+			}
+		}
+	}
 }
 
 // FinishCalibration implements Detector, sealing per-layer thresholds.

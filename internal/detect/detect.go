@@ -13,8 +13,12 @@
 // campaign shares it read-only:
 //
 //  1. Calibration: CalibrationHooks ride the campaign's fault-free
-//     reference pass over the evaluation pool (ranger learns activation
-//     bounds, ABFT seals weight checksums and residual tolerances).
+//     reference passes over the evaluation pool (ranger learns activation
+//     bounds, ABFT seals weight checksums and residual tolerances). Each
+//     pass keeps its own observations; the campaign folds the passes in
+//     pool order and then seals the detectors with FinishCalibration, so
+//     the calibration is the same however its passes were spread over the
+//     campaign's workers.
 //  2. False-positive sweep: the armed pipeline observes one more fault-free
 //     pass over the pool; any flag it raises is a false positive, reported
 //     per detector alongside coverage.
@@ -168,21 +172,31 @@ func Names(specs []Spec) []string {
 // bit-identical to running those rows serially.
 //
 // A campaign builds each detector once and its parallel workers share it,
-// each on its own model copy. So once FinishCalibration has run, a detector
-// is read-only, and Arm may be called from several goroutines at once; a
-// constructor copies what it needs from its Target (as ABFT seals its
-// weight checksums) and keeps no reference to Target.Model or
-// Target.Modules for use when armed, since those are one worker's model.
+// each on its own model copy. Calibration is per pass, like Arm: the
+// workers run the calibration passes over disjoint slices of the pool at
+// once, each pass on the hooks of its own CalibrationHooks call, and the
+// campaign then calls the passes' folds one at a time, in pool order,
+// followed by FinishCalibration. Once FinishCalibration has run, a
+// detector is read-only, and Arm may be called from several goroutines at
+// once. A constructor copies what it needs from its Target (as ABFT seals
+// its weight checksums) and keeps no reference to Target.Model or
+// Target.Modules for use when armed or calibrating, since those are one
+// worker's model.
 type Detector interface {
 	// Name identifies the detector in reports and metrics.
 	Name() string
 
-	// CalibrationHooks returns pure-observation hooks to ride the
-	// campaign's fault-free reference pass, or nil when the detector
-	// needs no calibration (or was restored from a cache).
-	CalibrationHooks() *nn.HookSet
+	// CalibrationHooks returns the pure-observation hooks of one
+	// calibration pass and the fold that merges the pass's observations
+	// into the detector. Every call returns fresh hooks that keep their
+	// observations in the closure, so passes may run concurrently; the
+	// hooks may serve several forward passes in a row. Folding passes in
+	// pool order must give the calibration one pass over the whole pool
+	// would. Both are nil when the detector needs no calibration (or was
+	// restored from a cache).
+	CalibrationHooks() (hooks *nn.HookSet, fold func())
 
-	// FinishCalibration seals the observed state before arming.
+	// FinishCalibration seals the folded state before arming.
 	FinishCalibration() error
 
 	// Arm returns the hooks monitoring one inference, reporting flags to
@@ -359,14 +373,24 @@ func (p *Pipeline) Names() []string {
 	return names
 }
 
-// CalibrationHooks returns the merged calibration hooks of every detector
-// (possibly an empty set).
-func (p *Pipeline) CalibrationHooks() *nn.HookSet {
+// CalibrationHooks returns one calibration pass of every detector: their
+// merged hooks (possibly an empty set) and a fold that folds each
+// detector's pass, in pipeline order.
+func (p *Pipeline) CalibrationHooks() (*nn.HookSet, func()) {
 	hooks := nn.NewHookSet()
+	var folds []func()
 	for _, d := range p.detectors {
-		hooks.Merge(d.CalibrationHooks())
+		h, fold := d.CalibrationHooks()
+		hooks.Merge(h)
+		if fold != nil {
+			folds = append(folds, fold)
+		}
 	}
-	return hooks
+	return hooks, func() {
+		for _, fold := range folds {
+			fold()
+		}
+	}
 }
 
 // FinishCalibration seals every detector's calibration state.

@@ -57,6 +57,23 @@ func forward(t Target, hooks *nn.HookSet, x *tensor.Tensor) *tensor.Tensor {
 	return nn.Forward(nn.NewContext(hooks), t.Model, x)
 }
 
+// calibrate calibrates d with one pass of fault-free forwards of model
+// over xs, folds the pass and seals the detector.
+func calibrate(t *testing.T, d Detector, model nn.Module, xs ...*tensor.Tensor) {
+	t.Helper()
+	hooks, fold := d.CalibrationHooks()
+	ctx := nn.NewContext(hooks)
+	for _, x := range xs {
+		nn.Forward(ctx, model, x)
+	}
+	if fold != nil {
+		fold()
+	}
+	if err := d.FinishCalibration(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRecorderDedupAndOrder(t *testing.T) {
 	rec := NewRecorder(3)
 	rec.Flag("ranger", 2, 1)
@@ -162,10 +179,7 @@ func TestRangerCalibrateAndDetect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	forward(tgt, r.CalibrationHooks(), x)
-	if err := r.FinishCalibration(); err != nil {
-		t.Fatal(err)
-	}
+	calibrate(t, r, tgt.Model, x)
 	rec := NewRecorder(4)
 	forward(tgt, r.Arm(rec, PolicyNone), x)
 	if rec.AnyFlagged() {
@@ -237,13 +251,11 @@ func calibratedRanger(t *testing.T, net nn.Module, x *tensor.Tensor, batch int) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := nn.NewContext(r.CalibrationHooks())
+	var slices []*tensor.Tensor
 	for lo := 0; lo < x.Dim(0); lo += batch {
-		nn.Forward(ctx, net, x.Slice(lo, min(lo+batch, x.Dim(0))))
+		slices = append(slices, x.Slice(lo, min(lo+batch, x.Dim(0))))
 	}
-	if err := r.FinishCalibration(); err != nil {
-		t.Fatal(err)
-	}
+	calibrate(t, r, net, slices...)
 	return r
 }
 
@@ -309,10 +321,7 @@ func TestRangerCacheRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	forward(tgt, r1.CalibrationHooks(), x)
-	if err := r1.FinishCalibration(); err != nil {
-		t.Fatal(err)
-	}
+	calibrate(t, r1, tgt.Model, x)
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("bounds not serialized: %v", err)
 	}
@@ -320,7 +329,7 @@ func TestRangerCacheRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r2.CalibrationHooks() != nil {
+	if hooks, fold := r2.CalibrationHooks(); hooks != nil || fold != nil {
 		t.Fatal("cached ranger must skip calibration")
 	}
 	for idx := range r1.lo {
@@ -402,10 +411,7 @@ func TestABFTDetectsCorruption(t *testing.T) {
 	if a.margin != DefaultABFTMargin {
 		t.Fatalf("margin 0 must fall back to the default, got %v", a.margin)
 	}
-	forward(tgt, a.CalibrationHooks(), x)
-	if err := a.FinishCalibration(); err != nil {
-		t.Fatal(err)
-	}
+	calibrate(t, a, tgt.Model, x)
 	rec := NewRecorder(4)
 	forward(tgt, a.Arm(rec, PolicyNone), x)
 	if rec.AnyFlagged() {
@@ -477,7 +483,9 @@ func FuzzRangerCalibration(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r.observe(0, out)
+		hooks, fold := r.CalibrationHooks()
+		runHooks(hooks, out)
+		fold()
 		if err := r.FinishCalibration(); err != nil {
 			t.Fatal(err)
 		}

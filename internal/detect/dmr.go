@@ -27,7 +27,7 @@ var (
 func (DMR) Name() string { return "dmr" }
 
 // CalibrationHooks implements Detector (none needed).
-func (DMR) CalibrationHooks() *nn.HookSet { return nil }
+func (DMR) CalibrationHooks() (*nn.HookSet, func()) { return nil, nil }
 
 // FinishCalibration implements Detector.
 func (DMR) FinishCalibration() error { return nil }

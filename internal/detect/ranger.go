@@ -22,9 +22,16 @@ import (
 // legacy clamp on its own, without detection: the campaign's UseRanger
 // switch.
 type Ranger struct {
-	cachePath  string
-	lo, hi     map[int]float32
+	cachePath string
+	bounds
 	calibrated bool
+}
+
+// bounds are per-layer output ranges, by layer visit index.
+type bounds struct{ lo, hi map[int]float32 }
+
+func newBounds() bounds {
+	return bounds{lo: make(map[int]float32), hi: make(map[int]float32)}
 }
 
 var _ Detector = (*Ranger)(nil)
@@ -41,11 +48,7 @@ type rangerBounds struct {
 // ranger calibrates on the campaign's fault-free pass and, if cachePath is
 // non-empty, serializes the learned bounds there.
 func NewRanger(cachePath string) (*Ranger, error) {
-	r := &Ranger{
-		cachePath: cachePath,
-		lo:        make(map[int]float32),
-		hi:        make(map[int]float32),
-	}
+	r := &Ranger{cachePath: cachePath, bounds: newBounds()}
 	if cachePath == "" {
 		return r, nil
 	}
@@ -78,28 +81,42 @@ func (r *Ranger) Bounds(i int) (lo, hi float32, ok bool) {
 }
 
 // observe widens layer idx's bounds to cover t.
-func (r *Ranger) observe(idx int, t *tensor.Tensor) {
+func (b bounds) observe(idx int, t *tensor.Tensor) {
 	lo, hi := t.MinMax()
-	if cur, ok := r.lo[idx]; !ok || lo < cur {
-		r.lo[idx] = lo
+	b.widen(idx, lo, hi)
+}
+
+// widen widens layer idx's bounds to cover [lo, hi]. The strict
+// comparisons keep the first of two equal bounds, so of −0 and +0 the one
+// observed first stays: bounds folded pass by pass in pool order are
+// bit-identical to one pass's over the whole pool.
+func (b bounds) widen(idx int, lo, hi float32) {
+	if cur, ok := b.lo[idx]; !ok || lo < cur {
+		b.lo[idx] = lo
 	}
-	if cur, ok := r.hi[idx]; !ok || hi > cur {
-		r.hi[idx] = hi
+	if cur, ok := b.hi[idx]; !ok || hi > cur {
+		b.hi[idx] = hi
 	}
 }
 
-// CalibrationHooks implements Detector. Bounds restored from a cache need
-// no calibration pass.
-func (r *Ranger) CalibrationHooks() *nn.HookSet {
+// CalibrationHooks implements Detector: the pass's hooks record each
+// layer's output range, and its fold widens the ranger's bounds by them.
+// Bounds restored from a cache need no calibration pass.
+func (r *Ranger) CalibrationHooks() (*nn.HookSet, func()) {
 	if r.calibrated {
-		return nil
+		return nil, nil
 	}
+	pass := newBounds()
 	hooks := nn.NewHookSet()
 	hooks.PostForward(nn.AllLayers(), func(info nn.LayerInfo, t *tensor.Tensor) *tensor.Tensor {
-		r.observe(info.Index, t)
+		pass.observe(info.Index, t)
 		return t
 	})
-	return hooks
+	return hooks, func() {
+		for idx, lo := range pass.lo {
+			r.widen(idx, lo, pass.hi[idx])
+		}
+	}
 }
 
 // FinishCalibration implements Detector, persisting freshly learned bounds

@@ -24,7 +24,7 @@ var _ Detector = Sentinel{}
 func (Sentinel) Name() string { return "sentinel" }
 
 // CalibrationHooks implements Detector (none needed).
-func (Sentinel) CalibrationHooks() *nn.HookSet { return nil }
+func (Sentinel) CalibrationHooks() (*nn.HookSet, func()) { return nil, nil }
 
 // FinishCalibration implements Detector.
 func (Sentinel) FinishCalibration() error { return nil }
