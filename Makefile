@@ -34,16 +34,28 @@ check:
 	$(MAKE) bench-smoke
 	$(MAKE) bench-check
 	$(MAKE) fuzz-smoke
+	$(MAKE) purego
 
 # Short fuzzing runs of the kernel differential targets: the fused
 # emulation kernels (whole-tensor and grouped per sample) against the
-# generic quantize→dequantize path, and accumulator row rounding against
-# the scalar round trip. A failing input lands in testdata/fuzz/ as a
-# regression seed that plain `go test` then replays.
+# generic quantize→dequantize path, accumulator row rounding against the
+# scalar round trip, and the assembly GEMM kernel against the pure-Go one.
+# A failing input lands in testdata/fuzz/ as a regression seed that plain
+# `go test` then replays.
 .PHONY: fuzz-smoke
 fuzz-smoke:
 	go test -run NONE -fuzz '^FuzzEmulateFusedVsGeneric$$' -fuzztime 10s .
 	go test -run NONE -fuzz '^FuzzAccumRoundRowVsScalar$$' -fuzztime 10s .
+	go test -run NONE -fuzz '^FuzzGEMMKernelVsPureGo$$' -fuzztime 10s ./internal/tensor
+
+# The portable GEMM kernel, which other architectures and CPUs without
+# AVX2 run, must keep every golden and bit-identity suite: build without
+# the assembly kernel and run the tensor package plus the root suites that
+# pin output bytes.
+.PHONY: purego
+purego:
+	go test -tags purego ./internal/tensor
+	go test -tags purego -run 'Golden|Pinned|BitIdentical' .
 
 # The benchmark is its own Go module (bench/go.mod), so the root module's
 # vet and test runs above never reach it: vet it and run its schema, smoke

@@ -6,6 +6,9 @@ import (
 	"testing"
 
 	"goldeneye/internal/detect"
+	"goldeneye/internal/nn"
+	"goldeneye/internal/rng"
+	"goldeneye/internal/tensor"
 )
 
 // calibrationValues is everything a calibration hands the injection loop,
@@ -16,9 +19,10 @@ type calibrationValues struct {
 	cal             *calibration
 }
 
-// calibrateSplit builds cfg's calibration with workers workers of model,
-// all setting up together, and captures the pipeline's ranger and ABFT.
-func calibrateSplit(t *testing.T, model string, cfg CampaignConfig, workers int) calibrationValues {
+// calibrateSplit builds cfg's calibration with workers simulators from
+// build, all setting up together, and captures the pipeline's ranger and
+// ABFT.
+func calibrateSplit(t *testing.T, build func() (*Simulator, error), cfg CampaignConfig, workers int) calibrationValues {
 	t.Helper()
 	var v calibrationValues
 	cfg.Detectors = []detect.Spec{
@@ -36,7 +40,7 @@ func calibrateSplit(t *testing.T, model string, cfg CampaignConfig, workers int)
 	}
 	sims := make([]*Simulator, workers)
 	for w := range sims {
-		sim, err := prefixBuilder(model, false)()
+		sim, err := build()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,12 +59,14 @@ func calibrateSplit(t *testing.T, model string, cfg CampaignConfig, workers int)
 
 // The calibration is bit-identical whatever the number of workers that
 // split its sweeps: ranger bounds (profile and pipeline), ABFT tolerances,
-// clean references and false-positive counts at K = 2, 3, 4 equal K = 1's,
-// compared as bits so a flipped signed zero fails.
+// clean references and false-positive counts at K = 1, 2, 3, 4 equal a
+// reference calibration's, compared as bits so a flipped signed zero
+// fails.
 func TestCalibrationSplitBitIdentical(t *testing.T) {
 	ds := prefixDataset()
-	const model, samples = "resnet_s", 40
-	probe, err := prefixBuilder(model, false)()
+	const samples = 40
+	build := prefixBuilder("resnet_s", false)
+	probe, err := build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,32 +88,94 @@ func TestCalibrationSplitBitIdentical(t *testing.T) {
 				UseRanger:  true,
 				Recovery:   RecoverReexecute,
 			}
-			want := calibrateSplit(t, model, cfg, 1)
-			for workers := 2; workers <= 4; workers++ {
-				got := calibrateSplit(t, model, cfg, workers)
-				for _, l := range probe.Layers() {
-					for _, rr := range [][2]*detect.Ranger{{got.profile, want.profile}, {got.ranger, want.ranger}} {
-						glo, ghi, gok := rr[0].Bounds(l.Index)
-						wlo, whi, wok := rr[1].Bounds(l.Index)
-						if gok != wok || math.Float32bits(glo) != math.Float32bits(wlo) || math.Float32bits(ghi) != math.Float32bits(whi) {
-							t.Fatalf("K=%d layer %d: ranger bounds [%v, %v], K=1 [%v, %v]", workers, l.Index, glo, ghi, wlo, whi)
-						}
-					}
-					if g, w := got.abft.Tolerance(l.Index), want.abft.Tolerance(l.Index); math.Float64bits(g) != math.Float64bits(w) {
-						t.Fatalf("K=%d layer %d: ABFT tolerance %v, K=1 %v", workers, l.Index, g, w)
-					}
-				}
-				for s := range want.cal.cleanPred {
-					if got.cal.cleanPred[s] != want.cal.cleanPred[s] ||
-						math.Float64bits(got.cal.cleanLoss[s]) != math.Float64bits(want.cal.cleanLoss[s]) {
-						t.Fatalf("K=%d sample %d: clean reference (%d, %v), K=1 (%d, %v)", workers, s,
-							got.cal.cleanPred[s], got.cal.cleanLoss[s], want.cal.cleanPred[s], want.cal.cleanLoss[s])
-					}
-				}
-				if !maps.Equal(got.cal.fpStats, want.cal.fpStats) {
-					t.Fatalf("K=%d: false positives %v, K=1 %v", workers, got.cal.fpStats, want.cal.fpStats)
+			checkCalibrationSplit(t, build, cfg, calibrateSplit(t, build, cfg, 1))
+		})
+	}
+
+	// A pool whose input layer's minimum ties at +0 in its first reference
+	// slice and at −0 in its second. Only folding the slices in pool order
+	// keeps the +0 that one pass over the whole pool — a single slice, so
+	// nothing to fold — finds first.
+	t.Run("signed_zero_tie", func(t *testing.T) {
+		build := func() (*Simulator, error) {
+			r := rng.New(5)
+			m := nn.NewSequential("tie", nn.NewFlatten("in"), nn.NewLinear("fc1", 2, 4, r),
+				nn.NewReLU("relu"), nn.NewLinear("fc2", 4, 2, r))
+			return NewSimulator(m, tensor.New(1, 2))
+		}
+		negZero := float32(math.Copysign(0, -1))
+		x := tensor.New(8, 2)
+		for i := 0; i < 8; i++ {
+			if i >= 4 {
+				x.Set(negZero, i, 0)
+			}
+			x.Set(1, i, 1)
+		}
+		asg, err := ParseFormatMap("a:fp16")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := CampaignConfig{
+			Assignment: asg,
+			Site:       SiteValue,
+			Target:     TargetNeuron,
+			Layer:      1,
+			Injections: 8,
+			Seed:       3,
+			Pool:       &EvalPool{X: x, Y: []int{0, 1, 0, 1, 0, 1, 0, 1}},
+			BatchSize:  4,
+			UseRanger:  true,
+			Recovery:   RecoverReexecute,
+		}
+		whole := cfg
+		whole.BatchSize = 8
+		want := calibrateSplit(t, build, whole, 1)
+		neg := cfg
+		neg.Pool = &EvalPool{X: x.Slice(4, 8), Y: cfg.Pool.Y[4:]}
+		for _, tc := range []struct {
+			v    calibrationValues
+			want float32
+		}{{want, 0}, {calibrateSplit(t, build, neg, 1), negZero}} {
+			if lo, _, _ := tc.v.ranger.Bounds(0); math.Float32bits(lo) != math.Float32bits(tc.want) {
+				t.Fatalf("input layer minimum has bits %#x, want %#x: the pool no longer ties at ±0",
+					math.Float32bits(lo), math.Float32bits(tc.want))
+			}
+		}
+		checkCalibrationSplit(t, build, cfg, want)
+	})
+}
+
+// checkCalibrationSplit requires cfg's calibration at K = 1 to 4 workers to
+// equal want bit for bit.
+func checkCalibrationSplit(t *testing.T, build func() (*Simulator, error), cfg CampaignConfig, want calibrationValues) {
+	t.Helper()
+	probe, err := build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for workers := 1; workers <= 4; workers++ {
+		got := calibrateSplit(t, build, cfg, workers)
+		for _, l := range probe.Layers() {
+			for _, rr := range [][2]*detect.Ranger{{got.profile, want.profile}, {got.ranger, want.ranger}} {
+				glo, ghi, gok := rr[0].Bounds(l.Index)
+				wlo, whi, wok := rr[1].Bounds(l.Index)
+				if gok != wok || math.Float32bits(glo) != math.Float32bits(wlo) || math.Float32bits(ghi) != math.Float32bits(whi) {
+					t.Fatalf("K=%d layer %d: ranger bounds [%v, %v], want [%v, %v]", workers, l.Index, glo, ghi, wlo, whi)
 				}
 			}
-		})
+			if g, w := got.abft.Tolerance(l.Index), want.abft.Tolerance(l.Index); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("K=%d layer %d: ABFT tolerance %v, want %v", workers, l.Index, g, w)
+			}
+		}
+		for s := range want.cal.cleanPred {
+			if got.cal.cleanPred[s] != want.cal.cleanPred[s] ||
+				math.Float64bits(got.cal.cleanLoss[s]) != math.Float64bits(want.cal.cleanLoss[s]) {
+				t.Fatalf("K=%d sample %d: clean reference (%d, %v), want (%d, %v)", workers, s,
+					got.cal.cleanPred[s], got.cal.cleanLoss[s], want.cal.cleanPred[s], want.cal.cleanLoss[s])
+			}
+		}
+		if !maps.Equal(got.cal.fpStats, want.cal.fpStats) {
+			t.Fatalf("K=%d: false positives %v, want %v", workers, got.cal.fpStats, want.cal.fpStats)
+		}
 	}
 }

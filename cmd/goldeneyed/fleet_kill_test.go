@@ -49,27 +49,36 @@ func fleetOpts(shards int) fleet.Options {
 // a follow-up coordinator over the survivor must be answered entirely from
 // the daemon's idempotency index — proving completed shards are replayed,
 // never re-executed.
+//
+// Both doomed daemons sit behind chaos proxies that hold back their replies
+// from the start: they receive and run their shards, but nothing they
+// answer reaches the coordinator before the chaos, so however fast the
+// engine runs a shard, every shard completes on the survivor.
 func TestFleetSurvivesKillAndPartition(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns daemon processes")
 	}
 	const shards = 3
-	spec := killSpec(t, 71, 9000) // 3000 injections per shard: long enough to be mid-run
+	spec := killSpec(t, 71, 9000) // 3000 injections per shard
 
 	victim, victimBase := spawnDaemon(t, "-addr", "127.0.0.1:0")
-	partitioned, partitionedBase := spawnDaemon(t, "-addr", "127.0.0.1:0")
+	_, partitionedBase := spawnDaemon(t, "-addr", "127.0.0.1:0")
 	_, survivorBase := spawnDaemon(t, "-addr", "127.0.0.1:0")
-	_ = partitioned
 
-	// The partitioned daemon sits behind a chaos proxy so the "network"
-	// can fail while the process stays alive and keeps burning its shard.
-	proxy, err := chaos.NewProxy(strings.TrimPrefix(partitionedBase, "http://"))
-	if err != nil {
-		t.Fatal(err)
+	// The partitioned daemon's "network" fails while the process stays
+	// alive and keeps burning its shard.
+	var doomed []*chaos.Proxy
+	for _, base := range []string{victimBase, partitionedBase} {
+		proxy, err := chaos.NewProxy(strings.TrimPrefix(base, "http://"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer proxy.Close()
+		proxy.StallReplies()
+		doomed = append(doomed, proxy)
 	}
-	defer proxy.Close()
 
-	co, err := fleet.New([]string{victimBase, proxy.URL(), survivorBase}, fleetOpts(shards))
+	co, err := fleet.New([]string{doomed[0].URL(), doomed[1].URL(), survivorBase}, fleetOpts(shards))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,8 +86,10 @@ func TestFleetSurvivesKillAndPartition(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
 
-	// Unleash the chaos once the campaign is demonstrably under way on all
-	// nodes but long before any shard can finish.
+	// Unleash the chaos once the campaign is under way: the progress can
+	// only be the survivor's. The proxies are pointed at a dead port and
+	// their connections cut — dropping the replies the stall held back —
+	// before forwarding resumes.
 	var once sync.Once
 	chaosFired := make(chan struct{})
 	rep, err := co.Run(ctx, spec, func(done, total int) {
@@ -90,8 +101,11 @@ func TestFleetSurvivesKillAndPartition(t *testing.T) {
 						t.Errorf("kill victim: %v", err)
 					}
 					victim.Wait()
-					proxy.SetTarget("127.0.0.1:1") // partition: nothing forwards anymore
-					proxy.DropActive()
+					for _, p := range doomed {
+						p.SetTarget("127.0.0.1:1") // partition: nothing forwards anymore
+						p.DropActive()
+						p.Unstall()
+					}
 				}()
 			})
 		}

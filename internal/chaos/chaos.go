@@ -32,6 +32,7 @@ type Proxy struct {
 	target  string
 	conns   map[net.Conn]struct{} // accepted client conns, for DropActive
 	stallCh chan struct{}         // non-nil while stalled; closed to release
+	replies bool                  // the stall holds only backend-to-client bytes
 	closed  bool
 
 	accepted atomic.Int64
@@ -84,11 +85,19 @@ func (p *Proxy) DropActive() int {
 // Stall freezes all forwarding (connections stay open, no bytes move) until
 // Unstall. This is the hung-middlebox failure an SSE idle watchdog must
 // detect: the TCP session is alive but silent.
-func (p *Proxy) Stall() {
+func (p *Proxy) Stall() { p.stall(false) }
+
+// StallReplies freezes forwarding from the backend only, until Unstall:
+// requests still reach the backend, which acts on them, but none of its
+// answers reach a client — a backend whose work cannot be delivered.
+func (p *Proxy) StallReplies() { p.stall(true) }
+
+func (p *Proxy) stall(replies bool) {
 	p.mu.Lock()
 	if p.stallCh == nil {
 		p.stallCh = make(chan struct{})
 	}
+	p.replies = replies
 	p.mu.Unlock()
 }
 
@@ -149,12 +158,12 @@ func (p *Proxy) forward(client net.Conn, target string) {
 	}
 	defer backend.Close()
 	done := make(chan struct{}, 2)
-	pipe := func(dst, src net.Conn) {
+	pipe := func(dst, src net.Conn, reply bool) {
 		buf := make([]byte, 32<<10)
 		for {
 			n, rerr := src.Read(buf)
 			if n > 0 {
-				p.gate()
+				p.gate(reply)
 				if _, werr := dst.Write(buf[:n]); werr != nil {
 					break
 				}
@@ -169,16 +178,20 @@ func (p *Proxy) forward(client net.Conn, target string) {
 		}
 		done <- struct{}{}
 	}
-	go pipe(backend, client)
-	go pipe(client, backend)
+	go pipe(backend, client, false)
+	go pipe(client, backend, true)
 	<-done
 	<-done
 }
 
-// gate blocks while the proxy is stalled.
-func (p *Proxy) gate() {
+// gate blocks while the proxy stalls bytes flowing this way: reply bytes
+// run from the backend to the client.
+func (p *Proxy) gate(reply bool) {
 	p.mu.Lock()
 	ch := p.stallCh
+	if !reply && p.replies {
+		ch = nil
+	}
 	p.mu.Unlock()
 	if ch != nil {
 		<-ch

@@ -82,40 +82,67 @@ func TestProxyDropActive(t *testing.T) {
 }
 
 // TestProxyStall: bytes stop flowing while stalled and resume after
-// Unstall — the connection itself stays up.
+// Unstall — the connection itself stays up. A replies-only stall lets the
+// request reach the backend and holds back just the answer.
 func TestProxyStall(t *testing.T) {
-	_, addr := echoBackend(t, "payload")
-	p, err := NewProxy(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
+	for _, tc := range []struct {
+		name        string
+		stall       func(*Proxy)
+		reachesBack bool
+	}{
+		{"all", (*Proxy).Stall, false},
+		{"replies", (*Proxy).StallReplies, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reached := make(chan struct{}, 1)
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				reached <- struct{}{}
+				io.WriteString(w, "payload")
+			}))
+			defer ts.Close()
+			p, err := NewProxy(strings.TrimPrefix(ts.URL, "http://"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
 
-	p.Stall()
-	got := make(chan error, 1)
-	go func() {
-		resp, err := http.Get(p.URL())
-		if err != nil {
-			got <- err
-			return
-		}
-		defer resp.Body.Close()
-		_, err = io.ReadAll(resp.Body)
-		got <- err
-	}()
-	select {
-	case err := <-got:
-		t.Fatalf("request completed while stalled (err=%v)", err)
-	case <-time.After(150 * time.Millisecond):
-	}
-	p.Unstall()
-	select {
-	case err := <-got:
-		if err != nil {
-			t.Fatalf("request after unstall: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("request did not complete after unstall")
+			tc.stall(p)
+			got := make(chan error, 1)
+			go func() {
+				resp, err := http.Get(p.URL())
+				if err != nil {
+					got <- err
+					return
+				}
+				defer resp.Body.Close()
+				_, err = io.ReadAll(resp.Body)
+				got <- err
+			}()
+			select {
+			case err := <-got:
+				t.Fatalf("request completed while stalled (err=%v)", err)
+			case <-time.After(150 * time.Millisecond):
+			}
+			select {
+			case <-reached:
+				if !tc.reachesBack {
+					t.Fatal("request reached the backend through a full stall")
+				}
+			default:
+				if tc.reachesBack {
+					t.Fatal("request did not reach the backend through a replies-only stall")
+				}
+			}
+			p.Unstall()
+			select {
+			case err := <-got:
+				if err != nil {
+					t.Fatalf("request after unstall: %v", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("request did not complete after unstall")
+			}
+		})
 	}
 }
 

@@ -162,6 +162,13 @@ func (j *job) finish(state JobState, rep *goldeneye.CampaignReport, err error, c
 	if j.state.Terminal() {
 		return false
 	}
+	// The daemon keeps every finished job, so it drops the evaluation
+	// pool, which the wire form omits anyway: otherwise each job would hold
+	// its samples for the daemon's lifetime.
+	j.cfg.Pool = nil
+	if rep != nil {
+		rep.Config.Pool = nil
+	}
 	j.state = state
 	j.report = rep
 	j.err = err

@@ -125,7 +125,7 @@ func readEvents(t *testing.T, ts *httptest.Server, id string) (terminal string, 
 // to the done event, and check the carried report matches the report
 // endpoint.
 func TestSubmitStreamReport(t *testing.T) {
-	_, ts := newTestServer(t, Options{})
+	s, ts := newTestServer(t, Options{})
 	resp, st := submit(t, ts, testSpec(t))
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: got %d, want 202", resp.StatusCode)
@@ -174,6 +174,14 @@ func TestSubmitStreamReport(t *testing.T) {
 	}
 	if final.State != JobDone || final.Done != 4 {
 		t.Errorf("final status: %+v", final)
+	}
+
+	// The daemon keeps every finished job, but not its evaluation pool.
+	s.mu.Lock()
+	j := s.jobs[st.ID]
+	s.mu.Unlock()
+	if rep, _ := j.result(); j.snapshotCfg().Pool != nil || rep == nil || rep.Config.Pool != nil {
+		t.Error("finished job still holds its evaluation pool")
 	}
 }
 

@@ -28,20 +28,27 @@ func Im2Col(x *Tensor, kh, kw, stride, pad int) *Tensor {
 			for kj := 0; kj < kw; kj++ {
 				row := (ci*kh+ki)*kw + kj
 				dst := out.data[row*cols : (row+1)*cols]
+				// Output columns [ojLo, ojHi) read input columns inside the
+				// image; the rest stay zero padding.
+				ojLo, ojHi := colSpan(ow, w, stride, pad-kj)
+				if ojLo >= ojHi {
+					continue
+				}
 				for ni := 0; ni < n; ni++ {
 					src := x.data[(ni*c+ci)*h*w : (ni*c+ci+1)*h*w]
 					for oi := 0; oi < oh; oi++ {
 						ii := oi*stride - pad + ki
-						base := (ni*oh + oi) * ow
 						if ii < 0 || ii >= h {
 							continue // leave zero padding
 						}
-						for oj := 0; oj < ow; oj++ {
-							jj := oj*stride - pad + kj
-							if jj < 0 || jj >= w {
-								continue
-							}
-							dst[base+oj] = src[ii*w+jj]
+						d := dst[(ni*oh+oi)*ow+ojLo : (ni*oh+oi)*ow+ojHi]
+						s := src[ii*w+ojLo*stride-pad+kj:]
+						if stride == 1 {
+							copy(d, s)
+							continue
+						}
+						for oj := range d {
+							d[oj] = s[oj*stride]
 						}
 					}
 				}
@@ -49,6 +56,18 @@ func Im2Col(x *Tensor, kh, kw, stride, pad int) *Tensor {
 		}
 	}
 	return out
+}
+
+// colSpan returns the output columns [lo, hi) of an im2col row whose input
+// column oj*stride - off falls inside [0, w), for oj in [0, ow).
+func colSpan(ow, w, stride, off int) (lo, hi int) {
+	if off > 0 {
+		lo = (off + stride - 1) / stride
+	}
+	if last := w - 1 + off; last >= 0 {
+		hi = min(ow, last/stride+1)
+	}
+	return min(lo, ow), hi
 }
 
 // Col2Im folds a (C*KH*KW, N*OH*OW) column matrix back into an NCHW tensor,

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"slices"
 	"testing"
 
 	"goldeneye/internal/rng"
@@ -160,6 +161,56 @@ func TestConvOut(t *testing.T) {
 	for _, tt := range tests {
 		if got := ConvOut(tt.in, tt.k, tt.s, tt.p); got != tt.want {
 			t.Errorf("ConvOut(%d,%d,%d,%d) = %d, want %d", tt.in, tt.k, tt.s, tt.p, got, tt.want)
+		}
+	}
+}
+
+// im2colPerElement is Im2Col's per-element bounds-tested loop, the
+// reference for the span copies Im2Col makes instead.
+func im2colPerElement(x *Tensor, kh, kw, stride, pad int) *Tensor {
+	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
+	oh, ow := ConvOut(h, kh, stride, pad), ConvOut(w, kw, stride, pad)
+	out := New(c*kh*kw, n*oh*ow)
+	cols := n * oh * ow
+	for ci := 0; ci < c; ci++ {
+		for ki := 0; ki < kh; ki++ {
+			for kj := 0; kj < kw; kj++ {
+				dst := out.data[((ci*kh+ki)*kw+kj)*cols:]
+				for ni := 0; ni < n; ni++ {
+					src := x.data[(ni*c+ci)*h*w:]
+					for oi := 0; oi < oh; oi++ {
+						ii := oi*stride - pad + ki
+						for oj := 0; oj < ow; oj++ {
+							jj := oj*stride - pad + kj
+							if ii >= 0 && ii < h && jj >= 0 && jj < w {
+								dst[(ni*oh+oi)*ow+oj] = src[ii*w+jj]
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+func TestIm2ColMatchesPerElementLoop(t *testing.T) {
+	r := rng.New(3)
+	for _, hw := range [][2]int{{1, 1}, {3, 5}, {5, 3}, {7, 7}, {9, 5}, {2, 6}} {
+		for _, k := range []int{1, 2, 3, 5} {
+			for pad := 0; pad <= 2; pad++ {
+				for stride := 1; stride <= 2; stride++ {
+					h, w := hw[0], hw[1]
+					if h+2*pad < k || w+2*pad < k {
+						continue
+					}
+					x := Randn(r, 1, 2, 3, h, w)
+					got, want := Im2Col(x, k, k, stride, pad), im2colPerElement(x, k, k, stride, pad)
+					if !slices.Equal(got.Shape(), want.Shape()) || !slices.Equal(got.Data(), want.Data()) {
+						t.Fatalf("h=%d w=%d k=%d pad=%d stride=%d: Im2Col differs from the per-element loop", h, w, k, pad, stride)
+					}
+				}
+			}
 		}
 	}
 }

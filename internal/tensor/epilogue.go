@@ -80,9 +80,11 @@ func (h *AccumHook) Active() bool {
 // after their workers finish.
 //
 // Apply is kept out of line on purpose. Inlined into its producers, it
-// moves the GEMM kernels compiled after it (matmulRows, matmulRowsAccum,
-// addScaledRow) from 0 to 32 mod 64 bytes, where their inner loops ran
-// 15-25% slower on a 2-vCPU Xeon VM (go1.24).
+// moves the Go GEMM kernels compiled after it (matmulRowsAccum,
+// addScaledRow, and matmulRowsGo where it runs) from 0 to 32 mod 64 bytes,
+// where their inner loops ran 15-25% slower on a 2-vCPU Xeon VM (go1.24).
+// The plain GEMM on AVX2 hosts is assembly whose loops PCALIGN aligns, so
+// the accumulator kernels are the ones this still protects.
 //
 //go:noinline
 func (ep Epilogue) Apply(data []float32) {

@@ -37,10 +37,15 @@ func (t *Tensor) MatMul(o *Tensor) *Tensor {
 	return out
 }
 
-// matmulRows computes rows [lo, hi) of C = A @ B using an ikj loop order so
-// the inner loop streams both B and C rows sequentially (cache friendly, and
-// the Go compiler keeps the accumulation vectorizable).
-func matmulRows(c, a, b []float32, lo, hi, k, n int) {
+// matmulRowsGo computes rows [lo, hi) of C += A @ B using an ikj loop order
+// so the inner loop streams both B and C rows sequentially. It is the
+// portable kernel and the reference the assembly kernel must match bit for
+// bit: each element starts from its value in C and adds av*bp[j] for every
+// p in ascending order, skipping the steps whose av is ±0 (so 0·Inf never
+// makes a NaN and −0 + +0 never makes +0). The float32 conversion rounds
+// the product on its own, which forbids fusing it with the add into one
+// FMA on the architectures that have one.
+func matmulRowsGo(c, a, b []float32, lo, hi, k, n int) {
 	for i := lo; i < hi; i++ {
 		ci := c[i*n : (i+1)*n]
 		ai := a[i*k : (i+1)*k]
@@ -51,7 +56,7 @@ func matmulRows(c, a, b []float32, lo, hi, k, n int) {
 			}
 			bp := b[p*n : (p+1)*n]
 			for j := range ci {
-				ci[j] += av * bp[j]
+				ci[j] += float32(av * bp[j])
 			}
 		}
 	}
@@ -125,7 +130,7 @@ func matmulRowsAccum(c, a, b []float32, lo, hi, k, n int, quant func([]float32),
 //go:noinline
 func addScaledRow(ci, bp []float32, av float32) {
 	for j := range ci {
-		ci[j] += av * bp[j]
+		ci[j] += float32(av * bp[j])
 	}
 }
 
@@ -243,7 +248,7 @@ func (t *Tensor) MatMulT(o *Tensor) *Tensor {
 				bj := o.data[j*k : (j+1)*k]
 				var sum float32
 				for p := range ai {
-					sum += ai[p] * bj[p]
+					sum += float32(ai[p] * bj[p])
 				}
 				ci[j] = sum
 			}
@@ -284,7 +289,7 @@ func (t *Tensor) TMatMul(o *Tensor) *Tensor {
 				}
 				ci := out.data[i*n : (i+1)*n]
 				for j := range ci {
-					ci[j] += av * bp[j]
+					ci[j] += float32(av * bp[j])
 				}
 			}
 		}
