@@ -35,6 +35,8 @@ check:
 	$(MAKE) bench-check
 	$(MAKE) fuzz-smoke
 	$(MAKE) purego
+	$(MAKE) nofma
+	$(MAKE) fma-off
 
 # Short fuzzing runs of the kernel differential targets: the fused
 # emulation kernels (whole-tensor and grouped per sample) against the
@@ -56,6 +58,35 @@ fuzz-smoke:
 purego:
 	go test -tags purego ./internal/tensor
 	go test -tags purego -run 'Golden|Pinned|BitIdentical' .
+
+# Architecture-independent bytes: the Go spec lets a compiler fuse x*y + z
+# into one FMA, which arm64, ppc64le, s390x and riscv64 do and amd64 never
+# does, so every such site in the emulation, GEMM and random-number
+# packages is written float64(x*y) + z (or float32). Compile each package
+# on its own for those architectures (a linked binary's dead-code
+# elimination could hide a site) and fail on any fused multiply-add
+# instruction in the assembly listing. internal/nn and the root package
+# still fuse (ROADMAP "Architecture-independent bytes").
+NOFMA_PKGS = ./internal/tensor ./internal/numfmt ./internal/rng
+NOFMA_ARCHES = arm64 ppc64le s390x riscv64
+
+.PHONY: nofma
+nofma:
+	@status=0; for arch in $(NOFMA_ARCHES); do for pkg in $(NOFMA_PKGS); do \
+		asm=$$(GOARCH=$$arch go build -gcflags=-S $$pkg 2>&1) || { echo "$$asm"; exit 1; }; \
+		fused=$$(printf '%s\n' "$$asm" | grep -E '^\s+0x[0-9a-f]+ [0-9]+ \([^)]*\)\s+([VW]?FN?M(ADD|SUB)[A-Z]*|[VW]FN?M[AS]([DS]B)?)\s' | grep -v '_test\.go:'); \
+		if [ -n "$$fused" ]; then echo "fused multiply-add in $$pkg for $$arch:"; echo "$$fused"; status=1; fi; \
+	done; done; exit $$status
+
+# The zoo's training and every golden pass through math.Exp, which amd64
+# runs on an FMA path when the CPU has one. Retrain the zoo in a fresh
+# temporary directory with that path off and re-run the golden suites: they
+# pass because every use rounds to float32 afterwards, so the float64
+# differences never reach a stored byte.
+.PHONY: fma-off
+fma-off:
+	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	TMPDIR=$$dir GODEBUG=cpu.fma=off go test -count=1 -run 'Golden|Pinned|BitIdentical' .
 
 # The benchmark is its own Go module (bench/go.mod), so the root module's
 # vet and test runs above never reach it: vet it and run its schema, smoke

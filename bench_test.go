@@ -396,11 +396,12 @@ func BenchmarkEmulateFusedVsGeneric(b *testing.B) {
 				f.Emulate(x)
 			}
 		})
+		generic := numfmt.Generic(f)
 		b.Run(f.Name()+"/generic", func(b *testing.B) {
 			b.SetBytes(int64(x.Len() * 4))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				numfmt.EmulateGeneric(f, x)
+				generic.Emulate(x)
 			}
 		})
 	}
@@ -447,7 +448,7 @@ func BenchmarkMatMulAccum(b *testing.B) {
 		b.Run(v.name, func(b *testing.B) {
 			b.SetBytes(2 * 65 * 64 * 192) // FLOPs proxy
 			for i := 0; i < b.N; i++ {
-				a.MatMulAccum(w, v.hook)
+				a.MatMulBias(w, nil, tensor.Epilogue{Accum: v.hook})
 			}
 		})
 	}

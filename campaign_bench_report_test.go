@@ -13,8 +13,8 @@ package goldeneye_test
 // column list (comma-separated, default "1,4").
 //
 // Per format family, the first row is the serial reference: batch 1,
-// GOMAXPROCS=1, fused kernels off — the generic quantize→dequantize
-// configuration every earlier benchmark of this repo measured. All other
+// GOMAXPROCS=1, activations emulated through numfmt.Generic — the literal
+// quantize→dequantize round trip, for every family. All other
 // rows run the fused kernels, and speedup_vs_serial is relative to that
 // family's reference row. gomaxprocs/num_cpu are per row, not per file:
 // rows are measured at different GOMAXPROCS settings, so a file-level
@@ -124,7 +124,6 @@ func TestCampaignBenchReport(t *testing.T) {
 
 	origProcs := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(origProcs)
-	defer numfmt.SetFusedKernels(numfmt.FusedKernels())
 
 	injections, poolN := 240, 64
 	batches := []int{1, 8, 32}
@@ -151,7 +150,9 @@ func TestCampaignBenchReport(t *testing.T) {
 		PoolSize:   pool.Len(),
 	}
 
-	run := func(format numfmt.Format, batch int) (*goldeneye.CampaignReport, float64) {
+	// run injects in format; act is the activation role, format itself
+	// or the reference row's numfmt.Generic(format).
+	run := func(format, act numfmt.Format, batch int) (*goldeneye.CampaignReport, float64) {
 		start := time.Now()
 		rep, err := sim.RunCampaign(t.Context(), goldeneye.CampaignConfig{
 			Format:     format,
@@ -163,7 +164,7 @@ func TestCampaignBenchReport(t *testing.T) {
 			Pool:       pool,
 			BatchSize:  batch,
 			UseRanger:  true,
-			Assignment: &goldeneye.FormatAssignment{Default: goldeneye.RoleFormats{Activations: format}},
+			Assignment: &goldeneye.FormatAssignment{Default: goldeneye.RoleFormats{Activations: act}},
 		})
 		if err != nil {
 			t.Fatalf("%s batch %d: %v", format.Name(), batch, err)
@@ -183,8 +184,7 @@ func TestCampaignBenchReport(t *testing.T) {
 	for _, fam := range families {
 		// Serial generic reference row.
 		runtime.GOMAXPROCS(1)
-		numfmt.SetFusedKernels(false)
-		ref, refSec := run(fam.format, 1)
+		ref, refSec := run(fam.format, numfmt.Generic(fam.format), 1)
 		report.Rows = append(report.Rows, benchCampaignRow{
 			Format:       fam.format.Name(),
 			Family:       fam.family,
@@ -197,11 +197,10 @@ func TestCampaignBenchReport(t *testing.T) {
 			Speedup:      1,
 			BitIdentical: true,
 		})
-		numfmt.SetFusedKernels(true)
 		for _, p := range procs {
 			runtime.GOMAXPROCS(p)
 			for _, batch := range batches {
-				rep, sec := run(fam.format, batch)
+				rep, sec := run(fam.format, fam.format, batch)
 				identical := reportsEqual(rep, ref)
 				if !identical {
 					t.Errorf("%s: fused procs=%d batch=%d diverges from the serial generic reference",
@@ -231,7 +230,6 @@ func TestCampaignBenchReport(t *testing.T) {
 	// run at the same seed, so BENCH_campaign.json carries the
 	// injections-saved trajectory and the estimate-vs-exhaustive delta.
 	{
-		numfmt.SetFusedKernels(true)
 		base := goldeneye.CampaignConfig{
 			Format:     numfmt.FP16(true),
 			Site:       goldeneye.SiteValue,

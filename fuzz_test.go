@@ -86,7 +86,7 @@ func FuzzPosit8Decode(f *testing.F) {
 // FuzzEmulateFusedVsGeneric is the differential proof behind the fused
 // kernels: for arbitrary float inputs, every family's single-pass fused
 // Emulate must be bit-identical to the generic quantize→dequantize
-// reference (numfmt.EmulateGeneric), NaN included: both paths canonicalize
+// reference (numfmt.Generic), NaN included: both paths canonicalize
 // every NaN input to float32(math.NaN()). The grouped case holds the
 // same for the per-sample path (numfmt.EmulateBatched over two samples).
 func FuzzEmulateFusedVsGeneric(f *testing.F) {
@@ -104,14 +104,15 @@ func FuzzEmulateFusedVsGeneric(f *testing.F) {
 			x.Data()[i] = math.Float32frombits(bits)
 		}
 		for _, format := range formats {
+			ref := numfmt.Generic(format)
 			fused := format.Emulate(x)
-			generic := numfmt.EmulateGeneric(format, x)
+			generic := ref.Emulate(x)
 			// Grouped: the same values as two 2-element samples, each
 			// emulated under its own metadata, against the generic
 			// reference of each sample alone.
 			grouped := numfmt.EmulateBatched(format, x.Reshape(4, 1), 2)
-			halves := numfmt.EmulateGeneric(format, x.Reshape(4, 1).Slice(0, 2)).Data()
-			halves = append(halves, numfmt.EmulateGeneric(format, x.Reshape(4, 1).Slice(2, 4)).Data()...)
+			halves := ref.Emulate(x.Reshape(4, 1).Slice(0, 2)).Data()
+			halves = append(halves, ref.Emulate(x.Reshape(4, 1).Slice(2, 4)).Data()...)
 			for i := range fused.Data() {
 				fv, gv := fused.Data()[i], generic.Data()[i]
 				if math.Float32bits(fv) != math.Float32bits(gv) {

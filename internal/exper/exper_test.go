@@ -51,9 +51,14 @@ func TestFig3Shapes(t *testing.T) {
 	const attempts = 3
 	var lastErrs []string
 	for attempt := 0; attempt < attempts; attempt++ {
+		generic := numfmt.ReadOpCounts().GenericKernels
 		rows, err := Fig3(context.Background(), []string{"resnet_s"}, 3, nil, tinyOptions())
 		if err != nil {
 			t.Fatal(err)
+		}
+		// The BFP/AFP configurations run the code-based path.
+		if numfmt.ReadOpCounts().GenericKernels == generic {
+			t.Fatal("Fig 3 ran no generic quantize→dequantize kernel")
 		}
 		bySlow := make(map[string]float64)
 		for _, r := range rows {

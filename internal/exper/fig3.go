@@ -25,7 +25,7 @@ type Fig3Row struct {
 
 // fig3Configs lists the 14 format configurations of Fig 3: the native
 // baseline plus emulated FP/FxP/INT (fast, arithmetic path) and BFP/AFP
-// (slow, code-based path).
+// (slow, code-based path: numfmt.Generic).
 func fig3Configs() []struct {
 	name   string
 	format numfmt.Format
@@ -46,10 +46,10 @@ func fig3Configs() []struct {
 		{name: "fxp_1_7_8", format: numfmt.FxP16()},
 		{name: "int16", format: numfmt.INT16(), meta: true},
 		{name: "int8", format: numfmt.INT8(), meta: true},
-		{name: "bfp_e8m7", format: numfmt.NewBFP(8, 7, 0), meta: true},
-		{name: "bfp_e5m5", format: numfmt.BFPe5m5(), meta: true},
-		{name: "afp_e5m2", format: numfmt.AFPe5m2(), meta: true},
-		{name: "afp_e4m3", format: numfmt.NewAFP(4, 3, true), meta: true},
+		{name: "bfp_e8m7", format: numfmt.Generic(numfmt.NewBFP(8, 7, 0)), meta: true},
+		{name: "bfp_e5m5", format: numfmt.Generic(numfmt.BFPe5m5()), meta: true},
+		{name: "afp_e5m2", format: numfmt.Generic(numfmt.AFPe5m2()), meta: true},
+		{name: "afp_e4m3", format: numfmt.Generic(numfmt.NewAFP(4, 3, true)), meta: true},
 	}
 }
 
@@ -58,16 +58,15 @@ func fig3Configs() []struct {
 // INT near-native, BFP/AFP notably slower, EI overhead negligible.
 //
 // The BFP/AFP slowdown the paper reports is the cost of the generic
-// quantize→dequantize code path, so that is what this experiment runs:
-// fused kernels are disabled for the duration of the measurement. The
-// fused-kernel performance story (which closes exactly this gap) is
-// measured by the campaign bench matrix instead — see BENCH_campaign.json
-// and docs/PERFORMANCE.md.
+// quantize→dequantize code path, so that is what this experiment runs: its
+// BFP/AFP configurations are numfmt.Generic formats, while FP/FxP/INT keep
+// their fused kernels. The fused-kernel performance story (which closes
+// exactly this gap) is measured by the campaign bench matrix instead — see
+// BENCH_campaign.json and docs/PERFORMANCE.md.
 func Fig3(ctx context.Context, models []string, runs int, w io.Writer, o Options) ([]Fig3Row, error) {
 	if runs <= 0 {
 		runs = 5
 	}
-	defer numfmt.SetFusedKernels(numfmt.SetFusedKernels(false))
 	var rows []Fig3Row
 	for _, name := range models {
 		sim, ds, err := loadSim(name, o)

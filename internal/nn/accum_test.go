@@ -159,7 +159,7 @@ func TestConvQuantizedBiasAdd(t *testing.T) {
 
 	plane := side * side
 	col := tensor.Im2Col(x, 3, 3, 1, 1)
-	pre := conv.Weight().Value.Reshape(3, -1).MatMulAccum(col, &tensor.AccumHook{Quant: rowQuant(quant)})
+	pre := conv.Weight().Value.Reshape(3, -1).MatMulBias(col, nil, tensor.Epilogue{Accum: &tensor.AccumHook{Quant: rowQuant(quant)}})
 	rounded := false
 	for ni := 0; ni < batch; ni++ {
 		for oc := 0; oc < 3; oc++ {

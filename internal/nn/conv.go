@@ -78,12 +78,11 @@ func (c *Conv2D) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	wm := c.w.Value.Reshape(oc, -1)
 	plane := oh * ow
 	spec, hasAccum := ctx.TakeAccum()
-	var y *tensor.Tensor
+	var accum *tensor.AccumHook
 	if hasAccum {
-		y = wm.MatMulAccum(col, convAccumHook(spec, plane)) // (oc, n*oh*ow)
-	} else {
-		y = wm.MatMul(col) // (oc, n*oh*ow)
+		accum = convAccumHook(spec, plane)
 	}
+	y := wm.MatMulBias(col, nil, tensor.Epilogue{Accum: accum}) // (oc, n*oh*ow)
 
 	ep, _ := ctx.TakeEpilogue()
 	out := tensor.New(n, oc, oh, ow)

@@ -57,7 +57,8 @@ func TestEpilogueForwardBitIdentical(t *testing.T) {
 			want := Forward(NewContext(hooked), m, x)
 
 			fused := NewHookSet()
-			fused.PostForwardEpilogue(DefaultLayers(), emulate, numfmt.EmulateEpilogue(f, n))
+			ep := numfmt.EmulateEpilogue(f, n)
+			fused.PostForwardEpilogueBy(DefaultLayers(), emulate, func(LayerInfo) tensor.Epilogue { return ep })
 			got := Forward(NewContext(fused), m, x)
 
 			assertBitsEqual(t, got, want, f.Name())
@@ -75,10 +76,10 @@ func TestEpilogueSkipsFallbackPreservesOrder(t *testing.T) {
 	fnCalls := 0
 	sawEmulated := true
 	hooks := NewHookSet()
-	hooks.PostForwardEpilogue(DefaultLayers(), func(_ LayerInfo, a *tensor.Tensor) *tensor.Tensor {
+	hooks.PostForwardEpilogueBy(DefaultLayers(), func(_ LayerInfo, a *tensor.Tensor) *tensor.Tensor {
 		fnCalls++
 		return f.Emulate(a)
-	}, numfmt.EmulateEpilogue(f, 1))
+	}, func(LayerInfo) tensor.Epilogue { return numfmt.EmulateEpilogue(f, 1) })
 	hooks.PostForward(DefaultLayers(), func(_ LayerInfo, a *tensor.Tensor) *tensor.Tensor {
 		// Downstream hooks (injection, clamping) must observe already-
 		// emulated values, exactly as with the unfused composition.
@@ -108,10 +109,10 @@ func TestEpilogueOnlyFirstMatchingHookFuses(t *testing.T) {
 		order = append(order, "first")
 		return a
 	})
-	hooks.PostForwardEpilogue(DefaultLayers(), func(_ LayerInfo, a *tensor.Tensor) *tensor.Tensor {
+	hooks.PostForwardEpilogueBy(DefaultLayers(), func(_ LayerInfo, a *tensor.Tensor) *tensor.Tensor {
 		order = append(order, "second")
 		return f.Emulate(a)
-	}, numfmt.EmulateEpilogue(f, 1))
+	}, func(LayerInfo) tensor.Epilogue { return numfmt.EmulateEpilogue(f, 1) })
 	Forward(NewContext(hooks), m, x)
 	for i := 0; i+1 < len(order); i += 2 {
 		if order[i] != "first" || order[i+1] != "second" {

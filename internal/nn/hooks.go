@@ -78,16 +78,11 @@ type hookEntry struct {
 	filter Filter
 	fn     HookFunc
 
-	// ep, when non-empty, is an in-place equivalent of fn that the
-	// producing layer may fuse into its output computation (see
-	// PostForwardEpilogue). fn remains the fallback for layers that do not
-	// consume epilogues.
-	ep tensor.Epilogue
-
-	// epFor, when non-nil, selects the epilogue per layer visit instead of
-	// the fixed ep (see PostForwardEpilogueBy) — the mixed-precision path,
-	// where each layer may run a different format's fused kernel. An empty
-	// result means "no fusion for this visit" and fn runs as usual.
+	// epFor, when non-nil, selects per layer visit an in-place equivalent
+	// of fn that the producing layer may fuse into its output computation
+	// (see PostForwardEpilogueBy). An empty result means "no fusion for
+	// this visit" and fn runs as usual; fn also remains the fallback for
+	// layers that do not consume epilogues.
 	epFor func(LayerInfo) tensor.Epilogue
 }
 
@@ -127,26 +122,18 @@ func (h *HookSet) PostForward(f Filter, fn HookFunc) {
 	h.post = append(h.post, hookEntry{filter: f, fn: fn})
 }
 
-// PostForwardEpilogue registers fn like PostForward, additionally carrying
-// an in-place epilogue form of the same transform. When the hook is the
-// first post hook matching a layer and that layer's Forward fuses
-// epilogues (Linear, Conv2D), the layer applies ep to its output while it
-// is cache-hot and fn is skipped for that visit; in every other situation
-// fn runs exactly as a plain PostForward hook would. ep and fn must
-// compute the same values — the campaign engine registers the fused
-// emulation kernel as ep and whole-tensor Emulate as fn, which are pinned
-// bit-identical. An empty ep degrades to PostForward.
-func (h *HookSet) PostForwardEpilogue(f Filter, fn HookFunc, ep tensor.Epilogue) {
-	h.post = append(h.post, hookEntry{filter: f, fn: fn, ep: ep})
-}
-
-// PostForwardEpilogueBy is PostForwardEpilogue with a per-visit epilogue
-// selector, for hooks whose in-place transform differs by layer — the
-// mixed-precision assignment path, where each layer may run a different
-// format's fused kernel. epFor is consulted at most once per matching
-// visit; an empty result means no fusion for that visit and fn runs as a
-// plain post hook. The same bit-identity contract applies per visit: the
-// selected epilogue and fn must compute the same values there.
+// PostForwardEpilogueBy registers fn like PostForward, additionally
+// carrying a per-visit selector of an in-place epilogue form of the same
+// transform; it may differ by layer, as in the mixed-precision assignment
+// path, where each layer may run a different format's fused kernel. epFor
+// is consulted at most once per matching visit. When the hook is the first
+// post hook matching a layer and that layer's Forward fuses epilogues
+// (Linear, Conv2D), the layer applies the selected epilogue to its output
+// while it is cache-hot and fn is skipped for that visit; an empty result,
+// or any other situation, runs fn exactly as a plain PostForward hook
+// would. The selected epilogue and fn must compute the same values — the
+// campaign engine selects the fused emulation kernel and registers
+// EmulateBatched as fn, which are pinned bit-identical.
 func (h *HookSet) PostForwardEpilogueBy(f Filter, fn HookFunc, epFor func(LayerInfo) tensor.Epilogue) {
 	h.post = append(h.post, hookEntry{filter: f, fn: fn, epFor: epFor})
 }
@@ -223,14 +210,13 @@ func (h *HookSet) fusibleEpilogue(info LayerInfo) (tensor.Epilogue, int, bool) {
 		if !e.filter.matches(info) {
 			continue
 		}
-		ep := e.ep
-		if e.epFor != nil {
-			ep = e.epFor(info)
-		}
-		if ep.Empty() {
+		if e.epFor == nil {
 			return tensor.Epilogue{}, -1, false
 		}
-		return ep, i, true
+		if ep := e.epFor(info); !ep.Empty() {
+			return ep, i, true
+		}
+		return tensor.Epilogue{}, -1, false
 	}
 	return tensor.Epilogue{}, -1, false
 }

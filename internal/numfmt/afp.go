@@ -125,15 +125,11 @@ func (f *AFP) Dequantize(enc *Encoding) *tensor.Tensor {
 	return out
 }
 
-// Emulate implements Format. With fused kernels enabled (the default) it
-// runs the single-pass arithmetic kernel below; otherwise it takes the
-// generic quantize→dequantize code path, which the fused kernel is pinned
-// bit-identical to by the property and fuzz suites.
+// Emulate implements Format with the single-pass arithmetic kernel below,
+// pinned bit-identical to the generic quantize→dequantize code path
+// (Generic) by the property and fuzz suites.
 func (f *AFP) Emulate(t *tensor.Tensor) *tensor.Tensor {
 	countEmulate(t.Len())
-	if !FusedKernels() {
-		return emulateViaCodes(f, t)
-	}
 	countKernelFused()
 	out := t.Clone()
 	f.emulateRowsInPlace(out.Data(), 1, t.Len())
@@ -289,7 +285,7 @@ func (f *AFP) FromBits(b Bits, meta Metadata) float64 {
 		}
 		return math.NaN()
 	default:
-		frac := 1 + float64(mant)*math.Ldexp(1, -f.mantBits)
+		frac := 1 + float64(float64(mant)*math.Ldexp(1, -f.mantBits))
 		return sign * frac * math.Ldexp(1, int(e)-int(bias))
 	}
 }

@@ -2,7 +2,6 @@ package numfmt
 
 import (
 	"fmt"
-	"sync"
 
 	"goldeneye/internal/tensor"
 )
@@ -30,11 +29,6 @@ func batchInvariant(f Format) bool {
 	}
 	return false
 }
-
-// emulateRowParallelMin is the element count above which EmulateBatched
-// fans per-sample emulation out across goroutines (mirrors the tensor
-// package's matmul parallel threshold).
-const emulateRowParallelMin = 16 * 1024
 
 // sampleRows returns the leading rows each of a pass's n samples occupies
 // in t. It panics when n does not divide t's leading dimension: the hooks
@@ -101,42 +95,27 @@ func DequantizeBatched(f Format, enc *Encoding) *tensor.Tensor {
 // sample). Metadata-bearing formats with a fused kernel (INT, BFP, AFP)
 // run it directly over sample slices of one output buffer — no per-sample
 // tensor allocation, no quantize/dequantize round trip — with a
-// GOMAXPROCS-bounded fan-out for large activations. Formats without a
-// fused kernel (LUT), or with fused kernels disabled, emulate sliced views
-// through their own Emulate, which is what the fused path is pinned
-// bit-identical to.
+// GOMAXPROCS-bounded fan-out for large activations (tensor.ParallelRows).
+// Formats without a fused kernel (LUT, Generic) emulate sliced views
+// through their own Emulate, over the same fan-out; that is what the fused
+// path is pinned bit-identical to.
 func EmulateBatched(f Format, t *tensor.Tensor, n int) *tensor.Tensor {
 	g := sampleRows(t, n)
 	if n == 1 || batchInvariant(f) {
 		return f.Emulate(t)
 	}
-	span := t.Len() / n
-	if re, ok := f.(rowEmulator); ok && FusedKernels() {
-		countEmulate(t.Len())
-		countKernelFused()
+	if re, ok := f.(rowEmulator); ok {
 		out := t.Clone()
-		emulateRowsParallel(re, out.Data(), n, span)
+		emulateSamples(re, out.Data(), n)
 		return out
 	}
+	span := t.Len() / n
 	out := tensor.New(t.Shape()...)
 	dst := out.Data()
-	emulateSample := func(s int) {
-		copy(dst[s*span:(s+1)*span], f.Emulate(t.Slice(s*g, (s+1)*g)).Data())
-	}
-	if t.Len() >= emulateRowParallelMin {
-		var wg sync.WaitGroup
-		wg.Add(n)
-		for s := 0; s < n; s++ {
-			go func(s int) {
-				defer wg.Done()
-				emulateSample(s)
-			}(s)
+	tensor.ParallelRows(n, span, func(lo, hi int) {
+		for s := lo; s < hi; s++ {
+			copy(dst[s*span:(s+1)*span], f.Emulate(t.Slice(s*g, (s+1)*g)).Data())
 		}
-		wg.Wait()
-	} else {
-		for s := 0; s < n; s++ {
-			emulateSample(s)
-		}
-	}
+	})
 	return out
 }

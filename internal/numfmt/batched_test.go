@@ -1,6 +1,8 @@
 package numfmt
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"goldeneye/internal/rng"
@@ -154,18 +156,23 @@ func TestEmulateBatchedMatchesPerRow(t *testing.T) {
 	}
 }
 
-// EmulateBatched must take the same parallel path for large tensors that
-// real campaign activations hit.
+// EmulateBatched must give every family's samples their batch-1 bits on
+// the parallel path that real campaign activations hit: the fused kernels'
+// and, for NewLUT(4), the per-sample Emulate loop's share of
+// tensor.ParallelRows.
 func TestEmulateBatchedParallelPath(t *testing.T) {
-	in := batchedInput(8, emulateRowParallelMin/8+3)
-	f := INT8()
-	got := EmulateBatched(f, in, 8).Data()
-	cols := in.Len() / 8
-	for r := 0; r < 8; r++ {
-		want := f.Emulate(in.Slice(r, r+1)).Data()
-		for j, w := range want {
-			if got[r*cols+j] != w {
-				t.Fatalf("row %d elem %d = %v, batch-1 %v", r, j, got[r*cols+j], w)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const rows = 8
+	in := batchedInput(rows, tensor.ParallelMinElems/rows+3)
+	cols := in.Len() / rows
+	for _, f := range batchedFormats() {
+		got := EmulateBatched(f, in, rows).Data()
+		for r := 0; r < rows; r++ {
+			want := f.Emulate(in.Slice(r, r+1)).Data()
+			for j, w := range want {
+				if g := got[r*cols+j]; math.Float32bits(g) != math.Float32bits(w) {
+					t.Fatalf("%s: row %d elem %d = %v, batch-1 %v", f.Name(), r, j, g, w)
+				}
 			}
 		}
 	}
@@ -180,5 +187,33 @@ func TestEncodingCloneCopiesRowMeta(t *testing.T) {
 	c.RowMeta[0].SharedExp[0] ^= 0xff
 	if enc.RowMeta[0].SharedExp[0] == c.RowMeta[0].SharedExp[0] {
 		t.Fatal("clone shares SharedExp storage with the original")
+	}
+}
+
+// Generic keeps every method of its format but Emulate, which takes the
+// code-space round trip: same bits as the fused kernel, counted as a
+// generic kernel, and no fused epilogue to hand a layer.
+func TestGenericTakesCodePath(t *testing.T) {
+	in := batchedInput(4, 33)
+	for _, f := range batchedFormats() {
+		g := Generic(f)
+		if g.Name() != f.Name() || g.BitWidth() != f.BitWidth() {
+			t.Fatalf("%s: Generic changed the format's identity to %s/%d", f.Name(), g.Name(), g.BitWidth())
+		}
+		before := ReadOpCounts()
+		got := g.Emulate(in).Data()
+		after := ReadOpCounts()
+		if after.GenericKernels != before.GenericKernels+1 || after.FusedKernels != before.FusedKernels {
+			t.Fatalf("%s: Generic ran %d generic and %d fused kernels, want 1 and 0", f.Name(),
+				after.GenericKernels-before.GenericKernels, after.FusedKernels-before.FusedKernels)
+		}
+		for i, w := range f.Emulate(in).Data() {
+			if math.Float32bits(got[i]) != math.Float32bits(w) {
+				t.Fatalf("%s: element %d = %v, Emulate %v", f.Name(), i, got[i], w)
+			}
+		}
+		if !EmulateEpilogue(g, 1).Empty() {
+			t.Fatalf("%s: Generic handed out a fused epilogue", f.Name())
+		}
 	}
 }

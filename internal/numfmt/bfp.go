@@ -182,15 +182,11 @@ func (f *BFP) decodeValue(b Bits, step float64) float64 {
 	return v
 }
 
-// Emulate implements Format. With fused kernels enabled (the default) it
-// runs the single-pass block kernel below; otherwise it takes the generic
-// quantize→dequantize code path, which the fused kernel is pinned
-// bit-identical to by the property and fuzz suites.
+// Emulate implements Format with the single-pass block kernel below, pinned
+// bit-identical to the generic quantize→dequantize code path (Generic) by
+// the property and fuzz suites.
 func (f *BFP) Emulate(t *tensor.Tensor) *tensor.Tensor {
 	countEmulate(t.Len())
-	if !FusedKernels() {
-		return emulateViaCodes(f, t)
-	}
 	countKernelFused()
 	out := t.Clone()
 	f.emulateRowsInPlace(out.Data(), 1, t.Len())

@@ -172,10 +172,9 @@ type Format interface {
 	// the inference-emulation hot path: all five paper families run fused
 	// single-pass kernels here (see kernels.go), bit-identical to the
 	// generic Dequantize∘Quantize composition that defines the semantics.
-	// LNS, posit, and the LUT take the generic path; SetFusedKernels(false)
-	// pins BFP/AFP back to it for differential testing and for measuring
-	// the paper's Fig 3 dichotomy between accelerated and code-based
-	// backends.
+	// LNS, posit, and the LUT take the generic path, and Generic wraps any
+	// format onto it — for differential testing and for measuring the
+	// paper's Fig 3 dichotomy between accelerated and code-based backends.
 	Emulate(t *tensor.Tensor) *tensor.Tensor
 
 	// Range reports the representable dynamic range (Table I).
@@ -183,9 +182,9 @@ type Format interface {
 }
 
 // emulateViaCodes is the generic (slow) Emulate implementation: a full
-// quantize→dequantize round trip through code space. BFP and AFP fall back
-// to it when fused kernels are disabled (SetFusedKernels), and it remains
-// the reference the fused kernels are differentially tested against.
+// quantize→dequantize round trip through code space. Generic formats run
+// it, and it is the reference the fused kernels are differentially tested
+// against.
 func emulateViaCodes(f Format, t *tensor.Tensor) *tensor.Tensor {
 	countKernelGeneric()
 	return f.Dequantize(f.Quantize(t))
@@ -198,10 +197,13 @@ func roundEven(v float64) float64 { return math.RoundToEven(v) }
 // roundEvenMagic is the branch-free RNE used in tensor fast paths: adding
 // and subtracting 1.5·2^52 forces the hardware's round-to-nearest-even at
 // integer granularity. Valid for |v| < 2^51; callers guard the range.
-// Exactness against roundEven is covered by property tests.
+// Exactness against roundEven is covered by property tests. The
+// conversion rounds v on its own before the add: a caller's inlined
+// v = x*scale would otherwise fuse with it into one FMA on architectures
+// that have one, rounding the exact product and changing the result.
 func roundEvenMagic(v float64) float64 {
 	const magic = 3 * (1 << 51)
-	return v + magic - magic
+	return float64(v) + magic - magic
 }
 
 // magicSafe is the magnitude below which roundEvenMagic is exact.

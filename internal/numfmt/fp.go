@@ -300,7 +300,7 @@ func (f *FP) FromBits(b Bits, _ Metadata) float64 {
 		}
 		return math.NaN()
 	default:
-		frac := 1 + float64(mant)*math.Ldexp(1, -f.mantBits)
+		frac := 1 + float64(float64(mant)*math.Ldexp(1, -f.mantBits))
 		return sign * frac * math.Ldexp(1, int(e)-f.bias)
 	}
 }

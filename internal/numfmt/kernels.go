@@ -23,9 +23,6 @@ package numfmt
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"goldeneye/internal/tensor"
 )
@@ -48,40 +45,21 @@ var (
 	_ rowEmulator = (*AFP)(nil)
 )
 
-// fusedDisabled gates the fused kernels globally. The zero value (false)
-// means fused kernels are ON; the bench harness flips it to measure the
-// pre-fusion baseline. It is not meant to be toggled concurrently with
-// running campaigns.
-var fusedDisabled atomic.Bool
+// Generic returns f with Emulate replaced by the literal quantize→dequantize
+// round trip through code space (emulateViaCodes) — the semantics every
+// fused kernel is pinned bit-identical to, and the code-based backend of
+// the paper's Fig 3. Every other method is f's own. A Generic format has
+// no fused kernel, so EmulateEpilogue leaves it to the hook path and
+// EmulateBatched emulates each sample through its Emulate: differential
+// tests, the bench matrix's reference rows and Fig 3 pick the slow path
+// per format, without process-wide state.
+func Generic(f Format) Format { return generic{f} }
 
-// SetFusedKernels enables or disables the fused single-pass emulation
-// kernels and returns the previous setting. Disabling restores the
-// pre-fusion paths — the generic quantize→dequantize double pass for BFP
-// and AFP, and the per-sample Slice+Emulate loop in EmulateBatched — which is
-// the serial baseline the bench matrix measures speedups against. FP, FxP,
-// and INT keep their whole-tensor arithmetic fast paths in both modes
-// (those predate the fused kernels and are part of the baseline).
-func SetFusedKernels(on bool) bool {
-	return !fusedDisabled.Swap(!on)
-}
+type generic struct{ Format }
 
-// FusedKernels reports whether the fused emulation kernels are enabled.
-func FusedKernels() bool { return !fusedDisabled.Load() }
-
-// EmulateGeneric runs f's generic quantize→dequantize Emulate path
-// regardless of the fused-kernel toggle. Differential tests and the bench
-// harness use it as the reference the fused kernels must match bit for
-// bit.
-func EmulateGeneric(f Format, t *tensor.Tensor) *tensor.Tensor {
+func (g generic) Emulate(t *tensor.Tensor) *tensor.Tensor {
 	countEmulate(t.Len())
-	return emulateViaCodes(f, t)
-}
-
-// HasFusedKernel reports whether f ships a fused single-pass Emulate
-// kernel (the fp/fxp/intq/bfp/afp families).
-func HasFusedKernel(f Format) bool {
-	_, ok := f.(rowEmulator)
-	return ok
+	return emulateViaCodes(g.Format, t)
 }
 
 // EmulateEpilogue returns a tensor.Epilogue that applies f's fused
@@ -93,55 +71,33 @@ func HasFusedKernel(f Format) bool {
 // workers emulate their own output chunks.
 //
 // The returned epilogue is empty — and callers fall back to the hook path
-// — when f has no fused kernel or fused kernels are disabled.
+// — when f has no fused kernel.
 func EmulateEpilogue(f Format, n int) tensor.Epilogue {
 	re, ok := f.(rowEmulator)
-	if !ok || !FusedKernels() {
+	if !ok {
 		return tensor.Epilogue{}
 	}
 	if batchInvariant(f) {
-		// Element-local: any contiguous chunk is a valid unit of work.
-		return tensor.Epilogue{Tile: func(chunk []float32) {
-			countEmulate(len(chunk))
-			countKernelFused()
-			re.emulateRowsInPlace(chunk, 1, len(chunk))
-		}}
+		// Element-local: any contiguous chunk is a valid unit of work,
+		// emulated as one sample since the kernel ignores the geometry.
+		return tensor.Epilogue{Tile: func(chunk []float32) { emulateSamples(re, chunk, 1) }}
 	}
 	return tensor.Epilogue{Whole: func(data []float32) {
 		if len(data)%n != 0 {
 			panic(fmt.Sprintf("numfmt: %d samples do not divide a %d-element output", n, len(data)))
 		}
-		countEmulate(len(data))
-		countKernelFused()
-		emulateRowsParallel(re, data, n, len(data)/n)
+		emulateSamples(re, data, n)
 	}}
 }
 
-// emulateRowsParallel applies re's fused kernel over rows (a pass's
-// samples) with a bounded worker fan-out: contiguous row chunks, one
-// goroutine per GOMAXPROCS slot, mirroring the tensor package's
-// parallelRows. Small tensors stay on the calling goroutine.
-func emulateRowsParallel(re rowEmulator, data []float32, rows, rowLen int) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > rows {
-		workers = rows
-	}
-	if rows*rowLen < emulateRowParallelMin || workers <= 1 {
-		re.emulateRowsInPlace(data, rows, rowLen)
-		return
-	}
-	chunk := (rows + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < rows; lo += chunk {
-		hi := lo + chunk
-		if hi > rows {
-			hi = rows
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			re.emulateRowsInPlace(data[lo*rowLen:hi*rowLen], hi-lo, rowLen)
-		}(lo, hi)
-	}
-	wg.Wait()
+// emulateSamples runs re's fused kernel once over data, the activation of
+// an n-sample pass, deriving each sample's metadata from its contiguous
+// len(data)/n span alone; large activations fan out over tensor.ParallelRows.
+func emulateSamples(re rowEmulator, data []float32, n int) {
+	countEmulate(len(data))
+	countKernelFused()
+	span := len(data) / n
+	tensor.ParallelRows(n, span, func(lo, hi int) {
+		re.emulateRowsInPlace(data[lo*span:hi*span], hi-lo, span)
+	})
 }

@@ -194,19 +194,47 @@ func normQuantile(p float64) float64 {
 	c := [6]float64{-0.007784894002430293, -0.3223964580411365, -2.400758277161838, -2.549732539343734, 4.374664141464968, 2.938163982698783}
 	d := [4]float64{0.007784695709041462, 0.3224671290700398, 2.445134137142996, 3.754408661907416}
 	const pLow = 0.02425
+	// Horner steps round each product on its own: the conversion forbids
+	// fusing it with the add into one FMA, which arm64, ppc64le, s390x and
+	// riscv64 would otherwise do, so they compute amd64's bits.
 	switch {
 	case p < pLow:
 		q := math.Sqrt(-2 * math.Log(p))
-		return (((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
+		num := float64(c[0]*q) + c[1]
+		num = float64(num*q) + c[2]
+		num = float64(num*q) + c[3]
+		num = float64(num*q) + c[4]
+		num = float64(num*q) + c[5]
+		den := float64(d[0]*q) + d[1]
+		den = float64(den*q) + d[2]
+		den = float64(den*q) + d[3]
+		den = float64(den*q) + 1
+		return num / den
 	case p <= 1-pLow:
 		q := p - 0.5
 		r := q * q
-		return (((((a[0]*r+a[1])*r+a[2])*r+a[3])*r+a[4])*r + a[5]) * q /
-			(((((b[0]*r+b[1])*r+b[2])*r+b[3])*r+b[4])*r + 1)
+		num := float64(a[0]*r) + a[1]
+		num = float64(num*r) + a[2]
+		num = float64(num*r) + a[3]
+		num = float64(num*r) + a[4]
+		num = (float64(num*r) + a[5]) * q
+		den := float64(b[0]*r) + b[1]
+		den = float64(den*r) + b[2]
+		den = float64(den*r) + b[3]
+		den = float64(den*r) + b[4]
+		den = float64(den*r) + 1
+		return num / den
 	default:
 		q := math.Sqrt(-2 * math.Log(1-p))
-		return -(((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
+		num := float64(c[0]*q) + c[1]
+		num = float64(num*q) + c[2]
+		num = float64(num*q) + c[3]
+		num = float64(num*q) + c[4]
+		num = -(float64(num*q) + c[5])
+		den := float64(d[0]*q) + d[1]
+		den = float64(den*q) + d[2]
+		den = float64(den*q) + d[3]
+		den = float64(den*q) + 1
+		return num / den
 	}
 }

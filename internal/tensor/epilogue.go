@@ -23,9 +23,10 @@ type Epilogue struct {
 	Whole func(data []float32)
 
 	// Accum, when active, moves the epilogue machinery *inside* the GEMM
-	// reduction: MatMulBias (and Conv2D via MatMulAccum) runs its
-	// accumulator kernel instead of the plain one, quantizing every partial
-	// sum and landing scheduled faults mid-reduction. Unlike the two
+	// reduction: MatMulBias — the GEMM of Linear and of the conv forward
+	// alike — runs its accumulator kernel instead of the plain one,
+	// quantizing every partial sum and landing scheduled faults
+	// mid-reduction. Unlike the two
 	// callbacks above it is not a transform of the completed output, so it
 	// does not participate in Empty — hook fusion decisions are about the
 	// output transform only. It is set by the layer's Forward (from the

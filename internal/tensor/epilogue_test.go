@@ -45,7 +45,7 @@ func TestMatMulBiasNilBias(t *testing.T) {
 	r := rng.New(7)
 	a := Randn(r, 1, 4, 6)
 	b := Randn(r, 1, 6, 3)
-	bitsEqual(t, a.MatMulBias(b, nil, Epilogue{}), a.MatMul(b))
+	bitsEqual(t, a.MatMulBias(b, nil, Epilogue{}), plainKernel(a, b))
 }
 
 // Tile epilogues run inside the producing workers over disjoint chunks
@@ -53,7 +53,7 @@ func TestMatMulBiasNilBias(t *testing.T) {
 // the full storage.
 func TestMatMulBiasEpilogueCoverage(t *testing.T) {
 	r := rng.New(9)
-	m, k, n := 40, 16, 512 // m*n over matmulParallelThreshold: parallel path
+	m, k, n := 40, 16, 512 // m*n over ParallelMinElems: parallel path
 	a := Randn(r, 1, m, k)
 	b := Randn(r, 1, k, n)
 

@@ -9,34 +9,6 @@ import (
 	"time"
 )
 
-// matmulParallelThreshold is the output-element count above which MatMul
-// shards rows across goroutines. Below it, the goroutine fan-out costs more
-// than it saves on the small tensors this simulator works with.
-const matmulParallelThreshold = 16 * 1024
-
-// MatMul returns t @ o for rank-2 tensors of shapes (m, k) and (k, n).
-// Rows of the result are computed in parallel for large outputs.
-func (t *Tensor) MatMul(o *Tensor) *Tensor {
-	if len(t.shape) != 2 || len(o.shape) != 2 {
-		panic(fmt.Sprintf("tensor: MatMul requires rank-2 operands, got %v and %v", t.shape, o.shape))
-	}
-	m, k := t.shape[0], t.shape[1]
-	k2, n := o.shape[0], o.shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMul inner dimensions differ: %v @ %v", t.shape, o.shape))
-	}
-	out := New(m, n)
-	defer func(start time.Time) { recordMatMul(start, m, n, k) }(time.Now())
-	if m*n >= matmulParallelThreshold && m > 1 {
-		parallelRows(m, func(lo, hi int) {
-			matmulRows(out.data, t.data, o.data, lo, hi, k, n)
-		})
-	} else {
-		matmulRows(out.data, t.data, o.data, 0, m, k, n)
-	}
-	return out
-}
-
 // matmulRowsGo computes rows [lo, hi) of C += A @ B using an ikj loop order
 // so the inner loop streams both B and C rows sequentially. It is the
 // portable kernel and the reference the assembly kernel must match bit for
@@ -60,24 +32,6 @@ func matmulRowsGo(c, a, b []float32, lo, hi, k, n int) {
 			}
 		}
 	}
-}
-
-// faultsByRowStep returns a copy of faults ordered by (Row, Step), keeping
-// slice order among faults that share both — the order they apply in. The
-// GEMM indexes its faults this way once per call, so each output row finds
-// its own faults without scanning the others.
-func faultsByRowStep(faults []AccumFault) []AccumFault {
-	if len(faults) == 0 {
-		return nil
-	}
-	s := slices.Clone(faults)
-	slices.SortStableFunc(s, func(x, y AccumFault) int {
-		if c := cmp.Compare(x.Row, y.Row); c != 0 {
-			return c
-		}
-		return cmp.Compare(x.Step, y.Step)
-	})
-	return s
 }
 
 // matmulRowsAccum is matmulRows with an active accumulator hook: after each
@@ -134,32 +88,28 @@ func addScaledRow(ci, bp []float32, av float32) {
 	}
 }
 
-// MatMulAccum is MatMul with an accumulator hook threaded into the
-// reduction (see AccumHook). An inactive hook delegates to MatMul — the
-// default path is byte-for-byte the plain kernel.
-func (t *Tensor) MatMulAccum(o *Tensor, h *AccumHook) *Tensor {
-	if !h.Active() {
-		return t.MatMul(o)
+// faultsByRowStep returns a copy of faults ordered by (Row, Step), keeping
+// slice order among faults that share both — the order they apply in. The
+// GEMM indexes its faults this way once per call, so each output row finds
+// its own faults without scanning the others.
+func faultsByRowStep(faults []AccumFault) []AccumFault {
+	if len(faults) == 0 {
+		return nil
 	}
-	if len(t.shape) != 2 || len(o.shape) != 2 {
-		panic(fmt.Sprintf("tensor: MatMulAccum requires rank-2 operands, got %v and %v", t.shape, o.shape))
-	}
-	m, k := t.shape[0], t.shape[1]
-	k2, n := o.shape[0], o.shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulAccum inner dimensions differ: %v @ %v", t.shape, o.shape))
-	}
-	out := New(m, n)
-	defer func(start time.Time) { recordMatMul(start, m, n, k) }(time.Now())
-	faults := faultsByRowStep(h.Faults)
-	if m*n >= matmulParallelThreshold && m > 1 {
-		parallelRows(m, func(lo, hi int) {
-			matmulRowsAccum(out.data, t.data, o.data, lo, hi, k, n, h.Quant, faults)
-		})
-	} else {
-		matmulRowsAccum(out.data, t.data, o.data, 0, m, k, n, h.Quant, faults)
-	}
-	return out
+	s := slices.Clone(faults)
+	slices.SortStableFunc(s, func(x, y AccumFault) int {
+		if c := cmp.Compare(x.Row, y.Row); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.Step, y.Step)
+	})
+	return s
+}
+
+// MatMul returns t @ o for rank-2 tensors of shapes (m, k) and (k, n):
+// MatMulBias without a bias or an epilogue.
+func (t *Tensor) MatMul(o *Tensor) *Tensor {
+	return t.MatMulBias(o, nil, Epilogue{})
 }
 
 // MatMulBias returns t @ o + bias with an optional epilogue applied to the
@@ -168,7 +118,9 @@ func (t *Tensor) MatMulAccum(o *Tensor, h *AccumHook) *Tensor {
 // MatMul(o).Add(bias), which performs the same additions in the same
 // order, but without materializing the intermediate product. The epilogue
 // runs per output chunk inside the worker goroutines (Tile) or once after
-// the parallel barrier (Whole); see Epilogue.
+// the parallel barrier (Whole); an active ep.Accum swaps the plain kernel
+// for the accumulator one (see AccumHook). It is the one GEMM driver:
+// MatMul, Linear and the conv forward all run through it.
 //
 // This is the layer-forward fast path: emulation (or any element-local
 // transform) touches each output element while its cache line is still
@@ -218,11 +170,7 @@ func (t *Tensor) MatMulBias(o, bias *Tensor, ep Epilogue) *Tensor {
 			ep.Tile(out.data[lo*n : hi*n])
 		}
 	}
-	if m*n >= matmulParallelThreshold && m > 1 {
-		parallelRows(m, work)
-	} else {
-		work(0, m)
-	}
+	ParallelRows(m, n, work)
 	ep.Apply(out.data)
 	return out
 }
@@ -254,11 +202,7 @@ func (t *Tensor) MatMulT(o *Tensor) *Tensor {
 			}
 		}
 	}
-	if m*n >= matmulParallelThreshold && m > 1 {
-		parallelRows(m, work)
-	} else {
-		work(0, m)
-	}
+	ParallelRows(m, n, work)
 	return out
 }
 
@@ -294,11 +238,7 @@ func (t *Tensor) TMatMul(o *Tensor) *Tensor {
 			}
 		}
 	}
-	if m*n >= matmulParallelThreshold && m > 1 {
-		parallelRows(m, work)
-	} else {
-		work(0, m)
-	}
+	ParallelRows(m, n, work)
 	return out
 }
 
@@ -317,29 +257,34 @@ func (t *Tensor) Transpose2D() *Tensor {
 	return out
 }
 
-// parallelRows splits [0, m) into contiguous chunks, one per worker, and
-// waits for all workers to finish.
-func parallelRows(m int, f func(lo, hi int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > m {
-		workers = m
+// ParallelMinElems is the element count from which ParallelRows shards
+// its rows across goroutines. Below it, the goroutine fan-out costs more
+// than it saves on the small tensors this simulator works with.
+const ParallelMinElems = 16 * 1024
+
+// ParallelRows runs f over [0, rows) of a rows×rowLen matrix: in one call
+// on the calling goroutine when the matrix holds fewer than
+// ParallelMinElems elements or a single row, else in contiguous row chunks,
+// one per GOMAXPROCS worker, waiting for all of them. It is the one fan-out
+// of the GEMMs and the emulation kernels; f must only touch its own rows.
+func ParallelRows(rows, rowLen int, f func(lo, hi int)) {
+	workers := 1
+	if rows*rowLen >= ParallelMinElems {
+		workers = min(runtime.GOMAXPROCS(0), rows)
 	}
 	if workers <= 1 {
-		f(0, m)
+		f(0, rows)
 		return
 	}
-	chunk := (m + workers - 1) / workers
+	chunk := (rows + workers - 1) / workers
 	var wg sync.WaitGroup
-	for lo := 0; lo < m; lo += chunk {
-		hi := lo + chunk
-		if hi > m {
-			hi = m
-		}
+	for lo := 0; lo < rows; lo += chunk {
+		hi := min(lo+chunk, rows)
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func() {
 			defer wg.Done()
 			f(lo, hi)
-		}(lo, hi)
+		}()
 	}
 	wg.Wait()
 }

@@ -116,7 +116,7 @@ func (t *Tensor) LogSumExpRows() []float64 {
 func (t *Tensor) Norm2() float64 {
 	var s float64
 	for _, v := range t.data {
-		s += float64(v) * float64(v)
+		s += float64(float64(v) * float64(v))
 	}
 	return math.Sqrt(s)
 }

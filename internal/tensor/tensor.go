@@ -82,7 +82,7 @@ func RandUniform(r *rng.RNG, lo, hi float64, shape ...int) *Tensor {
 	t := New(shape...)
 	span := hi - lo
 	for i := range t.data {
-		t.data[i] = float32(lo + r.Float64()*span)
+		t.data[i] = float32(lo + float64(r.Float64()*span))
 	}
 	return t
 }
