@@ -61,13 +61,15 @@ purego:
 
 # Architecture-independent bytes: the Go spec lets a compiler fuse x*y + z
 # into one FMA, which arm64, ppc64le, s390x and riscv64 do and amd64 never
-# does, so every such site in the emulation, GEMM and random-number
-# packages is written float64(x*y) + z (or float32). Compile each package
-# on its own for those architectures (a linked binary's dead-code
-# elimination could hide a site) and fail on any fused multiply-add
-# instruction in the assembly listing. internal/nn and the root package
-# still fuse (ROADMAP "Architecture-independent bytes").
-NOFMA_PKGS = ./internal/tensor ./internal/numfmt ./internal/rng
+# does, so every such site in the emulation, GEMM, random-number, metric,
+# sampling-estimator and detector packages is written float64(x*y) + z (or
+# float32). Compile each package on its own for those architectures (a
+# linked binary's dead-code elimination could hide a site) and fail on any
+# fused multiply-add instruction in the assembly listing. internal/nn,
+# internal/dataset and internal/train still fuse (ROADMAP
+# "Architecture-independent bytes").
+NOFMA_PKGS = ./internal/tensor ./internal/numfmt ./internal/rng \
+             ./internal/metrics ./internal/sampling ./internal/detect
 NOFMA_ARCHES = arm64 ppc64le s390x riscv64
 
 .PHONY: nofma

@@ -523,12 +523,13 @@ func (cfg *CampaignConfig) packBatch() int {
 
 // calibration is a campaign's fault-free state: the resolved geometry, the
 // legacy UseRanger range profile, the sealed detection pipeline with its
-// measured false positives, the clean references and the sampled
-// selection. The engine builds it once per run, with every worker running
-// its share of the setup sweeps on its own model (see engine.setup): each
-// slice writes only its own samples' references, and its calibration
-// observations stay in its pass until the slices fold in pool order. It is
-// immutable once setup completes, so workers share it without locking.
+// measured false positives, the clean references, the cut table and the
+// sampled selection. The engine builds it once per run, with every worker
+// running its share of the setup sweeps on its own model (see
+// engine.setup): each slice writes only its own samples' references and
+// cuts, and its calibration observations stay in its pass until the slices
+// fold in pool order. It is immutable once setup completes, so workers
+// share it without locking.
 // The sealed pipeline's detectors are read-only after FinishCalibration,
 // and keep any per-pass state in the hooks Arm returns.
 type calibration struct {
@@ -549,13 +550,21 @@ type calibration struct {
 	cleanPred []int
 	cleanLoss []float64
 
+	// The cut table (see campaign_prefix.go), nil when clean-prefix reuse
+	// is off: cuts holds every pool sample's clean input of top-level child
+	// block, and fullPass marks the samples whose clean prefix raised a
+	// detector event. The armed clean sweep fills both.
+	block    int
+	cuts     *tensor.Tensor
+	fullPass []bool
+
 	// sel is the sampled selection (nil for an exhaustive campaign).
 	sel *campaignSelection
 }
 
 // campaignRunner is one worker's campaign state: its simulator and weight
-// backup, timing hooks, scratch and prefix memo. The embedded calibration
-// is the campaign's, shared read-only with every other worker.
+// backup, timing hooks and scratch. The embedded calibration is the
+// campaign's, shared read-only with every other worker.
 type campaignRunner struct {
 	*calibration
 
@@ -572,12 +581,9 @@ type campaignRunner struct {
 	// parallel workers each own a runner.
 	scratch *campaignScratch
 
-	// prefix is the clean-prefix memo injected passes start from (nil when
-	// reuse is off; see campaign_prefix.go). prefixRows are its
-	// MetricCampaignPrefixRows counters by outcome (nil without
-	// cfg.Metrics).
-	prefix     *prefixMemo
-	prefixRows [3]*telemetry.Counter
+	// prefixRows are the MetricCampaignPrefixRows counters by outcome (nil
+	// without cfg.Metrics).
+	prefixRows [2]*telemetry.Counter
 }
 
 // campaignArena pools the float32 buffers backing batched campaign inputs,
@@ -598,9 +604,8 @@ var campaignArena = tensor.NewArena()
 // injection group — i.e. anything appended to a report's Trace — must go
 // through traceCopy first.
 type campaignScratch struct {
-	rowLen    int                    // elements per pool-input row
-	xbBuf     []float32              // arena-backed storage behind every xb view
-	xb        map[int]*tensor.Tensor // row count → cached view over xbBuf
+	xbBuf     []float32                    // arena-backed storage behind every xb view
+	xb        map[gatherKey]*tensor.Tensor // cached views over xbBuf
 	yb        []int
 	idx       []int
 	samples   []int
@@ -610,14 +615,18 @@ type campaignScratch struct {
 	errs      []error
 }
 
-// newCampaignScratch sizes a scratch for groups of up to batch rows drawn
-// from pool input x, with flips faults per row.
-func newCampaignScratch(x *tensor.Tensor, batch, flips int) *campaignScratch {
-	rowLen := x.Len() / x.Dim(0)
+// gatherKey names a cached gather view: its source and row count.
+type gatherKey struct {
+	src  *tensor.Tensor
+	rows int
+}
+
+// newCampaignScratch sizes a scratch for groups of up to batch rows of up
+// to rowLen elements, with flips faults per row.
+func newCampaignScratch(rowLen, batch, flips int) *campaignScratch {
 	return &campaignScratch{
-		rowLen:    rowLen,
 		xbBuf:     campaignArena.Get(batch * rowLen),
-		xb:        make(map[int]*tensor.Tensor, 2),
+		xb:        make(map[gatherKey]*tensor.Tensor, 4),
 		yb:        make([]int, batch),
 		idx:       make([]int, batch),
 		samples:   make([]int, batch),
@@ -635,16 +644,18 @@ func (sc *campaignScratch) faultRow(k, flips int) []inject.Fault {
 }
 
 // gather fills and returns the cached batch-input view for samples: the
-// selected rows of x copied into arena-backed storage, wrapped once per
-// distinct row count (a campaign sees at most two — the full batch and the
-// final partial group). The view is valid until the next gather call.
+// selected rows of x — the pool input or the cut table — copied into
+// arena-backed storage, wrapped once per source and distinct row count (a
+// campaign sees at most two — the full batch and the final partial
+// group). The view is valid until the next gather call.
 func (sc *campaignScratch) gather(x *tensor.Tensor, samples []int) *tensor.Tensor {
 	rows := len(samples)
-	xb := sc.xb[rows]
+	key := gatherKey{x, rows}
+	xb := sc.xb[key]
 	if xb == nil {
 		shape := append([]int{rows}, x.Shape()[1:]...)
-		xb = tensor.Wrap(sc.xbBuf[:rows*sc.rowLen], shape...)
-		sc.xb[rows] = xb
+		xb = tensor.Wrap(sc.xbBuf[:rows*(x.Len()/x.Dim(0))], shape...)
+		sc.xb[key] = xb
 	}
 	tensor.GatherRowsInto(xb, x, samples)
 	return xb
@@ -785,11 +796,15 @@ func (s *Simulator) newRunner(cfg CampaignConfig) *campaignRunner {
 }
 
 // use adopts c as the runner's calibration and sizes the runner's scratch
-// and prefix memo for it.
+// for it: a group's input rows come from the pool or the cut table.
 func (r *campaignRunner) use(c *calibration) {
 	r.calibration = c
-	r.scratch = newCampaignScratch(c.geom.pool.X, c.batch, c.geom.flips)
-	r.prefix = r.newPrefixMemo()
+	n := c.geom.pool.Len()
+	rowLen := c.geom.pool.X.Len() / n
+	if c.cuts != nil {
+		rowLen = max(rowLen, c.cuts.Len()/n)
+	}
+	r.scratch = newCampaignScratch(rowLen, c.batch, c.geom.flips)
 }
 
 // newCalibration lays out the campaign's calibration over geometry g: it
@@ -827,22 +842,26 @@ func (r *campaignRunner) newCalibration(cfg CampaignConfig, g campaignGeom) (*ca
 		refs.sweep(n, 16, (*campaignRunner).profileSlice)
 	}
 	refs.sweep(n, c.batch, (*campaignRunner).referenceSlice)
-	if c.pipeline == nil {
+	c.layoutCuts(r.sim)
+	if c.pipeline == nil && c.cuts == nil {
 		return c, []*setupPhase{refs}, nil
 	}
-	// One more fault-free sweep with the sealed pipeline armed: anything
-	// it flags is a false positive (calibrated detectors are constructed
-	// not to flag their own calibration pool; this measures it).
-	c.fpStats = make(map[string]metrics.DetectorStats, len(cfg.Detectors))
-	for _, name := range c.pipeline.Names() {
-		c.fpStats[name] = metrics.DetectorStats{FaultFreeRuns: n}
+	// The armed clean sweep, once the ranger and the pipeline are sealed,
+	// fills the cut table and measures false positives: anything the
+	// pipeline flags is one (calibrated detectors are constructed not to
+	// flag their own calibration pool; this measures it).
+	if c.pipeline != nil {
+		c.fpStats = make(map[string]metrics.DetectorStats, len(cfg.Detectors))
+		for _, name := range c.pipeline.Names() {
+			c.fpStats[name] = metrics.DetectorStats{FaultFreeRuns: n}
+		}
 	}
-	fp := newSetupPhase(func() error {
+	armed := newSetupPhase(func() error {
 		calSpan.End()
 		return nil
 	})
-	fp.sweep(n, c.batch, (*campaignRunner).falsePositiveSlice)
-	return c, []*setupPhase{refs, fp}, nil
+	armed.sweep(n, c.batch, (*campaignRunner).armedSlice)
+	return c, []*setupPhase{refs, armed}, nil
 }
 
 // seal seals the UseRanger profile and the detection pipeline once their
@@ -951,15 +970,42 @@ func (r *campaignRunner) referenceSlice(x *tensor.Tensor, lo, hi int) func() {
 	return fold
 }
 
-// falsePositiveSlice runs the armed pipeline over pool samples [lo, hi),
-// with the duplicate execution a comparator (DMR) needs, and returns the
-// fold that counts the slice's flags as false positives.
-func (r *campaignRunner) falsePositiveSlice(x *tensor.Tensor, lo, hi int) func() {
-	rec := detect.NewRecorder(hi - lo)
-	logits := nn.Forward(nn.NewContext(r.withTiming(r.armedCleanHooks(hi-lo, rec))), r.sim.model, x)
+// armedSlice runs the armed clean sweep over pool samples [lo, hi): a
+// fault-free pass under an injected pass's hooks minus the injection (see
+// armedCleanHooks). With clean-prefix reuse it runs the prefix first and
+// records the slice's rows of the cut table, marking a sample full-pass
+// when its prefix raised a detector event (a flag or a non-finite mark):
+// skipping that prefix would drop the event from the injected pass's
+// recorder. Without a pipeline it stops there. With one it continues from
+// the cut in the same context, which makes one full pass, reruns from the
+// cut when a comparator (DMR) needs the duplicate, and returns the fold
+// that counts the slice's flags as false positives.
+func (r *campaignRunner) armedSlice(x *tensor.Tensor, lo, hi int) func() {
+	n := hi - lo
+	var rec *detect.Recorder
+	if r.pipeline != nil {
+		rec = detect.NewRecorder(n)
+	}
+	ctx := nn.NewContext(r.withTiming(r.armedCleanHooks(n, rec)))
+	var logits *tensor.Tensor
+	rerun := func(ctx *nn.Context) *tensor.Tensor { return nn.Forward(ctx, r.sim.model, x) }
+	if r.cuts == nil {
+		logits = nn.Forward(ctx, r.sim.model, x)
+	} else {
+		cut := nn.ForwardRange(ctx, r.sim.root, 0, r.block, 0, x)
+		copy(r.cuts.Data()[lo*cut.Len()/n:], cut.Data())
+		for k := range n {
+			r.fullPass[lo+k] = rec != nil && (rec.RowFlagged(k) || rec.FirstNonFiniteLayer(k) >= 0)
+		}
+		if rec == nil {
+			return nil
+		}
+		logits = r.fromCut(ctx, cut)
+		// The rerun's prefix, under the same hooks, is the recorded cut.
+		rerun = func(ctx *nn.Context) *tensor.Tensor { return r.fromCut(ctx, r.cuts.Slice(lo, hi)) }
+	}
 	if r.pipeline.NeedsRerun() {
-		redo := r.armedCleanHooks(hi-lo, detect.NewRecorder(hi-lo))
-		again := nn.Forward(nn.NewContext(r.withTiming(redo)), r.sim.model, x)
+		again := rerun(nn.NewContext(r.withTiming(r.armedCleanHooks(n, detect.NewRecorder(n)))))
 		r.pipeline.CompareOutputs(rec, logits, again)
 	}
 	stats := r.fpStats
@@ -1012,7 +1058,6 @@ func (r *campaignRunner) detectorBaseline() map[string]metrics.DetectorStats {
 func (r *campaignRunner) close() {
 	r.backup.Restore()
 	r.scratch.release()
-	r.prefix.release()
 }
 
 // withTiming merges the runner's per-layer timer into h as the last hook

@@ -7,7 +7,6 @@ import (
 
 	"goldeneye/internal/inject"
 	"goldeneye/internal/numfmt"
-	"goldeneye/internal/tensor"
 	"goldeneye/internal/zoo"
 )
 
@@ -72,24 +71,23 @@ func TestBatchedLoopBookkeepingAllocFree(t *testing.T) {
 		t.Fatalf("batched-loop bookkeeping allocates %.1f objects per group, want 0", allocs)
 	}
 
-	// The reuse path's bookkeeping: once every sample of a group has its
-	// cut, deciding where the group starts and gathering its suffix input
-	// allocate nothing (nor does the prefix-row telemetry, with no
-	// registry attached).
+	// The reuse path's bookkeeping: deciding where a group starts and
+	// gathering its suffix input from the cut table allocate nothing (nor
+	// does the prefix-row telemetry, with no registry attached).
 	cfg.Layer = sim.InjectableLayers()[1]
 	reuse := calibratedRunner(t, sim, cfg)
-	if reuse.prefix == nil {
-		t.Fatal("a fault past top-level child 0 must get a prefix memo")
+	if reuse.cuts == nil {
+		t.Fatal("a fault past top-level child 0 must get a cut table")
 	}
-	if !reuse.prefix.start(reuse, samples) {
+	if !reuse.atCut(samples) {
 		t.Fatal("a fault-free prefix must let the group start at the cut")
 	}
-	reuse.prefix.gather(samples)
+	reuse.scratch.gather(reuse.cuts, samples)
 	allocs = testing.AllocsPerRun(50, func() {
-		if !reuse.prefix.start(reuse, samples) {
-			t.Fatal("memoized group fell back to the full pass")
+		if !reuse.atCut(samples) {
+			t.Fatal("a clean group fell back to the full pass")
 		}
-		reuse.prefix.gather(samples)
+		reuse.scratch.gather(reuse.cuts, samples)
 	})
 	if allocs != 0 {
 		t.Fatalf("reuse-path bookkeeping allocates %.1f objects per group, want 0", allocs)
@@ -123,8 +121,7 @@ func TestCampaignScratchReturnsToArena(t *testing.T) {
 	// the scheduler's or the collector's timing.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	x := tensor.New(4, 8)
-	sc := newCampaignScratch(x, 4, 1)
+	sc := newCampaignScratch(8, 4, 1)
 	if len(sc.xbBuf) != 4*8 {
 		t.Fatalf("scratch buffer length %d, want %d", len(sc.xbBuf), 4*8)
 	}
@@ -135,7 +132,7 @@ func TestCampaignScratchReturnsToArena(t *testing.T) {
 	}
 	sc.release() // double release is a no-op, not a double Put
 
-	sc2 := newCampaignScratch(x, 4, 1)
+	sc2 := newCampaignScratch(8, 4, 1)
 	defer sc2.release()
 	if raceEnabled {
 		// The race-detector runtime randomly drops sync.Pool puts and

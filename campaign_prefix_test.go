@@ -53,7 +53,7 @@ type prefixCase struct {
 
 // runPrefixCase runs c with clean-prefix reuse on or off and returns the
 // report's wire bytes plus the prefix-row counters by outcome.
-func runPrefixCase(t *testing.T, c prefixCase, fullPassOnly bool) ([]byte, [3]int64) {
+func runPrefixCase(t *testing.T, c prefixCase, fullPassOnly bool) ([]byte, [2]int64) {
 	t.Helper()
 	build := prefixBuilder(c.model, fullPassOnly)
 	sim, err := build()
@@ -113,7 +113,7 @@ func runPrefixCase(t *testing.T, c prefixCase, fullPassOnly bool) ([]byte, [3]in
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rows [3]int64
+	var rows [2]int64
 	for i, c := range prefixRowCounters(reg) {
 		rows[i] = c.Value()
 	}
@@ -152,10 +152,10 @@ func TestPrefixReuseByteIdentical(t *testing.T) {
 			if string(got) != string(full) {
 				t.Fatalf("report with reuse diverges from the full-pass report:\nreuse: %s\nfull:  %s", got, full)
 			}
-			if fullRows[prefixComputed]+fullRows[prefixReused] != 0 || fullRows[prefixFull] == 0 {
+			if fullRows[prefixReused] != 0 || fullRows[prefixFull] == 0 {
 				t.Fatalf("full-pass run counted prefix rows %v", fullRows)
 			}
-			if rows[prefixComputed]+rows[prefixReused] == 0 {
+			if rows[prefixReused] == 0 {
 				t.Fatalf("reuse run never started a pass at the cut: prefix rows %v", rows)
 			}
 		})
@@ -190,7 +190,7 @@ func (f flagger) Arm(rec *detect.Recorder, _ detect.Policy) *nn.HookSet {
 func TestPrefixReuseDetectorEventForcesFullPass(t *testing.T) {
 	for _, batch := range []int{1, 4} {
 		var wires [2][]byte
-		var rows [3]int64
+		var rows [2]int64
 		for i, fullPassOnly := range []bool{true, false} {
 			sim, err := prefixBuilder("mlp", fullPassOnly)()
 			if err != nil {
@@ -234,18 +234,18 @@ func TestPrefixReuseDetectorEventForcesFullPass(t *testing.T) {
 	}
 }
 
-// The prefix-row counters account every injected-pass row: a sample's
-// first use computes its cut, every later use reuses it, and a fault in
-// top-level child 0 has no prefix to reuse.
+// The prefix-row counters account every injected-pass row: every row
+// starts at its sample's cut from the calibration's cut table, and a fault
+// in top-level child 0 has no prefix to reuse.
 func TestPrefixRowsTelemetry(t *testing.T) {
 	for _, c := range []struct {
 		layer, batch, injections int
-		want                     [3]int64
+		want                     [2]int64
 	}{
-		{1, 1, 24, [3]int64{8, 16, 0}},
-		{1, 4, 24, [3]int64{8, 16, 0}},
-		{1, 4, 25, [3]int64{8, 17, 0}}, // the one-sample tail group reuses its cut
-		{0, 4, 24, [3]int64{0, 0, 24}}, // the flatten, top-level child 0
+		{1, 1, 24, [2]int64{24, 0}},
+		{1, 4, 24, [2]int64{24, 0}},
+		{1, 4, 25, [2]int64{25, 0}}, // the one-sample tail group starts at its cut too
+		{0, 4, 24, [2]int64{0, 24}}, // the flatten, top-level child 0
 	} {
 		sim, err := prefixBuilder("mlp", false)()
 		if err != nil {
@@ -267,13 +267,60 @@ func TestPrefixRowsTelemetry(t *testing.T) {
 		if _, err := sim.RunCampaign(context.Background(), cfg); err != nil {
 			t.Fatal(err)
 		}
-		var got [3]int64
+		var got [2]int64
 		for i, ctr := range prefixRowCounters(reg) {
 			got[i] = ctr.Value()
 		}
 		if got != c.want {
-			t.Fatalf("layer %d batch %d, %d injections: prefix rows (computed, reused, full) = %v, want %v",
+			t.Fatalf("layer %d batch %d, %d injections: prefix rows (reused, full) = %v, want %v",
 				c.layer, c.batch, c.injections, got, c.want)
 		}
+	}
+}
+
+// The armed clean sweep is the only clean prefix pass: in a ranger,abft
+// campaign at two workers the first layer runs once per timed setup-sweep
+// slice — the clean references and the armed clean sweep — and never in an
+// injection group, whose passes all start at the cut.
+func TestArmedSweepIsTheOnlyPrefixPass(t *testing.T) {
+	const samples, batch, injections = 16, 4, 24
+	build := prefixBuilder("resnet_s", false)
+	sim, err := build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := prefixDataset()
+	asg, err := ParseFormatMap("a:bfp_e5m5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	detectors, err := ParseDetectors("ranger,abft")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := sim.InjectableLayers()
+	reg := telemetry.NewRegistry()
+	cfg := CampaignConfig{
+		Assignment: asg,
+		Site:       inject.SiteValue,
+		Target:     inject.TargetNeuron,
+		Layer:      inj[len(inj)-2],
+		Injections: injections,
+		Seed:       7,
+		Pool:       &EvalPool{X: ds.ValX.Slice(0, samples), Y: ds.ValY[:samples]},
+		BatchSize:  batch,
+		Detectors:  detectors,
+		Metrics:    reg,
+	}
+	if _, err := RunCampaignParallel(context.Background(), cfg, 2, build); err != nil {
+		t.Fatal(err)
+	}
+	first := reg.Histogram(telemetry.Label(ForwardSecondsMetric, "layer", sim.Layers()[0].String()), nil)
+	if got, want := first.Count(), int64(2*samples/batch); got != want {
+		t.Fatalf("first layer ran %d times, want %d: one per reference and armed-sweep slice", got, want)
+	}
+	rows := prefixRowCounters(reg)
+	if got := rows[prefixReused].Value(); got != injections {
+		t.Fatalf("%d of %d injected rows started at the cut", got, injections)
 	}
 }

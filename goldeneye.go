@@ -135,12 +135,13 @@ type Simulator struct {
 	modules map[int]nn.Module // layer index → module, for structural detectors
 
 	// The block table, where campaigns cut injected passes (see
-	// prefixMemo). root is the model when it is a Sequential (nil
+	// campaign_prefix.go). root is the model when it is a Sequential (nil
 	// otherwise); blockStart[i] is the visit index of top-level child i's
-	// first layer, and blockOf maps each layer index to the top-level child
-	// that runs it.
+	// first layer and blockShape[i] its input shape at batch 1, and blockOf
+	// maps each layer index to the top-level child that runs it.
 	root       *nn.Sequential
 	blockStart []int
+	blockShape [][]int
 	blockOf    map[int]int
 
 	// fullPassOnly is a test seam: it turns clean-prefix reuse off, so
@@ -203,6 +204,7 @@ func NewSimulator(model nn.Module, sample *tensor.Tensor) (*Simulator, error) {
 		for i := range seq.Children() {
 			block = i
 			s.blockStart = append(s.blockStart, ctx.Visits())
+			s.blockShape = append(s.blockShape, x.Shape())
 			x = nn.ForwardRange(ctx, seq, i, i+1, ctx.Visits(), x)
 		}
 	} else {

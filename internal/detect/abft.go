@@ -145,7 +145,7 @@ func (a *ABFT) residuals(idx int, x, y *tensor.Tensor, fn func(sample, samples i
 		for s := 0; s < samples; s++ {
 			pred := c.bsum
 			for i, v := range xd[s*c.in : (s+1)*c.in] {
-				pred += float64(v) * c.wsum[i]
+				pred += float64(float64(v) * c.wsum[i])
 			}
 			obs := 0.0
 			for _, v := range yd[s*c.out : (s+1)*c.out] {
@@ -179,7 +179,7 @@ func (a *ABFT) residuals(idx int, x, y *tensor.Tensor, fn func(sample, samples i
 			for _, v := range cd[k*cols : (k+1)*cols] {
 				rowSum += float64(v)
 			}
-			pred += e * rowSum
+			pred += float64(e * rowSum)
 		}
 		obs := 0.0
 		for _, v := range yd[s*span : (s+1)*span] {
@@ -242,7 +242,7 @@ func (a *ABFT) CalibrationHooks() (*nn.HookSet, func()) {
 // FinishCalibration implements Detector, sealing per-layer thresholds.
 func (a *ABFT) FinishCalibration() error {
 	for idx := range a.checks {
-		a.tol[idx] = a.margin*a.maxResid[idx] + 1e-9
+		a.tol[idx] = float64(a.margin*a.maxResid[idx]) + 1e-9
 	}
 	a.sealed = true
 	return nil

@@ -45,7 +45,7 @@ func (s *RunningStat) Add(x float64) {
 	s.n++
 	d := x - s.mean
 	s.mean += d / float64(s.n)
-	s.m2 += d * (x - s.mean)
+	s.m2 += float64(d * (x - s.mean))
 }
 
 // Merge folds another statistic into s (Chan et al.'s parallel variance

@@ -413,7 +413,7 @@ func (r *Report) weightedMean(mean func(*Stratum) float64) float64 {
 	for i := range r.Strata {
 		s := &r.Strata[i]
 		if u := s.unpruned(); u > 0 && s.Executed > 0 {
-			sum += float64(u) * mean(s)
+			sum += float64(float64(u) * mean(s))
 		}
 	}
 	return sum / float64(d)
@@ -460,7 +460,7 @@ func (r *Report) Variance() float64 {
 			fpc = float64(u-n) / float64(u-1)
 		}
 		w := float64(u) / float64(d)
-		v += w * w * sv / float64(n) * fpc
+		v += float64(w * w * sv / float64(n) * fpc)
 	}
 	return v
 }
@@ -558,7 +558,7 @@ func NeymanPlan(budget float64, sizes map[string]int, rates map[string]float64) 
 		if sigma < sigmaFloor {
 			sigma = sigmaFloor
 		}
-		w := float64(sizes[name]) * sigma
+		w := float64(float64(sizes[name]) * sigma)
 		weight[name] = w
 		wsum += w
 	}

@@ -33,8 +33,8 @@ const (
 	MetricCampaignRate       = "goldeneye_campaign_injections_per_second"
 
 	// MetricCampaignPrefixRows counts injected-pass rows by where their pass
-	// started, labeled outcome="computed|reused|full": at a cut computed for
-	// the row's own group, at a memoized cut, or at the network input (see
+	// started, labeled outcome="reused|full": at the row's sample's cut in
+	// the calibration's cut table, or at the network input (see
 	// docs/PERFORMANCE.md §9).
 	MetricCampaignPrefixRows = "goldeneye_campaign_prefix_rows_total"
 
@@ -109,10 +109,10 @@ func layerTimingHooks(reg *telemetry.Registry) *nn.HookSet {
 }
 
 // prefixRowCounters fetches MetricCampaignPrefixRows by outcome, indexed
-// like prefixComputed, prefixReused and prefixFull.
-func prefixRowCounters(reg *telemetry.Registry) [3]*telemetry.Counter {
-	var c [3]*telemetry.Counter
-	for i, outcome := range [...]string{"computed", "reused", "full"} {
+// like prefixReused and prefixFull.
+func prefixRowCounters(reg *telemetry.Registry) [2]*telemetry.Counter {
+	var c [2]*telemetry.Counter
+	for i, outcome := range [...]string{"reused", "full"} {
 		c[i] = reg.Counter(telemetry.Label(MetricCampaignPrefixRows, "outcome", outcome))
 	}
 	return c
