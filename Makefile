@@ -61,15 +61,12 @@ purego:
 
 # Architecture-independent bytes: the Go spec lets a compiler fuse x*y + z
 # into one FMA, which arm64, ppc64le, s390x and riscv64 do and amd64 never
-# does, so every such site in the emulation, GEMM, random-number, metric,
-# sampling-estimator and detector packages is written float64(x*y) + z (or
-# float32). Compile each package on its own for those architectures (a
-# linked binary's dead-code elimination could hide a site) and fail on any
-# fused multiply-add instruction in the assembly listing. internal/nn,
-# internal/dataset and internal/train still fuse (ROADMAP
-# "Architecture-independent bytes").
-NOFMA_PKGS = ./internal/tensor ./internal/numfmt ./internal/rng \
-             ./internal/metrics ./internal/sampling ./internal/detect
+# does, so every such site in the module is written float64(x*y) + z (or
+# float32). Compile every package of the module for those architectures and
+# fail on any fused multiply-add instruction in the compiler's assembly
+# listing, which shows each package's functions before a linker's dead-code
+# elimination could hide a site.
+NOFMA_PKGS = ./...
 NOFMA_ARCHES = arm64 ppc64le s390x riscv64
 
 .PHONY: nofma

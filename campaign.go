@@ -521,22 +521,33 @@ func (cfg *CampaignConfig) packBatch() int {
 	return b
 }
 
-// calibration is a campaign's fault-free state: the resolved geometry, the
-// legacy UseRanger range profile, the sealed detection pipeline with its
-// measured false positives, the clean references, the cut table and the
-// sampled selection. The engine builds it once per run, with every worker
-// running its share of the setup sweeps on its own model (see
-// engine.setup): each slice writes only its own samples' references and
-// cuts, and its calibration observations stay in its pass until the slices
-// fold in pool order. It is immutable once setup completes, so workers
-// share it without locking.
-// The sealed pipeline's detectors are read-only after FinishCalibration,
-// and keep any per-pass state in the hooks Arm returns.
+// calibration is a campaign's fault-free state: its clean state, shared
+// with every campaign of the same calibration key (see
+// calibration_cache.go), plus the campaign's own resolved geometry, pack
+// batch and sampled selection. It is immutable once setup completes, so
+// workers share it without locking.
 type calibration struct {
+	*cleanState
+
 	cfg   CampaignConfig
 	geom  campaignGeom
 	batch int // the campaign's pack batch (see packBatch)
 
+	// sel is the sampled selection (nil for an exhaustive campaign).
+	sel *campaignSelection
+}
+
+// cleanState is the fault-free state the setup sweeps compute: the legacy
+// UseRanger range profile, the sealed detection pipeline with its measured
+// false positives, the clean references and the cut table. A miss builds it
+// with every worker running its share of the setup sweeps on its own model
+// (see engine.setup): each slice writes only its own samples' references
+// and cuts, and its calibration observations stay in its pass until the
+// slices fold in pool order. Once sealed it is read-only, so campaigns
+// share it without locking. The sealed pipeline's detectors are read-only
+// after FinishCalibration, and keep any per-pass state in the hooks Arm
+// returns. It holds no model, pool, registry or config.
+type cleanState struct {
 	// ranger is the UseRanger range profile (nil without UseRanger).
 	ranger *detect.Ranger
 
@@ -557,9 +568,6 @@ type calibration struct {
 	block    int
 	cuts     *tensor.Tensor
 	fullPass []bool
-
-	// sel is the sampled selection (nil for an exhaustive campaign).
-	sel *campaignSelection
 }
 
 // campaignRunner is one worker's campaign state: its simulator and weight
@@ -807,20 +815,58 @@ func (r *campaignRunner) use(c *calibration) {
 	r.scratch = newCampaignScratch(rowLen, c.batch, c.geom.flips)
 }
 
-// newCalibration lays out the campaign's calibration over geometry g: it
-// builds the detection pipeline on the runner's model, whose weights
-// newRunner already converted, and returns the calibration, empty but for
-// its shape, with the setup phases that fill it. The engine's workers run
-// the phases together (see engine.setup).
+// newCalibration lays out the campaign's calibration over geometry g. When
+// the process-wide cache holds the campaign's calibration key, the
+// calibration adopts the cached clean state and there is nothing to set
+// up. Otherwise it builds the detection pipeline on the runner's model,
+// whose weights newRunner already converted, and returns the calibration,
+// empty but for its shape, with the setup phases that fill it. The
+// engine's workers run the phases together (see engine.setup); the last
+// phase to seal stores a keyed clean state in the cache.
 func (r *campaignRunner) newCalibration(cfg CampaignConfig, g campaignGeom) (*calibration, []*setupPhase, error) {
 	c := &calibration{cfg: cfg, geom: g, batch: cfg.packBatch()}
+	block := r.sim.cutBlock(cfg)
+	key, keyed := r.sim.calibrationKey(c, block)
+	outcome := cacheBypass
+	if keyed {
+		if st := calibrations.get(key); st != nil {
+			c.cleanState = st
+			countCalibrationCache(cfg.Metrics, cacheHit)
+			return c, nil, nil
+		}
+		outcome = cacheMiss
+	}
+	countCalibrationCache(cfg.Metrics, outcome)
+	c.cleanState = &cleanState{}
+	phases, err := r.setupPhases(c, block)
+	if err != nil || !keyed {
+		return c, phases, err
+	}
+	last := phases[len(phases)-1]
+	seal := last.seal
+	last.seal = func() error {
+		if err := seal(); err != nil {
+			return err
+		}
+		calibrations.put(key, c.cleanState)
+		return nil
+	}
+	return c, phases, nil
+}
+
+// setupPhases builds c's detection pipeline and returns the setup phases
+// that fill c's clean state: the UseRanger profile with the clean
+// references, then, when a pipeline exists or the cut table is laid out
+// (block > 0), the armed clean sweep.
+func (r *campaignRunner) setupPhases(c *calibration, block int) ([]*setupPhase, error) {
+	cfg, g := c.cfg, c.geom
 	// The detection pipeline builds after weight quantization, so
 	// structural checksums (ABFT) describe the weights the campaign
 	// actually runs with.
 	if len(cfg.Detectors) > 0 {
 		pipe, err := detect.Build(cfg.Detectors, cfg.Recovery, r.sim.detectTarget())
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		c.pipeline = pipe
 	}
@@ -842,9 +888,9 @@ func (r *campaignRunner) newCalibration(cfg CampaignConfig, g campaignGeom) (*ca
 		refs.sweep(n, 16, (*campaignRunner).profileSlice)
 	}
 	refs.sweep(n, c.batch, (*campaignRunner).referenceSlice)
-	c.layoutCuts(r.sim)
+	c.layoutCuts(r.sim, block)
 	if c.pipeline == nil && c.cuts == nil {
-		return c, []*setupPhase{refs}, nil
+		return []*setupPhase{refs}, nil
 	}
 	// The armed clean sweep, once the ranger and the pipeline are sealed,
 	// fills the cut table and measures false positives: anything the
@@ -861,7 +907,7 @@ func (r *campaignRunner) newCalibration(cfg CampaignConfig, g campaignGeom) (*ca
 		return nil
 	})
 	armed.sweep(n, c.batch, (*campaignRunner).armedSlice)
-	return c, []*setupPhase{refs, armed}, nil
+	return []*setupPhase{refs, armed}, nil
 }
 
 // seal seals the UseRanger profile and the detection pipeline once their

@@ -38,6 +38,7 @@ func TestCalibrationOncePerCampaign(t *testing.T) {
 	const workers = 4
 
 	t.Run("histogram", func(t *testing.T) {
+		goldeneye.ResetCalibrationCache() // a hit has no calibration to time
 		cfg := detectConfig(t, sim, x, y, 40, "ranger,abft,dmr", "reexecute")
 		cfg.UseRanger = true
 		cfg.Metrics = telemetry.NewRegistry()

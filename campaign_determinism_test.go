@@ -72,6 +72,7 @@ func TestCampaignDeterminismAcrossWorkerCounts(t *testing.T) {
 }
 
 func TestCampaignTelemetry(t *testing.T) {
+	goldeneye.ResetCalibrationCache() // the clean reference passes run only on a miss
 	sim, pool := loadSim(t, "mlp")
 	x, y := pool.subset(8)
 	reg := telemetry.NewRegistry()

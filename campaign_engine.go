@@ -24,12 +24,15 @@ import (
 // parallel, one shard of a fleet, sampled, sequentially stopped, resumed —
 // is one run of K workers (K = 1 for RunCampaign and for a shard):
 //
-//   - calibrate: the workers build the campaign's one calibration (clean
-//     references, sealed detectors, sampled selection) together: the first
-//     worker ready lays it out, every worker claims slices of each setup
-//     sweep from a shared counter and runs them on its own model, and the
-//     slices' calibration passes fold in pool order, so the calibration is
-//     bit-identical at any K; every worker then shares it read-only;
+//   - calibrate: the campaign's one calibration (clean references, sealed
+//     detectors, cut table, sampled selection) takes its clean state from
+//     the process-wide calibration cache when the campaign's key is there
+//     (calibration_cache.go); otherwise the workers build it together: the
+//     first worker ready lays it out, every worker claims slices of each
+//     setup sweep from a shared counter and runs them on its own model,
+//     and the slices' calibration passes fold in pool order, so the
+//     calibration is bit-identical at any K, and at a hit; every worker
+//     then shares it read-only;
 //   - plan: worker w owns the injection indices i ≡ w (mod K) (a shard's
 //     one worker owns i ≡ ShardIndex (mod ShardCount)); its plan is its
 //     owned indices minus a resumed prefix and the ones a sampled
@@ -222,7 +225,8 @@ func (e *engine) first(w int) int {
 }
 
 // setup is a worker's share of the campaign's calibration, run on its
-// runner r. The first worker ready lays the calibration out on its model;
+// runner r. The first worker ready lays the calibration out on its model,
+// or adopts a cached clean state, which leaves no setup phase to run;
 // every worker then joins each setup phase in turn, however late it
 // arrives, and the first one past the last phase plans the run. It returns
 // the setup's first failure — an error, a cancellation or a panic in any

@@ -22,21 +22,28 @@ const (
 	prefixFull          // the row's pass started at the network input
 )
 
-// layoutCuts allocates c's cut table, pool samples × the input of the
-// fault layer's top-level block, for the armed clean sweep to fill (see
-// armedSlice). Reuse is off, and the table nil, when the root is not a
-// Sequential, the fault layer sits in top-level child 0 (the prefix is
-// empty), or the target is a weight (the fault corrupts model state before
-// the pass starts, so nothing bounds it to the suffix).
-func (c *calibration) layoutCuts(s *Simulator) {
-	if s.root == nil || s.fullPassOnly || c.cfg.Target != inject.TargetNeuron {
-		return
+// cutBlock returns the top-level block whose input is cfg's cut, or 0 when
+// reuse is off: the root is not a Sequential, the fault layer sits in
+// top-level child 0 (the prefix is empty), or the target is a weight (the
+// fault corrupts model state before the pass starts, so nothing bounds it
+// to the suffix).
+func (s *Simulator) cutBlock(cfg CampaignConfig) int {
+	if s.root == nil || s.fullPassOnly || cfg.Target != inject.TargetNeuron {
+		return 0
 	}
-	if c.block = s.blockOf[c.cfg.Layer]; c.block == 0 {
+	return s.blockOf[cfg.Layer]
+}
+
+// layoutCuts allocates c's cut table, pool samples × the input of top-level
+// block, for the armed clean sweep to fill (see armedSlice); block 0 leaves
+// reuse off and the table nil.
+func (c *calibration) layoutCuts(s *Simulator, block int) {
+	if block == 0 {
 		return
 	}
 	n := c.geom.pool.Len()
-	c.cuts = tensor.New(append([]int{n}, s.blockShape[c.block][1:]...)...)
+	c.block = block
+	c.cuts = tensor.New(append([]int{n}, s.blockShape[block][1:]...)...)
 	c.fullPass = make([]bool, n)
 }
 

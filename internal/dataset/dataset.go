@@ -77,16 +77,16 @@ func New(cfg Config) *Dataset {
 	protos := make([]classProto, cfg.Classes)
 	for k := range protos {
 		protos[k] = classProto{
-			freqX:   1 + r.Float64()*2.2,
-			freqY:   1 + r.Float64()*2.2,
-			phase:   r.Float64() * 2 * math.Pi,
-			blobX:   0.15 + 0.7*r.Float64(),
-			blobY:   0.15 + 0.7*r.Float64(),
-			blobAmp: 0.8 + 0.8*r.Float64(),
+			freqX:   1 + float64(r.Float64()*2.2),
+			freqY:   1 + float64(r.Float64()*2.2),
+			phase:   float64(r.Float64()) * 2 * math.Pi,
+			blobX:   0.15 + float64(0.7*r.Float64()),
+			blobY:   0.15 + float64(0.7*r.Float64()),
+			blobAmp: 0.8 + float64(0.8*r.Float64()),
 			chanGain: func() []float64 {
 				g := make([]float64, cfg.Channels)
 				for c := range g {
-					g[c] = 0.5 + r.Float64()
+					g[c] = 0.5 + float64(r.Float64())
 				}
 				return g
 			}(),
@@ -113,18 +113,18 @@ func synthesize(cfg Config, protos []classProto, perClass int, r *rng.RNG) (*ten
 }
 
 func renderSample(cfg Config, p classProto, x *tensor.Tensor, idx int, r *rng.RNG) {
-	amp := 0.7 + 0.6*r.Float64() // per-sample amplitude jitter
-	phase := p.phase + (r.Float64()-0.5)*0.6
+	amp := 0.7 + float64(0.6*r.Float64()) // per-sample amplitude jitter
+	phase := p.phase + float64((float64(r.Float64())-0.5)*0.6)
 	for c := 0; c < cfg.Channels; c++ {
 		gain := p.chanGain[c] * amp
 		for i := 0; i < cfg.Height; i++ {
 			fy := float64(i) / float64(cfg.Height)
 			for j := 0; j < cfg.Width; j++ {
 				fx := float64(j) / float64(cfg.Width)
-				grating := math.Sin(2*math.Pi*(p.freqX*fx+p.freqY*fy) + phase)
+				grating := math.Sin(float64(2*math.Pi*(float64(p.freqX*fx)+float64(p.freqY*fy))) + phase)
 				dx, dy := fx-p.blobX, fy-p.blobY
-				blob := p.blobAmp * math.Exp(-(dx*dx+dy*dy)/0.02)
-				v := gain*grating + blob + cfg.NoiseStd*r.NormFloat64()
+				blob := p.blobAmp * math.Exp(-(float64(dx*dx)+float64(dy*dy))/0.02)
+				v := float64(gain*grating) + float64(blob) + float64(cfg.NoiseStd*r.NormFloat64())
 				x.Set(float32(v), idx, c, i, j)
 			}
 		}

@@ -82,14 +82,14 @@ const (
 )
 
 func geluValue(x float64) float64 {
-	return 0.5 * x * (1 + math.Tanh(geluC0*(x+geluC1*x*x*x)))
+	return 0.5 * x * (1 + math.Tanh(geluC0*(x+float64(geluC1*x*x*x))))
 }
 
 func geluGrad(x float64) float64 {
-	inner := geluC0 * (x + geluC1*x*x*x)
+	inner := geluC0 * (x + float64(geluC1*x*x*x))
 	t := math.Tanh(inner)
-	sech2 := 1 - t*t
-	return 0.5*(1+t) + 0.5*x*sech2*geluC0*(1+3*geluC1*x*x)
+	sech2 := 1 - float64(t*t)
+	return float64(0.5*(1+t)) + float64(0.5*x*sech2*geluC0*(1+float64(3*geluC1*x*x)))
 }
 
 // Forward implements Module.

@@ -135,7 +135,7 @@ func (m *MultiHeadAttention) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 				dr := dAttn.Data()[i*t : (i+1)*t]
 				var dot float64
 				for j := range ar {
-					dot += float64(ar[j]) * float64(dr[j])
+					dot += float64(float64(ar[j]) * float64(dr[j]))
 				}
 				ds := dScores.Data()[i*t : (i+1)*t]
 				for j := range ar {

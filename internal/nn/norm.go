@@ -91,15 +91,15 @@ func (b *BatchNorm2D) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 			for ni := 0; ni < n; ni++ {
 				for _, v := range x.Data()[(ni*c+ci)*plane : (ni*c+ci+1)*plane] {
 					d := float64(v - m)
-					sq += d * d
+					sq += float64(d * d)
 				}
 			}
 			vr := float32(sq / float64(cnt))
 			mean[ci] = m
 			variance[ci] = vr
 			istd[ci] = 1 / float32(math.Sqrt(float64(vr)+normEps))
-			b.runMean.Value.Data()[ci] = (1-b.momentum)*b.runMean.Value.Data()[ci] + b.momentum*m
-			b.runVar.Value.Data()[ci] = (1-b.momentum)*b.runVar.Value.Data()[ci] + b.momentum*vr
+			b.runMean.Value.Data()[ci] = float32((1-b.momentum)*b.runMean.Value.Data()[ci]) + float32(b.momentum*m)
+			b.runVar.Value.Data()[ci] = float32((1-b.momentum)*b.runVar.Value.Data()[ci]) + float32(b.momentum*vr)
 		}
 	} else {
 		for ci := 0; ci < c; ci++ {
@@ -119,7 +119,7 @@ func (b *BatchNorm2D) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 			for i, v := range src {
 				xn := (v - m) * is
 				nrm[i] = xn
-				dst[i] = gg*xn + bb
+				dst[i] = float32(gg*xn) + bb
 			}
 		}
 	}
@@ -152,7 +152,7 @@ func (b *BatchNorm2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 			xs := b.lastNorm.Data()[off : off+plane]
 			for i, gv := range gs {
 				sumG += float64(gv)
-				sumGX += float64(gv) * float64(xs[i])
+				sumGX += float64(float64(gv) * float64(xs[i]))
 			}
 		}
 		b.beta.Grad.Data()[ci] += float32(sumG)
@@ -166,7 +166,7 @@ func (b *BatchNorm2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 			xs := b.lastNorm.Data()[off : off+plane]
 			ds := dx.Data()[off : off+plane]
 			for i, gv := range gs {
-				ds[i] = k * (cnt*gv - float32(sumG) - xs[i]*float32(sumGX))
+				ds[i] = k * (float32(cnt*gv) - float32(sumG) - float32(xs[i]*float32(sumGX)))
 			}
 		}
 	}
@@ -225,7 +225,7 @@ func (l *LayerNorm) Forward(_ *Context, x *tensor.Tensor) *tensor.Tensor {
 		var sq float64
 		for _, v := range src {
 			dv := float64(v - m)
-			sq += dv * dv
+			sq += float64(dv * dv)
 		}
 		is := float32(1 / math.Sqrt(sq/float64(d)+normEps))
 		istd[i] = is
@@ -234,7 +234,7 @@ func (l *LayerNorm) Forward(_ *Context, x *tensor.Tensor) *tensor.Tensor {
 		for j, v := range src {
 			xn := (v - m) * is
 			nr[j] = xn
-			dst[j] = g[j]*xn + bt[j]
+			dst[j] = float32(g[j]*xn) + bt[j]
 		}
 	}
 	l.lastNorm = norm
@@ -257,17 +257,17 @@ func (l *LayerNorm) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 		xs := l.lastNorm.Data()[i*d : (i+1)*d]
 		var sumG, sumGX float64
 		for j, gv := range gs {
-			gg := float64(gv) * float64(g[j])
+			gg := float64(float64(gv) * float64(g[j]))
 			sumG += gg
-			sumGX += gg * float64(xs[j])
-			l.gamma.Grad.Data()[j] += gv * xs[j]
+			sumGX += float64(gg * float64(xs[j]))
+			l.gamma.Grad.Data()[j] += float32(gv * xs[j])
 			l.beta.Grad.Data()[j] += gv
 		}
 		k := l.lastIStd[i] / float32(d)
 		ds := dx.Data()[i*d : (i+1)*d]
 		for j, gv := range gs {
 			gg := gv * g[j]
-			ds[j] = k * (float32(d)*gg - float32(sumG) - xs[j]*float32(sumGX))
+			ds[j] = k * (float32(float32(d)*gg) - float32(sumG) - float32(xs[j]*float32(sumGX)))
 		}
 	}
 	return dx.Reshape(l.lastDims...)

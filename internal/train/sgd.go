@@ -40,9 +40,9 @@ func (s *SGD) Step(m nn.Module) {
 		}
 		vd, gd, wd := v.Data(), p.Grad.Data(), p.Value.Data()
 		for i := range wd {
-			g := gd[i] + s.WeightDecay*wd[i]
-			vd[i] = s.Momentum*vd[i] + g
-			wd[i] -= s.LR * vd[i]
+			g := gd[i] + float32(s.WeightDecay*wd[i])
+			vd[i] = float32(s.Momentum*vd[i]) + g
+			wd[i] -= float32(s.LR * vd[i])
 		}
 		p.ZeroGrad()
 	}

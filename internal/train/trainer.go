@@ -66,7 +66,7 @@ func Fit(model nn.Module, ds *dataset.Dataset, cfg Config) Result {
 			x, y := ds.GatherTrain(order[lo : lo+cfg.BatchSize])
 			logits := nn.Forward(ctx, model, x)
 			loss, grad := SoftmaxCrossEntropy(logits, y)
-			lossSum += loss * float64(len(y))
+			lossSum += float64(loss * float64(len(y)))
 			correct += correctCount(logits, y)
 			seen += len(y)
 			model.Backward(grad)
@@ -117,7 +117,7 @@ func clipGradients(m nn.Module, maxNorm float64) {
 			continue
 		}
 		for _, g := range p.Grad.Data() {
-			sq += float64(g) * float64(g)
+			sq += float64(float64(g) * float64(g))
 		}
 	}
 	norm := math.Sqrt(sq)

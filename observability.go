@@ -40,11 +40,21 @@ const (
 
 	// Detection-pipeline instruments (populated when CampaignConfig.
 	// Detectors is non-empty): per-detector detection counters and coverage
-	// gauges are labeled detector="<name>".
+	// gauges are labeled detector="<name>". MetricCampaignCalibration times
+	// the setup sweeps from the pipeline's build to the armed clean sweep's
+	// seal; only campaigns that run the sweeps observe it — calibration-cache
+	// misses and bypasses; a hit has none to time.
 	MetricCampaignDetections  = "goldeneye_campaign_detections_total"
 	MetricCampaignRecoveries  = "goldeneye_campaign_recoveries_total"
 	MetricCampaignCoverage    = "goldeneye_campaign_detector_coverage"
 	MetricCampaignCalibration = "goldeneye_campaign_calibration_seconds"
+
+	// MetricCampaignCalibrationCache counts campaigns by where their clean
+	// state came from, labeled outcome="hit|miss|bypass": the process-wide
+	// calibration cache, setup sweeps whose result the cache then keeps, or
+	// setup sweeps for a campaign the cache key cannot cover (see
+	// docs/PERFORMANCE.md §13).
+	MetricCampaignCalibrationCache = "goldeneye_campaign_calibration_cache_total"
 
 	// Sampled-campaign instruments (populated when CampaignConfig.Sampling
 	// is active): the estimator's dispatch accounting and interval width.
@@ -116,6 +126,24 @@ func prefixRowCounters(reg *telemetry.Registry) [2]*telemetry.Counter {
 		c[i] = reg.Counter(telemetry.Label(MetricCampaignPrefixRows, "outcome", outcome))
 	}
 	return c
+}
+
+// Outcomes of a campaign's calibration-cache lookup, the outcome label of
+// MetricCampaignCalibrationCache.
+const (
+	cacheHit = iota
+	cacheMiss
+	cacheBypass
+)
+
+var cacheOutcomes = [...]string{"hit", "miss", "bypass"}
+
+// countCalibrationCache counts one lookup outcome in reg; a no-op without
+// telemetry.
+func countCalibrationCache(reg *telemetry.Registry, outcome int) {
+	if reg != nil {
+		reg.Counter(telemetry.Label(MetricCampaignCalibrationCache, "outcome", cacheOutcomes[outcome])).Inc()
+	}
 }
 
 // campaignTelemetry bundles the campaign-level instruments. A nil
