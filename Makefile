@@ -41,7 +41,8 @@ check:
 # Short fuzzing runs of the kernel differential targets: the fused
 # emulation kernels (whole-tensor and grouped per sample) against the
 # generic quantize→dequantize path, accumulator row rounding against the
-# scalar round trip, and the assembly GEMM kernel against the pure-Go one.
+# scalar round trip, the assembly GEMM kernel against the pure-Go one, and
+# the assembly accumulator GEMM against the pure-Go sweep.
 # A failing input lands in testdata/fuzz/ as a regression seed that plain
 # `go test` then replays.
 .PHONY: fuzz-smoke
@@ -49,6 +50,7 @@ fuzz-smoke:
 	go test -run NONE -fuzz '^FuzzEmulateFusedVsGeneric$$' -fuzztime 10s .
 	go test -run NONE -fuzz '^FuzzAccumRoundRowVsScalar$$' -fuzztime 10s .
 	go test -run NONE -fuzz '^FuzzGEMMKernelVsPureGo$$' -fuzztime 10s ./internal/tensor
+	go test -run NONE -fuzz '^FuzzAccumKernelVsPureGo$$' -fuzztime 10s ./internal/tensor
 
 # The portable GEMM kernel, which other architectures and CPUs without
 # AVX2 run, must keep every golden and bit-identity suite: build without

@@ -356,14 +356,14 @@ func addActivationHooks(h *nn.HookSet, asg *FormatAssignment, n int) {
 
 // addAccumHooks registers asg's accumulator-format emulation on h: every
 // GEMM-backed layer with an assigned accumulator format rounds each partial
-// sum through it (see numfmt.AccumRound). Layers without a GEMM ignore the
-// spec. The row-rounding functions are cached per format and shared
-// across visits; they are stateless, so reuse is safe.
+// sum through it (see numfmt.AccumRounding). Layers without a GEMM ignore
+// the spec. The roundings are cached per format and shared across visits;
+// they are stateless, so reuse is safe.
 func addAccumHooks(h *nn.HookSet, asg *FormatAssignment) {
 	if !asg.hasAccumulator() {
 		return
 	}
-	quants := make(map[numfmt.Format]func([]float32))
+	quants := make(map[numfmt.Format]tensor.Rounding)
 	h.Accum(nn.AllLayers(), func(info nn.LayerInfo) nn.AccumSpec {
 		f := asg.rolesFor(info).Accumulator
 		if f == nil {
@@ -371,7 +371,7 @@ func addAccumHooks(h *nn.HookSet, asg *FormatAssignment) {
 		}
 		q, ok := quants[f]
 		if !ok {
-			q = numfmt.AccumRound(f)
+			q = numfmt.AccumRounding(f)
 			quants[f] = q
 		}
 		return nn.AccumSpec{Quant: q}

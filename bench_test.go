@@ -419,10 +419,13 @@ func BenchmarkMatMul(b *testing.B) {
 }
 
 // BenchmarkMatMulAccum measures the accumulator-hook GEMM at a vit_tiny
-// token-linear shape, (65×64)@(64×192): the plain kernel, an fp16
-// accumulator rounding each output row per step (numfmt.AccumRound), the
-// same rounding through a per-element scalar closure (what every partial
-// sum cost before row rounding), and a faults-only hook with one fault.
+// token-linear shape, (65×64)@(64×192): the plain kernel; fp16 and bf16
+// accumulators rounding every partial sum (numfmt.AccumRounding, the AVX2
+// tile where the CPU has it); fp16 with eight faults over distinct rows,
+// as a batch-8 accumulator campaign schedules them, which splits those
+// rows' reductions at the fault steps; the fp16 rounding through a
+// per-element scalar closure (what every partial sum cost before row
+// rounding); and a faults-only hook with one fault.
 func BenchmarkMatMulAccum(b *testing.B) {
 	r := rng.New(2)
 	a := tensor.Randn(r, 1, 65, 64)
@@ -435,13 +438,19 @@ func BenchmarkMatMulAccum(b *testing.B) {
 		}
 	}
 	stuck := func(float32) float32 { return 1e6 }
+	var eight []tensor.AccumFault
+	for s := 0; s < 8; s++ {
+		eight = append(eight, tensor.AccumFault{Row: 8*s + 3, Col: 23*s + 5, Step: 7*s + 4, Apply: stuck})
+	}
 	for _, v := range []struct {
 		name string
 		hook *tensor.AccumHook
 	}{
 		{"plain", nil},
-		{"fp16_row", &tensor.AccumHook{Quant: numfmt.AccumRound(fp16)}},
-		{"fp16_scalar", &tensor.AccumHook{Quant: scalar}},
+		{"fp16_row", &tensor.AccumHook{Quant: numfmt.AccumRounding(fp16)}},
+		{"bf16_row", &tensor.AccumHook{Quant: numfmt.AccumRounding(numfmt.BFloat16(true))}},
+		{"fp16_row_faults", &tensor.AccumHook{Quant: numfmt.AccumRounding(fp16), Faults: eight}},
+		{"fp16_scalar", &tensor.AccumHook{Quant: tensor.RoundFunc(scalar)}},
 		{"faults_only", &tensor.AccumHook{Faults: []tensor.AccumFault{{Row: 7, Col: 11, Step: 30, Apply: stuck}}}},
 	} {
 		v := v

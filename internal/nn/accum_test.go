@@ -95,7 +95,7 @@ func TestConvAccumFaultCoordinates(t *testing.T) {
 }
 
 // rowQuant adapts a scalar rounding to the row-typed AccumSpec.Quant.
-func rowQuant(q func(float32) float32) func([]float32) {
+func rowQuant(q func(float32) float32) tensor.RoundFunc {
 	return func(row []float32) {
 		for i, v := range row {
 			row[i] = q(v)

@@ -100,7 +100,7 @@ func (c *Conv2D) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 			if quant != nil {
 				// Bias add is the accumulator's final step: the register
 				// rounds after it like after every multiply-accumulate.
-				quant(dst)
+				quant.Round(dst)
 			}
 			if ep.Tile != nil {
 				ep.Tile(dst)

@@ -154,12 +154,12 @@ type AccumFault struct {
 // AccumSpec declares accumulator-interior behaviour for one layer visit:
 // an optional reduced-precision accumulator rounding and scheduled
 // mid-reduction faults. Quant rounds a slice of partial sums in place,
-// element by element (numfmt.AccumRound builds it); the layer's GEMM calls
-// it on each output row after every multiply-accumulate step and after the
-// bias add (see tensor.AccumHook). Only GEMM-backed layers (Linear,
+// element by element (numfmt.AccumRounding builds it); the layer's GEMM
+// rounds each output row after every multiply-accumulate step and after
+// the bias add (see tensor.AccumHook). Only GEMM-backed layers (Linear,
 // Conv2D) consume accumulator specs; other layer kinds ignore them.
 type AccumSpec struct {
-	Quant  func(row []float32)
+	Quant  tensor.Rounding
 	Faults []AccumFault
 }
 

@@ -1,12 +1,15 @@
 package numfmt
 
+import "goldeneye/internal/tensor"
+
 // AccumRound returns the rounding a GEMM applies to its partial sums when
 // its accumulator register runs in format f: the function rounds every
 // element of a row of partial sums in place, each to exactly the value of a
-// ToBits→FromBits round trip under empty metadata. The GEMM calls it once
-// per multiply-accumulate step on the output row it just updated (and once
-// more after the bias add). A nil f returns nil — the native float32
-// accumulator, which producers treat as "no rounding".
+// ToBits→FromBits round trip under empty metadata. The GEMM rounds the
+// output row it just updated after every multiply-accumulate step whose A
+// value is nonzero (and once more after the bias add). A nil f returns nil
+// — the native float32 accumulator, which producers treat as "no
+// rounding".
 //
 // Only metadata-free formats (MetaNone: FP, FxP, posit, LNS) make valid
 // accumulator formats: per-tensor scales, shared exponents, and adaptive
@@ -24,18 +27,33 @@ package numfmt
 // the row. The function is stateless and safe for concurrent use from the
 // GEMM's row-sharded worker goroutines.
 func AccumRound(f Format) func(row []float32) {
+	if r := AccumRounding(f); r != nil {
+		return r.Round
+	}
+	return nil
+}
+
+// AccumRounding is AccumRound as the value a tensor.AccumHook carries in
+// its Quant field: for an FP format up to e8m22 (every FP preset but
+// FP32) it is the format's tensor.FPRound, whose parameters let the GEMM's
+// AVX2 tile round each partial sum in registers; for any other format a
+// tensor.RoundFunc of the row function. A nil f returns nil.
+func AccumRounding(f Format) tensor.Rounding {
 	switch f := f.(type) {
 	case nil:
 		return nil
 	case *FP:
-		return f.emulateChunk
+		if f.round != nil {
+			return f.round
+		}
+		return tensor.RoundFunc(f.emulateChunk)
 	case *FxP:
-		return f.emulateChunk
+		return tensor.RoundFunc(f.emulateChunk)
 	}
 	meta := Metadata{Kind: MetaNone}
-	return func(row []float32) {
+	return tensor.RoundFunc(func(row []float32) {
 		for i, v := range row {
 			row[i] = float32(f.FromBits(f.ToBits(float64(v), meta), meta))
 		}
-	}
+	})
 }

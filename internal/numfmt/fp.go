@@ -29,6 +29,10 @@ type FP struct {
 	maxFinite float64
 	minNorm   float64
 	denStep   float64 // smallest denormal magnitude
+
+	// round is the branch-free rounding of geometries up to e8m22, which
+	// emulateChunk and the accumulator GEMM run; nil for wider ones.
+	round *tensor.FPRound
 }
 
 var _ Format = (*FP)(nil)
@@ -54,6 +58,9 @@ func NewFP(e, m int, denormals bool) *FP {
 		maxFinite: (2 - math.Ldexp(1, -m)) * math.Ldexp(1, expMax),
 		minNorm:   math.Ldexp(1, expMin),
 		denStep:   math.Ldexp(1, expMin-m),
+	}
+	if e <= 8 && m <= 22 {
+		f.round = tensor.NewFPRound(e, m, denormals)
 	}
 	if !denormals {
 		f.name += "_nodn"
@@ -154,9 +161,15 @@ var canonicalNaN = float32(math.NaN())
 // emulateChunk snaps a contiguous chunk of float32 storage to the format's
 // representable values in place — the shared kernel behind Emulate, the
 // batched row variant, the matmul epilogue, and the accumulator register's
-// rounding (AccumRound). Every NaN becomes canonicalNaN, as a
-// FromBits∘ToBits round trip gives.
+// rounding (AccumRounding). Every NaN becomes canonicalNaN, as a
+// FromBits∘ToBits round trip gives. Geometries up to e8m22, every preset
+// but FP32, run tensor.FPRound, in AVX2 where the CPU has it; the loops
+// below serve the wider ones.
 func (f *FP) emulateChunk(data []float32) {
+	if f.round != nil {
+		f.round.Round(data)
+		return
+	}
 	if f.mantBits > 23 {
 		// Wider-than-float32 mantissa: every float32 value is exactly
 		// representable; only exponent limits can apply.

@@ -38,7 +38,7 @@ func TestMatMulAccumInactiveIsPlainKernel(t *testing.T) {
 }
 
 // rowQuant adapts a scalar rounding to the row-typed AccumHook.Quant.
-func rowQuant(q func(float32) float32) func([]float32) {
+func rowQuant(q func(float32) float32) RoundFunc {
 	return func(row []float32) {
 		for i, v := range row {
 			row[i] = q(v)

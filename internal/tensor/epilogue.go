@@ -57,15 +57,17 @@ type AccumFault struct {
 // AccumHook threads accumulator-interior behaviour into a GEMM. Quant, when
 // non-nil, models a reduced-precision accumulator register: it rounds a
 // slice of partial sums in place, each element independently of the
-// others, and the GEMM calls it on each output row after every
-// multiply-accumulate step (and after the bias add), maintaining the
-// invariant that the register only ever holds representable values.
-// Faults are applied at their scheduled (row, step) positions, after the
-// step's rounding; faults sharing a (row, step) apply in slice order. A
-// nil hook — or one with neither field set — selects the plain kernel with
-// zero overhead.
+// others, and the GEMM rounds each output row after every
+// multiply-accumulate step whose A value is nonzero (and after the bias
+// add), maintaining the invariant that the register only ever holds
+// representable values until a fault writes one it cannot. An *FPRound
+// Quant is data the AVX2 accumulator tile rounds with in registers; any
+// other Rounding runs the portable sweep. Faults are applied at their
+// scheduled (row, step) positions, after the step's rounding; faults
+// sharing a (row, step) apply in slice order. A nil hook — or one with
+// neither field set — selects the plain kernel with zero overhead.
 type AccumHook struct {
-	Quant  func(row []float32)
+	Quant  Rounding
 	Faults []AccumFault
 }
 
@@ -81,11 +83,13 @@ func (h *AccumHook) Active() bool {
 // after their workers finish.
 //
 // Apply is kept out of line on purpose. Inlined into its producers, it
-// moves the Go GEMM kernels compiled after it (matmulRowsAccum,
-// addScaledRow, and matmulRowsGo where it runs) from 0 to 32 mod 64 bytes,
-// where their inner loops ran 15-25% slower on a 2-vCPU Xeon VM (go1.24).
-// The plain GEMM on AVX2 hosts is assembly whose loops PCALIGN aligns, so
-// the accumulator kernels are the ones this still protects.
+// moves the Go GEMM kernels compiled after it (matmulRowsAccumGo,
+// addScaledRow and matmulRowsGo) from 0 to 32 mod 64 bytes, where their
+// inner loops ran 15-25% slower on a 2-vCPU Xeon VM (go1.24). On AVX2
+// hosts the plain GEMM and the FPRound accumulator GEMM are assembly whose
+// loops PCALIGN aligns, so this protects the Go fallback only: other
+// architectures, purego builds, and accumulators in FxP, posit, LNS or an
+// FP wider than FPRound covers.
 //
 //go:noinline
 func (ep Epilogue) Apply(data []float32) {

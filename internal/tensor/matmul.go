@@ -34,20 +34,37 @@ func matmulRowsGo(c, a, b []float32, lo, hi, k, n int) {
 	}
 }
 
-// matmulRowsAccum is matmulRows with an active accumulator hook: after each
+// addScaledRow is the plain kernel's inner sweep, ci[j] += av*bp[j], for
+// matmulRowsAccumGo, which runs every accumulator hook off AVX2 hosts and
+// every hook but an FPRound on them. It stays out of line on purpose:
+// inlined into matmulRowsAccumGo, whose step loop also calls the rounding
+// and fault functions, the compiler keeps the sweep's loop counter on the
+// stack, and a GEMM whose rows are mostly unfaulted runs about 1.5× slower
+// than the plain kernel (BenchmarkMatMulAccum/faults_only). It is defined
+// ahead of matmulRowsAccumGo, which starts it at 0 mod 64 in go1.24 builds;
+// see Epilogue.Apply for why its address matters.
+//
+//go:noinline
+func addScaledRow(ci, bp []float32, av float32) {
+	for j := range ci {
+		ci[j] += float32(av * bp[j])
+	}
+}
+
+// matmulRowsAccumGo is the accumulator GEMM's portable sweep and the
+// reference its AVX2 tile matches bit for bit: after each
 // multiply-accumulate step the output row is rounded through quant (when
 // set), and scheduled faults rewrite their register after their step.
 // faults must be ordered by faultsByRowStep. The step's float32 update is
 // the plain kernel's, so rounding the row afterwards gives the register the
 // same value as rounding each element's update on its own. Steps whose A
-// value is zero skip the update, like the plain kernel — the register is
-// untouched, and since quant only ever writes values it would map to
-// themselves, not re-rounding an untouched register is equivalent to
-// rounding it again. Without quant, a row with no faults does exactly the
-// plain kernel's work. Sharding stays per output row, so every element's
-// reduction runs sequentially inside one goroutine and the result is
-// independent of the worker count.
-func matmulRowsAccum(c, a, b []float32, lo, hi, k, n int, quant func([]float32), faults []AccumFault) {
+// value is zero skip the update, like the plain kernel, and skip the
+// rounding too: after a fault the register may hold a value quant would
+// change, and only a step that updates it rounds it again. Without quant,
+// a row with no faults does exactly the plain kernel's work. Sharding
+// stays per output row, so every element's reduction runs sequentially
+// inside one goroutine and the result is independent of the worker count.
+func matmulRowsAccumGo(c, a, b []float32, lo, hi, k, n int, quant Rounding, faults []AccumFault) {
 	next, _ := slices.BinarySearchFunc(faults, lo, func(f AccumFault, row int) int { return cmp.Compare(f.Row, row) })
 	for i := lo; i < hi; i++ {
 		end := next
@@ -62,7 +79,7 @@ func matmulRowsAccum(c, a, b []float32, lo, hi, k, n int, quant func([]float32),
 			if av := ai[p]; av != 0 {
 				addScaledRow(ci, b[p*n:(p+1)*n], av)
 				if quant != nil {
-					quant(ci)
+					quant.Round(ci)
 				}
 			}
 			for ; len(rf) > 0 && rf[0].Step <= p; rf = rf[1:] {
@@ -71,20 +88,6 @@ func matmulRowsAccum(c, a, b []float32, lo, hi, k, n int, quant func([]float32),
 				}
 			}
 		}
-	}
-}
-
-// addScaledRow is the plain kernel's inner sweep, ci[j] += av*bp[j], for
-// matmulRowsAccum. It stays out of line on purpose: inlined into
-// matmulRowsAccum, whose step loop also calls the rounding and fault
-// functions, the compiler keeps the sweep's loop counter on the stack, and
-// a GEMM whose rows are mostly unfaulted runs about 1.5× slower than the
-// plain kernel (BenchmarkMatMulAccum/faults_only).
-//
-//go:noinline
-func addScaledRow(ci, bp []float32, av float32) {
-	for j := range ci {
-		ci[j] += float32(av * bp[j])
 	}
 }
 
@@ -141,7 +144,7 @@ func (t *Tensor) MatMulBias(o, bias *Tensor, ep Epilogue) *Tensor {
 	out := New(m, n)
 	defer func(start time.Time) { recordMatMul(start, m, n, k) }(time.Now())
 	accum := ep.Accum
-	var quant func([]float32)
+	var quant Rounding
 	var faults []AccumFault
 	if accum.Active() {
 		quant, faults = accum.Quant, faultsByRowStep(accum.Faults)
@@ -163,7 +166,7 @@ func (t *Tensor) MatMulBias(o, bias *Tensor, ep Epilogue) *Tensor {
 			// accumulation step: the register rounds after it like after
 			// every multiply-accumulate.
 			if quant != nil {
-				quant(out.data[lo*n : hi*n])
+				quant.Round(out.data[lo*n : hi*n])
 			}
 		}
 		if ep.Tile != nil {

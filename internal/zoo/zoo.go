@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 
 	"goldeneye/internal/dataset"
 	"goldeneye/internal/models"
@@ -113,16 +114,13 @@ func SaveState(m nn.Module, path string) error {
 }
 
 // LoadState restores parameters saved by SaveState into m. The model must
-// have been built identically (same names and shapes).
+// have been built identically (same names and shapes). The file is decoded
+// once per process (see decodedState); every call copies the parameters
+// into m's own storage.
 func LoadState(m nn.Module, path string) error {
-	f, err := os.Open(path)
+	st, err := decodedState(path)
 	if err != nil {
 		return err
-	}
-	defer f.Close()
-	var st state
-	if err := gob.NewDecoder(f).Decode(&st); err != nil {
-		return fmt.Errorf("zoo: decode %s: %w", path, err)
 	}
 	params := m.Params()
 	if len(params) != len(st.Names) {
@@ -138,4 +136,53 @@ func LoadState(m nn.Module, path string) error {
 		copy(p.Value.Data(), st.Values[i])
 	}
 	return nil
+}
+
+// decoded holds, per path, the last state decodedState decoded and the
+// identity of the file it came from. A parallel campaign builds one model
+// per worker, each a LoadState of the same file; the map holds one state
+// per zoo file a process has loaded, which is never more than the zoo's
+// models times the dataset configurations it has used.
+var decoded = struct {
+	sync.Mutex
+	m map[string]decodedFile
+}{m: make(map[string]decodedFile)}
+
+type decodedFile struct {
+	info os.FileInfo
+	st   *state
+}
+
+// from reports whether d was decoded from the file info describes: the
+// same file, with the same size and modification time.
+func (d decodedFile) from(info os.FileInfo) bool {
+	return os.SameFile(d.info, info) && d.info.Size() == info.Size() && d.info.ModTime().Equal(info.ModTime())
+}
+
+// decodedState returns the state stored at path, decoding the file only
+// when the process has not decoded this file before: a path whose file was
+// replaced (SaveState renames a new file over it) or rewritten in place
+// (another size or modification time) is decoded again. The returned
+// state is shared and must not be modified.
+func decodedState(path string) (*state, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	decoded.Lock()
+	defer decoded.Unlock()
+	if d, ok := decoded.m[path]; ok && d.from(info) {
+		return d.st, nil
+	}
+	st := new(state)
+	if err := gob.NewDecoder(f).Decode(st); err != nil {
+		return nil, fmt.Errorf("zoo: decode %s: %w", path, err)
+	}
+	decoded.m[path] = decodedFile{info: info, st: st}
+	return st, nil
 }

@@ -74,3 +74,69 @@ func TestPretrainedUnknownModel(t *testing.T) {
 		t.Fatal("expected error")
 	}
 }
+
+// A file SaveState rewrites at a path LoadState has already decoded must
+// be read again, not served from the process's decoded copy.
+func TestLoadStateRereadsRewrittenFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "m.gob")
+	a, _ := models.Build("mlp", 10, 3)
+	w := a.Params()[0].Value.Data()
+	w[0] = 1.5
+	if err := SaveState(a, path); err != nil {
+		t.Fatal(err)
+	}
+	b, _ := models.Build("mlp", 10, 3)
+	if err := LoadState(b, path); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.Params()[0].Value.Data()[0]; got != 1.5 {
+		t.Fatalf("first load: weight %v, want 1.5", got)
+	}
+	w[0] = -2.5
+	if err := SaveState(a, path); err != nil {
+		t.Fatal(err)
+	}
+	if err := LoadState(b, path); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.Params()[0].Value.Data()[0]; got != -2.5 {
+		t.Fatalf("load after rewrite: weight %v, want -2.5", got)
+	}
+}
+
+// Two models loaded from one file hold their own parameter storage: a
+// write to one reaches neither the other nor a later load.
+func TestLoadStateModelsShareNoStorage(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "m.gob")
+	a, _ := models.Build("mlp", 10, 3)
+	if err := SaveState(a, path); err != nil {
+		t.Fatal(err)
+	}
+	b, _ := models.Build("mlp", 10, 4)
+	c, _ := models.Build("mlp", 10, 5)
+	for _, m := range []nn.Module{b, c} {
+		if err := LoadState(m, path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, p := range b.Params() {
+		q := c.Params()[i].Value.Data()
+		if &p.Value.Data()[0] == &q[0] {
+			t.Fatalf("param %s: both models hold the same storage", p.Name)
+		}
+		want := q[0]
+		p.Value.Data()[0] = want + 1
+		if q[0] != want {
+			t.Fatalf("param %s: a write to one model reached the other", p.Name)
+		}
+	}
+	d, _ := models.Build("mlp", 10, 6)
+	if err := LoadState(d, path); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range d.Params() {
+		if got, want := p.Value.Data()[0], a.Params()[i].Value.Data()[0]; got != want {
+			t.Fatalf("param %s: a later load reads %v, the file holds %v", p.Name, got, want)
+		}
+	}
+}
