@@ -108,11 +108,14 @@ stress-cancel:
 # serial/batched/parallel detection bit-identity, and the once-per-campaign
 # calibration every worker shares (its sealed pipeline armed from several
 # goroutines at once, and its failure paths), repeated under the race
-# detector.
+# detector; plus ranger-armed sweep cells and daemon jobs sharing one
+# calibration through the calibration cache.
 .PHONY: stress-detect
 stress-detect:
 	go test -race -run 'TestCampaignFaultFreeZeroFalsePositives|TestDetect|TestCalibration' -count=3 .
 	go test -race -count=2 ./internal/detect
+	go test -race -run 'TestRunCellRangerCellsShareCalibration' -count=3 ./internal/exper
+	go test -race -run 'TestCacheDirRangerJobsShareCalibration' -count=3 ./internal/server
 
 # Campaign batching: benchstat-comparable sub-benchmarks (pipe two runs
 # into `benchstat old.txt new.txt`) plus the machine-readable performance

@@ -115,16 +115,15 @@ func (st *cleanState) bytes() int {
 // included) by name, shape and bits, the pool, the assignment, UseRanger,
 // the pack batch, the cut block (0 when reuse is off), the detector specs
 // and the recovery policy. ok is false when the campaign bypasses the
-// cache: a detector with a custom factory or a bounds cache file, whose
-// state comes from outside the key, or an assignment the key cannot name
-// (see assignmentKey).
+// cache: a detector with a custom factory, whose state comes from outside
+// the key, or an assignment the key cannot name (see assignmentKey).
 func (s *Simulator) calibrationKey(c *calibration, block int) (key [sha256.Size]byte, ok bool) {
 	cfg := c.cfg
 	if calibrations.off.Load() {
 		return key, false
 	}
 	for _, d := range cfg.Detectors {
-		if d.New != nil || d.CachePath != "" {
+		if d.New != nil {
 			return key, false
 		}
 	}

@@ -203,9 +203,9 @@ func TestCalibrationCacheSecondRunSkipsSetup(t *testing.T) {
 type opaqueFormat struct{ numfmt.Format }
 
 // Campaigns whose clean state comes from outside the key run their setup
-// sweeps and store nothing: a detector with a custom factory or a bounds
-// cache file, and an assignment with a format type of the caller's own. A
-// format and numfmt.Generic of it share a name but key apart.
+// sweeps and store nothing: a detector with a custom factory and an
+// assignment with a format type of the caller's own. A format and
+// numfmt.Generic of it share a name but key apart.
 func TestCalibrationCacheBypass(t *testing.T) {
 	sim, p := loadSim(t, "mlp")
 	x, y := p.subset(8)
@@ -223,12 +223,10 @@ func TestCalibrationCacheBypass(t *testing.T) {
 		return cacheOutcomes(cfg.Metrics)
 	}
 	custom := base
-	custom.Detectors = []detect.Spec{{Kind: "ranger", New: func(detect.Target) (detect.Detector, error) { return detect.NewRanger("") }}}
-	cached := base
-	cached.Detectors = []detect.Spec{{Kind: "ranger", CachePath: t.TempDir() + "/bounds.ranger.json"}}
+	custom.Detectors = []detect.Spec{{Kind: "ranger", New: func(detect.Target) (detect.Detector, error) { return detect.NewRanger(), nil }}}
 	opaque := base
 	opaque.Assignment = &goldeneye.FormatAssignment{Default: goldeneye.RoleFormats{Activations: opaqueFormat{numfmt.FP16(true)}}}
-	for name, cfg := range map[string]goldeneye.CampaignConfig{"custom_detector": custom, "ranger_cache_file": cached, "opaque_format": opaque} {
+	for name, cfg := range map[string]goldeneye.CampaignConfig{"custom_detector": custom, "opaque_format": opaque} {
 		goldeneye.ResetCalibrationCache()
 		for range 2 {
 			if hit, miss, bypass := run(cfg); hit != 0 || miss != 0 || bypass != 1 {

@@ -884,7 +884,7 @@ func (r *campaignRunner) setupPhases(c *calibration, block int) ([]*setupPhase, 
 	if cfg.UseRanger {
 		// Profiled tensor-wide in slices of 16, whatever the campaign's
 		// batch: the bounds of formats with shared metadata depend on it.
-		c.ranger, _ = detect.NewRanger("") // cannot fail without a cache path
+		c.ranger = detect.NewRanger()
 		refs.sweep(n, 16, (*campaignRunner).profileSlice)
 	}
 	refs.sweep(n, c.batch, (*campaignRunner).referenceSlice)
@@ -910,12 +910,9 @@ func (r *campaignRunner) setupPhases(c *calibration, block int) ([]*setupPhase, 
 	return []*setupPhase{refs, armed}, nil
 }
 
-// seal seals the UseRanger profile and the detection pipeline once their
-// calibration passes are folded.
+// seal seals the detection pipeline once its calibration passes are
+// folded; the UseRanger profile's folded bounds need no sealing.
 func (c *calibration) seal() error {
-	if c.ranger != nil {
-		_ = c.ranger.FinishCalibration() // cannot fail without a cache path
-	}
 	if c.pipeline != nil {
 		return c.pipeline.FinishCalibration()
 	}

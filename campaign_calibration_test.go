@@ -3,8 +3,6 @@ package goldeneye_test
 import (
 	"context"
 	"errors"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -30,8 +28,7 @@ func (r countingRanger) FinishCalibration() error {
 }
 
 // A parallel campaign calibrates once, not once per worker: one observation
-// of the calibration histogram, and one FinishCalibration of a detector
-// with a bounds cache, so the cache file is written once.
+// of the calibration histogram, and one FinishCalibration of a detector.
 func TestCalibrationOncePerCampaign(t *testing.T) {
 	sim, pool := loadSim(t, "mlp")
 	x, y := pool.subset(8)
@@ -52,21 +49,16 @@ func TestCalibrationOncePerCampaign(t *testing.T) {
 	})
 
 	t.Run("cached_ranger", func(t *testing.T) {
-		path := filepath.Join(t.TempDir(), "cell.ranger.json")
 		var finishes atomic.Int64
 		cfg := detectConfig(t, sim, x, y, 40, "", "")
 		cfg.Detectors = []detect.Spec{{Kind: "ranger", New: func(detect.Target) (detect.Detector, error) {
-			r, err := detect.NewRanger(path)
-			return countingRanger{Ranger: r, finishes: &finishes}, err
+			return countingRanger{Ranger: detect.NewRanger(), finishes: &finishes}, nil
 		}}}
 		if _, err := goldeneye.RunCampaignParallel(context.Background(), cfg, workers, mlpBuilder(t)); err != nil {
 			t.Fatal(err)
 		}
 		if got := finishes.Load(); got != 1 {
 			t.Fatalf("%d workers sealed the ranger %d times, want 1", workers, got)
-		}
-		if _, err := os.Stat(path); err != nil {
-			t.Fatalf("bounds cache not written: %v", err)
 		}
 	})
 }

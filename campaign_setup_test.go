@@ -30,9 +30,8 @@ func calibrateSplit(t *testing.T, build func() (*Simulator, error), cfg Campaign
 	if armed {
 		cfg.Detectors = []detect.Spec{
 			{Kind: "ranger", New: func(detect.Target) (detect.Detector, error) {
-				r, err := detect.NewRanger("")
-				v.ranger = r
-				return r, err
+				v.ranger = detect.NewRanger()
+				return v.ranger, nil
 			}},
 			{Kind: "abft", New: func(tg detect.Target) (detect.Detector, error) {
 				a, err := detect.NewABFT(tg, 0)

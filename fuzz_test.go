@@ -131,9 +131,9 @@ func FuzzEmulateFusedVsGeneric(f *testing.F) {
 }
 
 // FuzzAccumRoundRowVsScalar is the differential proof behind accumulator
-// row rounding: for arbitrary float32 partial sums, the row function of
-// numfmt.AccumRound must round every element bit-identically to the scalar
-// FromBits∘ToBits round trip, for every metadata-free preset an
+// row rounding: for arbitrary float32 partial sums, the rounding
+// numfmt.AccumRounding returns must round every element bit-identically to
+// the scalar FromBits∘ToBits round trip, for every metadata-free preset an
 // accumulator role accepts. A register holding NaN must hold the canonical
 // one.
 func FuzzAccumRoundRowVsScalar(f *testing.F) {
@@ -154,7 +154,7 @@ func FuzzAccumRoundRowVsScalar(f *testing.F) {
 		in := []float32{math.Float32frombits(a), math.Float32frombits(b), math.Float32frombits(c), math.Float32frombits(d)}
 		for _, format := range formats {
 			row := append([]float32(nil), in...)
-			numfmt.AccumRound(format)(row)
+			numfmt.AccumRounding(format).Round(row)
 			for i, v := range in {
 				want := float32(format.FromBits(format.ToBits(float64(v), meta), meta))
 				if math.Float32bits(row[i]) != math.Float32bits(want) {

@@ -49,13 +49,6 @@ type Cell struct {
 	Report *goldeneye.CampaignReport `json:"report"`
 }
 
-// Sidecar returns a path alongside the store's cells for auxiliary
-// artifacts keyed like cells — e.g. a detector's serialized calibration
-// (ranger bounds) — with the given extension (".ranger.json").
-func (s *Store) Sidecar(key, ext string) string {
-	return strings.TrimSuffix(s.path(key), ".json") + ext
-}
-
 // Store reads and writes cell checkpoints under one directory.
 type Store struct {
 	dir string

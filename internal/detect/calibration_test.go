@@ -41,13 +41,13 @@ func TestRangerFoldKeepsFirstSignedZero(t *testing.T) {
 		{"neg_then_pos", neg, pos, negZero},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			folded, _ := NewRanger("")
+			folded := NewRanger()
 			for _, x := range []*tensor.Tensor{tc.first, tc.second} {
 				hooks, fold := folded.CalibrationHooks()
 				runHooks(hooks, x)
 				fold()
 			}
-			serial, _ := NewRanger("")
+			serial := NewRanger()
 			hooks, fold := serial.CalibrationHooks()
 			runHooks(hooks, tc.first)
 			runHooks(hooks, tc.second)

@@ -122,11 +122,6 @@ type Spec struct {
 	// the largest fault-free residual; 0 means the default).
 	Margin float64
 
-	// CachePath, for ranger: calibrated bounds are loaded from this file
-	// when it exists and serialized to it after calibration otherwise,
-	// so sweeps sharing a checkpoint directory calibrate once.
-	CachePath string
-
 	// New, when non-nil, overrides Kind with a custom detector factory.
 	// The detector must keep the Detector contract: it copies what it
 	// needs from t and keeps no reference to t.Model or t.Modules for use
@@ -192,8 +187,7 @@ type Detector interface {
 	// observations in the closure, so passes may run concurrently; the
 	// hooks may serve several forward passes in a row. Folding passes in
 	// pool order must give the calibration one pass over the whole pool
-	// would. Both are nil when the detector needs no calibration (or was
-	// restored from a cache).
+	// would. Both are nil when the detector needs no calibration.
 	CalibrationHooks() (hooks *nn.HookSet, fold func())
 
 	// FinishCalibration seals the folded state before arming.
@@ -339,7 +333,7 @@ func Build(specs []Spec, policy Policy, t Target) (*Pipeline, error) {
 		case s.New != nil:
 			d, err = s.New(t)
 		case s.Kind == "ranger":
-			d, err = NewRanger(s.CachePath)
+			d = NewRanger()
 		case s.Kind == "sentinel":
 			d = Sentinel{}
 		case s.Kind == "dmr":

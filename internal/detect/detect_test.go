@@ -2,8 +2,6 @@ package detect
 
 import (
 	"math"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"goldeneye/internal/nn"
@@ -175,10 +173,7 @@ func TestBuildEmptyIsNil(t *testing.T) {
 func TestRangerCalibrateAndDetect(t *testing.T) {
 	tgt := tinyTarget()
 	x := tensor.Randn(rng.New(3), 1, 4, 4)
-	r, err := NewRanger("")
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := NewRanger()
 	calibrate(t, r, tgt.Model, x)
 	rec := NewRecorder(4)
 	forward(tgt, r.Arm(rec, PolicyNone), x)
@@ -205,12 +200,8 @@ func TestRangerCalibrateAndDetect(t *testing.T) {
 // violations clamped to the calibrated bounds. The clean row must not be
 // touched at all.
 func TestRangerClampSemantics(t *testing.T) {
-	r, err := NewRanger("")
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := NewRanger()
 	r.lo[0], r.hi[0] = -1, 2
-	r.calibrated = true
 	rec := NewRecorder(2)
 	out := tensor.FromSlice([]float32{0.5, -3, float32(math.NaN()), 9, 0.25, 1, -0.5, 2}, 2, 4)
 	runHooks(r.Arm(rec, PolicyClamp), out)
@@ -226,12 +217,8 @@ func TestRangerClampSemantics(t *testing.T) {
 }
 
 func TestRangerZeroPolicy(t *testing.T) {
-	r, err := NewRanger("")
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := NewRanger()
 	r.lo[0], r.hi[0] = -1, 2
-	r.calibrated = true
 	rec := NewRecorder(1)
 	out := tensor.FromSlice([]float32{0.5, 9, -0.5, 1}, 1, 4)
 	runHooks(r.Arm(rec, PolicyZero), out)
@@ -243,14 +230,11 @@ func TestRangerZeroPolicy(t *testing.T) {
 	}
 }
 
-// calibratedRanger calibrates a cache-free ranger on fault-free passes of
-// net over x, batch samples at a time.
+// calibratedRanger calibrates a ranger on fault-free passes of net over x,
+// batch samples at a time.
 func calibratedRanger(t *testing.T, net nn.Module, x *tensor.Tensor, batch int) *Ranger {
 	t.Helper()
-	r, err := NewRanger("")
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := NewRanger()
 	var slices []*tensor.Tensor
 	for lo := 0; lo < x.Dim(0); lo += batch {
 		slices = append(slices, x.Slice(lo, min(lo+batch, x.Dim(0))))
@@ -310,41 +294,6 @@ func TestRangerClampHookAllocFreeInRange(t *testing.T) {
 	got := hook(info, bad)
 	if got == bad || got.Data()[3] != hi || !math.IsNaN(float64(bad.Data()[3])) {
 		t.Fatalf("out-of-range tensor: clamped %v into %v, want a copy holding %v", bad.Data()[3], got.Data()[3], hi)
-	}
-}
-
-func TestRangerCacheRoundTrip(t *testing.T) {
-	tgt := tinyTarget()
-	x := tensor.Randn(rng.New(4), 1, 3, 4)
-	path := filepath.Join(t.TempDir(), "cells", "c1.ranger.json")
-	r1, err := NewRanger(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	calibrate(t, r1, tgt.Model, x)
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("bounds not serialized: %v", err)
-	}
-	r2, err := NewRanger(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hooks, fold := r2.CalibrationHooks(); hooks != nil || fold != nil {
-		t.Fatal("cached ranger must skip calibration")
-	}
-	for idx := range r1.lo {
-		lo1, hi1, _ := r1.Bounds(idx)
-		lo2, hi2, ok := r2.Bounds(idx)
-		if !ok || lo1 != lo2 || hi1 != hi2 {
-			t.Fatalf("layer %d bounds diverge after reload: (%v,%v) vs (%v,%v)", idx, lo1, hi1, lo2, hi2)
-		}
-	}
-	// A corrupt cache is an error, not silent recalibration.
-	if err := os.WriteFile(path, []byte("{"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewRanger(path); err == nil {
-		t.Fatal("corrupt cache accepted")
 	}
 }
 
@@ -479,10 +428,7 @@ func FuzzRangerCalibration(f *testing.F) {
 			data[i] = vals[state%3] * (1 + float32(state%7)/16)
 		}
 		out := tensor.FromSlice(data, 3, 4)
-		r, err := NewRanger("")
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := NewRanger()
 		hooks, fold := r.CalibrationHooks()
 		runHooks(hooks, out)
 		fold()

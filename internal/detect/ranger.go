@@ -1,11 +1,7 @@
 package detect
 
 import (
-	"encoding/json"
-	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 
 	"goldeneye/internal/nn"
 	"goldeneye/internal/tensor"
@@ -22,9 +18,7 @@ import (
 // legacy clamp on its own, without detection: the campaign's UseRanger
 // switch.
 type Ranger struct {
-	cachePath string
 	bounds
-	calibrated bool
 }
 
 // bounds are per-layer output ranges, by layer visit index.
@@ -36,38 +30,10 @@ func newBounds() bounds {
 
 var _ Detector = (*Ranger)(nil)
 
-// rangerBounds is the serialized calibration artifact, written next to the
-// campaign checkpoints so a sweep calibrates once per cell.
-type rangerBounds struct {
-	Lo map[int]float32 `json:"lo"`
-	Hi map[int]float32 `json:"hi"`
-}
-
-// NewRanger returns a ranger. When cachePath names an existing file the
-// bounds are restored from it and calibration is skipped; otherwise the
-// ranger calibrates on the campaign's fault-free pass and, if cachePath is
-// non-empty, serializes the learned bounds there.
-func NewRanger(cachePath string) (*Ranger, error) {
-	r := &Ranger{cachePath: cachePath, bounds: newBounds()}
-	if cachePath == "" {
-		return r, nil
-	}
-	data, err := os.ReadFile(cachePath)
-	if os.IsNotExist(err) {
-		return r, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("detect: ranger cache: %w", err)
-	}
-	var b rangerBounds
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("detect: ranger cache %s: %w", cachePath, err)
-	}
-	if b.Lo != nil && b.Hi != nil {
-		r.lo, r.hi = b.Lo, b.Hi
-		r.calibrated = true
-	}
-	return r, nil
+// NewRanger returns an uncalibrated ranger. It learns its bounds on the
+// campaign's fault-free pass.
+func NewRanger() *Ranger {
+	return &Ranger{bounds: newBounds()}
 }
 
 // Name implements Detector.
@@ -101,11 +67,7 @@ func (b bounds) widen(idx int, lo, hi float32) {
 
 // CalibrationHooks implements Detector: the pass's hooks record each
 // layer's output range, and its fold widens the ranger's bounds by them.
-// Bounds restored from a cache need no calibration pass.
 func (r *Ranger) CalibrationHooks() (*nn.HookSet, func()) {
-	if r.calibrated {
-		return nil, nil
-	}
 	pass := newBounds()
 	hooks := nn.NewHookSet()
 	hooks.PostForward(nn.AllLayers(), func(info nn.LayerInfo, t *tensor.Tensor) *tensor.Tensor {
@@ -119,37 +81,9 @@ func (r *Ranger) CalibrationHooks() (*nn.HookSet, func()) {
 	}
 }
 
-// FinishCalibration implements Detector, persisting freshly learned bounds
-// to the cache path (atomically, temp + rename, like checkpoint cells).
-func (r *Ranger) FinishCalibration() error {
-	if r.calibrated || r.cachePath == "" {
-		r.calibrated = true
-		return nil
-	}
-	r.calibrated = true
-	data, err := json.MarshalIndent(rangerBounds{Lo: r.lo, Hi: r.hi}, "", "  ")
-	if err != nil {
-		return err
-	}
-	dir := filepath.Dir(r.cachePath)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(dir, ".ranger-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), r.cachePath)
-}
+// FinishCalibration implements Detector: the folded bounds need no
+// sealing.
+func (r *Ranger) FinishCalibration() error { return nil }
 
 // outOfRange reports whether v violates [lo, hi]; NaN always does.
 func outOfRange(v, lo, hi float32) bool {

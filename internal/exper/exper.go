@@ -51,9 +51,9 @@ type Options struct {
 	Checkpoint *checkpoint.Store
 
 	// Detectors names the fault-detection pipeline every campaign cell
-	// arms (any of ranger, sentinel, dmr, abft); empty means none. When a
-	// checkpoint store is configured, ranger calibration is cached in a
-	// sidecar file next to each cell's checkpoint.
+	// arms (any of ranger, sentinel, dmr, abft); empty means none. Cells
+	// on one model, format and pool share their calibration through the
+	// process's calibration cache, with or without a checkpoint store.
 	Detectors []string
 
 	// Recovery is the recovery policy paired with Detectors: "" or "none",
@@ -62,22 +62,14 @@ type Options struct {
 }
 
 // applyDetectors wires the sweep-level detector options into one cell's
-// campaign config. The cell key scopes the ranger-bounds cache: bounds are
-// calibrated per model/format/pool, so cells must not share them.
-func (o Options) applyDetectors(cfg *goldeneye.CampaignConfig, key string) error {
+// campaign config.
+func (o Options) applyDetectors(cfg *goldeneye.CampaignConfig) error {
 	if len(o.Detectors) == 0 {
 		return nil
 	}
 	specs, err := goldeneye.ParseDetectors(strings.Join(o.Detectors, ","))
 	if err != nil {
 		return err
-	}
-	if o.Checkpoint != nil {
-		for i := range specs {
-			if specs[i].Kind == "ranger" {
-				specs[i].CachePath = o.Checkpoint.Sidecar(key, ".ranger.json")
-			}
-		}
 	}
 	policy, err := goldeneye.ParseRecovery(o.Recovery)
 	if err != nil {
@@ -219,7 +211,7 @@ func CellHash(cfg goldeneye.CampaignConfig) uint64 {
 // KeepTrace campaigns, whose traces are not persisted — it falls through to
 // a plain RunCampaign.
 func runCell(ctx context.Context, sim *goldeneye.Simulator, key string, cfg goldeneye.CampaignConfig, o Options) (*goldeneye.CampaignReport, error) {
-	if err := o.applyDetectors(&cfg, key); err != nil {
+	if err := o.applyDetectors(&cfg); err != nil {
 		return nil, err
 	}
 	st := o.Checkpoint

@@ -90,13 +90,6 @@ func Protection(ctx context.Context, model string, w io.Writer, o Options) ([]Pr
 				if perr != nil {
 					return rows, perr
 				}
-				if o.Checkpoint != nil {
-					for i := range specs {
-						if specs[i].Kind == "ranger" {
-							specs[i].CachePath = o.Checkpoint.Sidecar(key, ".ranger.json")
-						}
-					}
-				}
 				cfg.Detectors = specs
 				if cfg.Recovery, perr = goldeneye.ParseRecovery(pc.recovery); perr != nil {
 					return rows, perr

@@ -2,8 +2,9 @@ package numfmt
 
 import "goldeneye/internal/tensor"
 
-// AccumRound returns the rounding a GEMM applies to its partial sums when
-// its accumulator register runs in format f: the function rounds every
+// AccumRounding returns the rounding a GEMM applies to its partial sums
+// when its accumulator register runs in format f, as the value a
+// tensor.AccumHook carries in its Quant field. Its Round rounds every
 // element of a row of partial sums in place, each to exactly the value of a
 // ToBits→FromBits round trip under empty metadata. The GEMM rounds the
 // output row it just updated after every multiply-accumulate step whose A
@@ -14,30 +15,20 @@ import "goldeneye/internal/tensor"
 // Only metadata-free formats (MetaNone: FP, FxP, posit, LNS) make valid
 // accumulator formats: per-tensor scales, shared exponents, and adaptive
 // biases are derived from a completed tensor and cannot exist mid-reduction.
-// Campaign validation enforces this; AccumRound itself just passes empty
+// Campaign validation enforces this; AccumRounding itself just passes empty
 // metadata, which such formats ignore. Every such format rounds each
-// element independently, so a caller may hand the function any contiguous
-// run of partial sums.
+// element independently, so a caller may hand Round any contiguous run of
+// partial sums.
 //
-// FP and FxP — the element-local families with a fused kernel — round the
-// row with that kernel. FP's canonicalizes NaN to float32(math.NaN()) as
+// For an FP format up to e8m22 (every FP preset but FP32) the rounding is
+// the format's tensor.FPRound, whose parameters let the GEMM's AVX2 tile
+// round each partial sum in registers. FP and FxP otherwise round the row
+// with their fused kernel. FP's canonicalizes NaN to float32(math.NaN()) as
 // FromBits does: the register's NaN must not keep an input's sign or
 // payload, which a later bit flip of the register would see. FxP maps NaN
 // to 0 like its scalar path. Posit and LNS loop the scalar round trip over
-// the row. The function is stateless and safe for concurrent use from the
+// the row. The rounding is stateless and safe for concurrent use from the
 // GEMM's row-sharded worker goroutines.
-func AccumRound(f Format) func(row []float32) {
-	if r := AccumRounding(f); r != nil {
-		return r.Round
-	}
-	return nil
-}
-
-// AccumRounding is AccumRound as the value a tensor.AccumHook carries in
-// its Quant field: for an FP format up to e8m22 (every FP preset but
-// FP32) it is the format's tensor.FPRound, whose parameters let the GEMM's
-// AVX2 tile round each partial sum in registers; for any other format a
-// tensor.RoundFunc of the row function. A nil f returns nil.
 func AccumRounding(f Format) tensor.Rounding {
 	switch f := f.(type) {
 	case nil:

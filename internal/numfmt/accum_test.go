@@ -36,7 +36,7 @@ func accumEdgeBits(f Format) []uint32 {
 	return bits
 }
 
-// The row function AccumRound returns must round every element exactly as
+// The rounding AccumRounding returns must round every element exactly as
 // the scalar FromBits∘ToBits round trip does — NaN sign and payload
 // included — for every accumulator preset, over the edge patterns, normal
 // values swept from deep-subnormal to saturation, and random bit patterns
@@ -58,7 +58,7 @@ func TestAccumRoundRowMatchesScalar(t *testing.T) {
 			row = append(row, math.Float32frombits(uint32(r.Uint64())))
 		}
 		in := append([]float32(nil), row...)
-		AccumRound(f)(row)
+		AccumRounding(f).Round(row)
 		for i, v := range in {
 			want := float32(f.FromBits(f.ToBits(float64(v), meta), meta))
 			if math.Float32bits(row[i]) != math.Float32bits(want) {

@@ -30,9 +30,8 @@ type job struct {
 	specJSON json.RawMessage
 
 	// cfg is the live campaign configuration. The worker overwrites it once
-	// with the fully resolved version (default layer filled in, detector
-	// cache paths attached) before the run starts; reads go through
-	// snapshotCfg.
+	// with the fully resolved version (default layer filled in) before the
+	// run starts; reads go through snapshotCfg.
 	cfg goldeneye.CampaignConfig
 
 	// workers is the resolved parallel worker count.

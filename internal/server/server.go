@@ -572,13 +572,6 @@ func (s *Server) execute(ctx context.Context, j *job) (rep *goldeneye.CampaignRe
 				Reason: fmt.Sprintf("model %s has no injectable layers for target %v", j.spec.Model, cfg.Target)}
 		}
 	}
-	if s.cache.store != nil {
-		for i := range cfg.Detectors {
-			if cfg.Detectors[i].Kind == "ranger" && cfg.Detectors[i].CachePath == "" {
-				cfg.Detectors[i].CachePath = s.cache.store.Sidecar(j.key, ".ranger.json")
-			}
-		}
-	}
 	j.setResolved(cfg, detect.Names(cfg.Detectors))
 
 	// The scout simulator doubles as the first campaign worker's; extra

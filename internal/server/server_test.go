@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"goldeneye"
+	"goldeneye/internal/detect"
 	"goldeneye/internal/inject"
 	"goldeneye/internal/sampling"
 	"goldeneye/internal/telemetry"
@@ -232,6 +233,55 @@ func TestResultCacheHit(t *testing.T) {
 	}
 	if got := executions.Load(); got != 2 {
 		t.Errorf("changed seed must re-execute: executions=%d", got)
+	}
+}
+
+// TestCacheDirRangerJobsShareCalibration: ranger jobs on a daemon with a
+// cache directory share their calibration through the process's
+// calibration cache. Of two jobs that differ only in seed, the second
+// reads a hit, and its report equals a memory-only daemon's.
+func TestCacheDirRangerJobsShareCalibration(t *testing.T) {
+	rangerSpec := func(seed uint64) *JobSpec {
+		spec := testSpec(t)
+		spec.Campaign.Seed = seed
+		spec.Campaign.Detectors = []detect.Spec{{Kind: "ranger"}}
+		spec.Campaign.Recovery = goldeneye.RecoverClamp
+		return spec
+	}
+	run := func(s *Server, ts *httptest.Server, spec *JobSpec) (*job, []byte) {
+		t.Helper()
+		_, st := submit(t, ts, spec)
+		if terminal, payload, _ := readEvents(t, ts, st.ID); terminal != "done" {
+			t.Fatalf("job %s: %q (%s)", st.ID, terminal, payload)
+		}
+		s.mu.Lock()
+		j := s.jobs[st.ID]
+		s.mu.Unlock()
+		rep, err := j.result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j, b
+	}
+
+	s, ts := newTestServer(t, Options{CacheDir: t.TempDir()})
+	run(s, ts, rangerSpec(21))
+	j, got := run(s, ts, rangerSpec(22))
+	outcome := func(o string) int64 {
+		return j.reg.Counter(telemetry.Label(goldeneye.MetricCampaignCalibrationCache, "outcome", o)).Value()
+	}
+	if outcome("hit") != 1 {
+		t.Errorf("second ranger job: calibration cache hit/miss/bypass %d/%d/%d, want 1/0/0",
+			outcome("hit"), outcome("miss"), outcome("bypass"))
+	}
+
+	mem, memTS := newTestServer(t, Options{})
+	if _, want := run(mem, memTS, rangerSpec(22)); !bytes.Equal(got, want) {
+		t.Errorf("cache-dir daemon's report differs from a memory-only daemon's:\n got %s\nwant %s", got, want)
 	}
 }
 

@@ -106,8 +106,8 @@ func (c CampaignConfig) wireVersion() int {
 }
 
 // detectorJSON is the wire shape of one detector declaration. Only the
-// declarative fields travel: a Spec's CachePath is a local filesystem
-// detail and New is code — neither belongs on the network.
+// declarative fields travel: a Spec's New is code, which does not belong on
+// the network.
 type detectorJSON struct {
 	Kind   string  `json:"kind"`
 	Margin float64 `json:"margin,omitempty"`
