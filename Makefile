@@ -52,6 +52,15 @@ fuzz-smoke:
 	go test -run NONE -fuzz '^FuzzGEMMKernelVsPureGo$$' -fuzztime 10s ./internal/tensor
 	go test -run NONE -fuzz '^FuzzAccumKernelVsPureGo$$' -fuzztime 10s ./internal/tensor
 
+# Opt-in, and kept out of `check` for its runtime (about 5.5 min on 2
+# vCPUs): every one of the 2^32 float32 inputs of posit8, posit16, lns8
+# and lns16 must round through the segment-table kernel exactly as
+# through the scalar path. The test file builds only under the exhaustive
+# tag, so `go test ./...` never runs it.
+.PHONY: exhaustive-formats
+exhaustive-formats:
+	go test -tags exhaustive -run '^TestExhaustiveSegTables$$' -count=1 -timeout 60m -v ./internal/numfmt
+
 # The portable GEMM kernel, which other architectures and CPUs without
 # AVX2 run, must keep every golden and bit-identity suite: build without
 # the assembly kernel and run the tensor package plus the root suites that

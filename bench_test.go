@@ -54,6 +54,7 @@ func BenchmarkFig3Inference(b *testing.B) {
 		{name: "native_fp32"},
 		{name: "fp16", format: numfmt.FP16(true)},
 		{name: "acc_fp16", format: numfmt.FP16(true), accum: true},
+		{name: "acc_posit8", format: numfmt.Posit8(), accum: true},
 		{name: "fp8_e4m3", format: numfmt.FP8E4M3(true)},
 		{name: "fxp_1_7_8", format: numfmt.FxP16()},
 		{name: "int8", format: numfmt.INT8()},
@@ -362,6 +363,7 @@ func BenchmarkFormatEmulate(b *testing.B) {
 	formats := []numfmt.Format{
 		numfmt.FP16(true), numfmt.FP8E4M3(true), numfmt.FxP16(),
 		numfmt.INT8(), numfmt.BFPe5m5(), numfmt.AFPe5m2(),
+		numfmt.Posit8(), numfmt.Posit16(), numfmt.LNS8(), numfmt.LNS16(), numfmt.NF4(),
 	}
 	x := tensor.Randn(rng.New(1), 1, 64, 1024)
 	for _, f := range formats {
@@ -385,6 +387,7 @@ func BenchmarkEmulateFusedVsGeneric(b *testing.B) {
 	formats := []numfmt.Format{
 		numfmt.FP16(true), numfmt.FxP16(), numfmt.INT8(),
 		numfmt.BFPe5m5(), numfmt.AFPe5m2(),
+		numfmt.Posit8(), numfmt.LNS8(), numfmt.NF4(),
 	}
 	x := tensor.Randn(rng.New(1), 1, 64, 1024)
 	for _, f := range formats {

@@ -1,6 +1,10 @@
 package goldeneye
 
-import "testing"
+import (
+	"testing"
+
+	"goldeneye/internal/numfmt"
+)
 
 func TestParseFormat(t *testing.T) {
 	tests := []struct {
@@ -105,6 +109,30 @@ func TestParseFormatEmerging(t *testing.T) {
 	for _, bad := range []string{"positx", "posit8_esx", "lns_1", "nfx"} {
 		if _, err := ParseFormat(bad); err == nil {
 			t.Errorf("ParseFormat(%q) succeeded, want error", bad)
+		}
+	}
+}
+
+// Every named preset has a fused kernel: EmulateEpilogue hands layers an
+// epilogue for it, per whole output and per sample, so no built-in format
+// falls back to the hook path.
+func TestParseFormatPresetsHaveFusedEpilogues(t *testing.T) {
+	presets := []string{
+		"fp32", "fp16", "half", "bfloat16", "bf16", "tf32", "tensorfloat32", "dlfloat",
+		"fp8_e4m3", "fp8_e5m2", "int8", "int16", "fxp16", "fxp32", "bfp_e5m5", "afp_e5m2",
+		"posit8", "posit16", "lns8", "lns16", "nf4",
+	}
+	for _, spec := range presets {
+		for _, s := range []string{spec, spec + "_nodn"} {
+			f, err := ParseFormat(s)
+			if err != nil {
+				continue // _nodn applies to the fp and afp forms only
+			}
+			for _, n := range []int{1, 2} {
+				if numfmt.EmulateEpilogue(f, n).Empty() {
+					t.Errorf("%s: no fused epilogue for %d samples", s, n)
+				}
+			}
 		}
 	}
 }

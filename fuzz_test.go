@@ -86,9 +86,11 @@ func FuzzPosit8Decode(f *testing.F) {
 // FuzzEmulateFusedVsGeneric is the differential proof behind the fused
 // kernels: for arbitrary float inputs, every family's single-pass fused
 // Emulate must be bit-identical to the generic quantize→dequantize
-// reference (numfmt.Generic), NaN included: both paths canonicalize
-// every NaN input to float32(math.NaN()). The grouped case holds the
-// same for the per-sample path (numfmt.EmulateBatched over two samples).
+// reference (numfmt.Generic), NaN included: both paths map every NaN
+// input alike, to float32(math.NaN()) (FP, posit) or to +0 (FxP, INT,
+// BFP, AFP, LNS, LUT). The grouped case holds the same for the
+// per-sample path (numfmt.EmulateBatched over two samples), which gives
+// each sample its own INT/LUT scale, BFP shared exponent and AFP bias.
 func FuzzEmulateFusedVsGeneric(f *testing.F) {
 	f.Add(uint32(0), uint32(math.Float32bits(1.0)), uint32(math.Float32bits(-3.5)), uint32(0x7FC00001))
 	f.Add(uint32(math.Float32bits(1e30)), uint32(math.Float32bits(-1e-30)),
@@ -97,6 +99,7 @@ func FuzzEmulateFusedVsGeneric(f *testing.F) {
 	formats := []numfmt.Format{
 		numfmt.FP16(true), numfmt.FP8E4M3(true), numfmt.FxP16(),
 		numfmt.INT8(), numfmt.BFPe5m5(), numfmt.AFPe5m2(),
+		numfmt.Posit8(), numfmt.Posit16(), numfmt.LNS8(), numfmt.LNS16(), numfmt.NF4(),
 	}
 	f.Fuzz(func(t *testing.T, a, b, c, d uint32) {
 		x := tensor.New(1, 4)
@@ -148,7 +151,8 @@ func FuzzAccumRoundRowVsScalar(f *testing.F) {
 		formats = append(formats, numfmt.FP32(dn), numfmt.FP16(dn), numfmt.BFloat16(dn),
 			numfmt.TensorFloat32(dn), numfmt.DLFloat(dn), numfmt.FP8E4M3(dn), numfmt.FP8E5M2(dn))
 	}
-	formats = append(formats, numfmt.FxP16(), numfmt.FxP32(), numfmt.Posit8(), numfmt.LNS8())
+	formats = append(formats, numfmt.FxP16(), numfmt.FxP32(),
+		numfmt.Posit8(), numfmt.Posit16(), numfmt.LNS8(), numfmt.LNS16())
 	meta := numfmt.Metadata{Kind: numfmt.MetaNone}
 	f.Fuzz(func(t *testing.T, a, b, c, d uint32) {
 		in := []float32{math.Float32frombits(a), math.Float32frombits(b), math.Float32frombits(c), math.Float32frombits(d)}

@@ -369,3 +369,29 @@ func TestTable1RowsExported(t *testing.T) {
 		t.Fatalf("Table1Rows returned %d rows, want 12", len(rows))
 	}
 }
+
+// Every Emulate an evaluation under the emerging formats runs is served by
+// a fused kernel: none takes the generic path, and none is left to a
+// bespoke per-element loop (emulate − fused − generic stays 0).
+func TestEvaluatePoolEmergingFormatsRunFusedKernels(t *testing.T) {
+	sim, pool := loadSim(t, "resnet_s")
+	x, y := pool.subset(16)
+	p, err := goldeneye.NewEvalPool(x, y, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []numfmt.Format{numfmt.Posit8(), numfmt.LNS8(), numfmt.NF4()} {
+		before := numfmt.ReadOpCounts()
+		sim.EvaluatePool(p, goldeneye.EmulationConfig{Assignment: &goldeneye.FormatAssignment{
+			Default: goldeneye.RoleFormats{Weights: f, Activations: f},
+		}})
+		after := numfmt.ReadOpCounts()
+		emulate := after.Emulate - before.Emulate
+		fused := after.FusedKernels - before.FusedKernels
+		generic := after.GenericKernels - before.GenericKernels
+		if emulate == 0 || generic != 0 || emulate-fused-generic != 0 {
+			t.Errorf("%s: %d emulate calls, %d fused and %d generic kernels; want every call fused",
+				f.Name(), emulate, fused, generic)
+		}
+	}
+}

@@ -2,6 +2,13 @@ package numfmt
 
 import "goldeneye/internal/tensor"
 
+// chunkEmulator is implemented by the element-local formats (FP, FxP,
+// posit, LNS): emulateChunk rounds any contiguous run of float32 storage in
+// place with the format's fused kernel.
+type chunkEmulator interface {
+	emulateChunk(data []float32)
+}
+
 // AccumRounding returns the rounding a GEMM applies to its partial sums
 // when its accumulator register runs in format f, as the value a
 // tensor.AccumHook carries in its Quant field. Its Round rounds every
@@ -26,20 +33,20 @@ import "goldeneye/internal/tensor"
 // with their fused kernel. FP's canonicalizes NaN to float32(math.NaN()) as
 // FromBits does: the register's NaN must not keep an input's sign or
 // payload, which a later bit flip of the register would see. FxP maps NaN
-// to 0 like its scalar path. Posit and LNS loop the scalar round trip over
-// the row. The rounding is stateless and safe for concurrent use from the
-// GEMM's row-sharded worker goroutines.
+// to 0 like its scalar path. Posit and LNS round the row through their
+// segment table (segtable.go), which maps NaN as FromBits∘ToBits does:
+// posit to the canonical NaN, LNS to +0. Any other format loops the
+// scalar round trip over the row. The rounding is stateless and safe for
+// concurrent use from the GEMM's row-sharded worker goroutines.
 func AccumRounding(f Format) tensor.Rounding {
-	switch f := f.(type) {
-	case nil:
+	if f == nil {
 		return nil
-	case *FP:
-		if f.round != nil {
-			return f.round
-		}
-		return tensor.RoundFunc(f.emulateChunk)
-	case *FxP:
-		return tensor.RoundFunc(f.emulateChunk)
+	}
+	if fp, ok := f.(*FP); ok && fp.round != nil {
+		return fp.round
+	}
+	if c, ok := f.(chunkEmulator); ok {
+		return tensor.RoundFunc(c.emulateChunk)
 	}
 	meta := Metadata{Kind: MetaNone}
 	return tensor.RoundFunc(func(row []float32) {

@@ -8,14 +8,14 @@ import (
 )
 
 // accumFormats are the metadata-free presets an accumulator role accepts:
-// every FP preset with and without denormals, both FxP presets, posit8 and
-// lns8.
+// every FP preset with and without denormals, both FxP presets, and both
+// posit and LNS presets.
 func accumFormats() []Format {
 	var fs []Format
 	for _, dn := range []bool{true, false} {
 		fs = append(fs, FP32(dn), FP16(dn), BFloat16(dn), TensorFloat32(dn), DLFloat(dn), FP8E4M3(dn), FP8E5M2(dn))
 	}
-	return append(fs, FxP16(), FxP32(), Posit8(), LNS8())
+	return append(fs, FxP16(), FxP32(), Posit8(), Posit16(), LNS8(), LNS16())
 }
 
 // accumEdgeBits returns the float32 bit patterns where a row rounding and

@@ -129,8 +129,7 @@ func (f *AFP) Dequantize(enc *Encoding) *tensor.Tensor {
 // pinned bit-identical to the generic quantize→dequantize code path
 // (Generic) by the property and fuzz suites.
 func (f *AFP) Emulate(t *tensor.Tensor) *tensor.Tensor {
-	countEmulate(t.Len())
-	countKernelFused()
+	countEmulateFused(t.Len())
 	out := t.Clone()
 	f.emulateRowsInPlace(out.Data(), 1, t.Len())
 	return out

@@ -92,13 +92,13 @@ func DequantizeBatched(f Format, enc *Encoding) *tensor.Tensor {
 // an n-sample pass's activation t in which every sample's metadata is
 // derived from that sample alone (n = 1: f.Emulate(t)). Batch-invariant
 // formats keep their whole-tensor fast path (already bit-identical per
-// sample). Metadata-bearing formats with a fused kernel (INT, BFP, AFP)
-// run it directly over sample slices of one output buffer — no per-sample
-// tensor allocation, no quantize/dequantize round trip — with a
+// sample). Metadata-bearing formats with a fused kernel (INT, BFP, AFP,
+// LUT) run it directly over sample slices of one output buffer — no
+// per-sample tensor allocation, no quantize/dequantize round trip — with a
 // GOMAXPROCS-bounded fan-out for large activations (tensor.ParallelRows).
-// Formats without a fused kernel (LUT, Generic) emulate sliced views
-// through their own Emulate, over the same fan-out; that is what the fused
-// path is pinned bit-identical to.
+// Formats without a fused kernel (Generic, formats from outside this
+// package) emulate sliced views through their own Emulate, over the same
+// fan-out; that is what the fused path is pinned bit-identical to.
 func EmulateBatched(f Format, t *tensor.Tensor, n int) *tensor.Tensor {
 	g := sampleRows(t, n)
 	if n == 1 || batchInvariant(f) {

@@ -121,13 +121,13 @@ func TestEmulateBatchedMatchesPerRow(t *testing.T) {
 			got := EmulateBatched(f, c.in, c.n).Data()
 			fused := c.in.Clone().Data()
 			ep := EmulateEpilogue(f, c.n)
+			if ep.Empty() {
+				t.Fatalf("%s: no fused epilogue", f.Name())
+			}
 			if ep.Tile != nil {
 				ep.Tile(fused)
 			}
 			ep.Apply(fused)
-			if ep.Empty() {
-				fused = got // no fused kernel: the hook path is EmulateBatched
-			}
 			for r := 0; r < c.n; r++ {
 				want := f.Emulate(c.sample(r)).Data()
 				for j, w := range want {
@@ -158,8 +158,7 @@ func TestEmulateBatchedMatchesPerRow(t *testing.T) {
 
 // EmulateBatched must give every family's samples their batch-1 bits on
 // the parallel path that real campaign activations hit: the fused kernels'
-// and, for NewLUT(4), the per-sample Emulate loop's share of
-// tensor.ParallelRows.
+// share of tensor.ParallelRows.
 func TestEmulateBatchedParallelPath(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	const rows = 8

@@ -186,8 +186,7 @@ func (f *BFP) decodeValue(b Bits, step float64) float64 {
 // bit-identical to the generic quantize→dequantize code path (Generic) by
 // the property and fuzz suites.
 func (f *BFP) Emulate(t *tensor.Tensor) *tensor.Tensor {
-	countEmulate(t.Len())
-	countKernelFused()
+	countEmulateFused(t.Len())
 	out := t.Clone()
 	f.emulateRowsInPlace(out.Data(), 1, t.Len())
 	return out

@@ -169,12 +169,13 @@ type Format interface {
 
 	// Emulate quantizes and dequantizes t in one step: the value each
 	// element would take after a round trip through the format. This is
-	// the inference-emulation hot path: all five paper families run fused
-	// single-pass kernels here (see kernels.go), bit-identical to the
-	// generic Dequantize∘Quantize composition that defines the semantics.
-	// LNS, posit, and the LUT take the generic path, and Generic wraps any
-	// format onto it — for differential testing and for measuring the
-	// paper's Fig 3 dichotomy between accelerated and code-based backends.
+	// the inference-emulation hot path: every built-in family, the five
+	// paper families and posit, LNS and the LUT, runs a fused single-pass
+	// kernel here (see kernels.go), bit-identical to the generic
+	// Dequantize∘Quantize composition that defines the semantics. Generic
+	// wraps any format onto that composition — for differential testing
+	// and for measuring the paper's Fig 3 dichotomy between accelerated
+	// and code-based backends.
 	Emulate(t *tensor.Tensor) *tensor.Tensor
 
 	// Range reports the representable dynamic range (Table I).
@@ -186,7 +187,7 @@ type Format interface {
 // it, and it is the reference the fused kernels are differentially tested
 // against.
 func emulateViaCodes(f Format, t *tensor.Tensor) *tensor.Tensor {
-	countKernelGeneric()
+	countEmulateGeneric(t.Len())
 	return f.Dequantize(f.Quantize(t))
 }
 

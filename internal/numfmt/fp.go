@@ -142,8 +142,7 @@ func (f *FP) quantizeScalar(v float64) float64 {
 // fall back to the scalar arithmetic path. Tests assert exact agreement
 // with Dequantize∘Quantize.
 func (f *FP) Emulate(t *tensor.Tensor) *tensor.Tensor {
-	countEmulate(t.Len())
-	countKernelFused()
+	countEmulateFused(t.Len())
 	out := t.Clone()
 	f.emulateChunk(out.Data())
 	return out

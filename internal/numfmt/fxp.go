@@ -77,8 +77,7 @@ func (f *FxP) quantizeCode(v float64) int64 {
 // Emulate implements Format with an arithmetic fast path: scale, one
 // branch-free RNE, clamp, scale back.
 func (f *FxP) Emulate(t *tensor.Tensor) *tensor.Tensor {
-	countEmulate(t.Len())
-	countKernelFused()
+	countEmulateFused(t.Len())
 	out := t.Clone()
 	f.emulateChunk(out.Data())
 	return out

@@ -85,8 +85,7 @@ func (q *INT) quantizeCode(v, scale float64) int64 {
 // Emulate implements Format with an arithmetic fast path: scale, one
 // branch-free RNE, clamp, scale back.
 func (q *INT) Emulate(t *tensor.Tensor) *tensor.Tensor {
-	countEmulate(t.Len())
-	countKernelFused()
+	countEmulateFused(t.Len())
 	scale := float64(q.scaleFor(t))
 	out := t.Clone()
 	data := out.Data()

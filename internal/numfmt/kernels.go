@@ -18,8 +18,10 @@ package numfmt
 // (FuzzEmulateFusedVsGeneric), and the campaign golden files — a fused
 // kernel that changes one bit is a bug, not a speedup.
 //
-// LNS, Posit, and LUT keep their existing paths: their table- and
-// search-based decodes have no profitable arithmetic fusion.
+// Posit and LNS have no arithmetic fusion; their kernel is a lookup in a
+// segment table compiled from the scalar path (segtable.go). The LUT's
+// kernel finds each level by a branch-free bisection over cuts derived
+// from its scalar comparison (levelIndex).
 
 import (
 	"fmt"
@@ -36,13 +38,16 @@ type rowEmulator interface {
 	emulateRowsInPlace(data []float32, rows, rowLen int)
 }
 
-// Compile-time checks: the fused-kernel families of the tentpole.
+// Compile-time checks: every built-in family has a fused kernel.
 var (
 	_ rowEmulator = (*FP)(nil)
 	_ rowEmulator = (*FxP)(nil)
 	_ rowEmulator = (*INT)(nil)
 	_ rowEmulator = (*BFP)(nil)
 	_ rowEmulator = (*AFP)(nil)
+	_ rowEmulator = (*Posit)(nil)
+	_ rowEmulator = (*LNS)(nil)
+	_ rowEmulator = (*LUT)(nil)
 )
 
 // Generic returns f with Emulate replaced by the literal quantize→dequantize
@@ -58,7 +63,6 @@ func Generic(f Format) Format { return generic{f} }
 type generic struct{ Format }
 
 func (g generic) Emulate(t *tensor.Tensor) *tensor.Tensor {
-	countEmulate(t.Len())
 	return emulateViaCodes(g.Format, t)
 }
 
@@ -94,8 +98,7 @@ func EmulateEpilogue(f Format, n int) tensor.Epilogue {
 // an n-sample pass, deriving each sample's metadata from its contiguous
 // len(data)/n span alone; large activations fan out over tensor.ParallelRows.
 func emulateSamples(re rowEmulator, data []float32, n int) {
-	countEmulate(len(data))
-	countKernelFused()
+	countEmulateFused(len(data))
 	span := len(data) / n
 	tensor.ParallelRows(n, span, func(lo, hi int) {
 		re.emulateRowsInPlace(data[lo*span:hi*span], hi-lo, span)

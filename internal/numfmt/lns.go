@@ -26,18 +26,23 @@ type LNS struct {
 	step    float64 // log-domain quantum: 2^-f
 	maxCode int64   // 2^(i+f-1) - 1
 	minCode int64   // -2^(i+f-1) + 1 (one below is the zero sentinel)
+
+	seg *lazySegTable // the geometry's shared fused-kernel table; nil above 16 bits
 }
 
 var _ Format = (*LNS)(nil)
 
 // NewLNS returns a logarithmic format with i integer and f fractional bits
-// of log-magnitude (total width 1 sign + i + f).
+// of log-magnitude (total width 1 sign + i + f). Geometries up to 16 bits
+// wide emulate through a segment table (segtable.go) shared by every
+// instance; wider ones have too many outputs for one and round each
+// element through the scalar path.
 func NewLNS(i, f int) *LNS {
 	if i < 2 || f < 0 || i+f < 2 || i+f > 30 {
 		panic(fmt.Sprintf("numfmt: unsupported LNS geometry (%d,%d)", i, f))
 	}
 	magBits := uint(i + f)
-	return &LNS{
+	l := &LNS{
 		name:     fmt.Sprintf("lns_%d_%d", i, f),
 		intBits:  i,
 		fracBits: f,
@@ -45,6 +50,10 @@ func NewLNS(i, f int) *LNS {
 		maxCode:  int64(1)<<(magBits-1) - 1,
 		minCode:  -(int64(1) << (magBits - 1)) + 1,
 	}
+	if 1+i+f <= 16 {
+		l.seg = sharedSegTable(l.name)
+	}
+	return l
 }
 
 // LNS8 returns an 8-bit LNS (sign + 5 integer + 2 fraction log bits).
@@ -105,15 +114,36 @@ func (l *LNS) valueOf(sign bool, logCode int64) float64 {
 	return v
 }
 
-// Emulate implements Format.
+// roundScalar is the scalar rounding the segment table is compiled from.
+func (l *LNS) roundScalar(v float32) float32 {
+	return float32(l.valueOf(math.Signbit(float64(v)), l.quantizeLog(float64(v))))
+}
+
+// Emulate implements Format with the fused segment-table kernel.
 func (l *LNS) Emulate(t *tensor.Tensor) *tensor.Tensor {
-	countEmulate(t.Len())
+	countEmulateFused(t.Len())
 	out := t.Clone()
-	data := out.Data()
-	for i, v := range data {
-		data[i] = float32(l.valueOf(math.Signbit(float64(v)), l.quantizeLog(float64(v))))
-	}
+	l.emulateChunk(out.Data())
 	return out
+}
+
+// emulateRowsInPlace implements rowEmulator. LNS rounding is
+// element-local, so the row geometry is irrelevant.
+func (l *LNS) emulateRowsInPlace(data []float32, _, _ int) {
+	l.emulateChunk(data)
+}
+
+// emulateChunk rounds a contiguous chunk of float32 storage in place: the
+// kernel behind Emulate, the batched and epilogue paths, and accumulator
+// rounding.
+func (l *LNS) emulateChunk(data []float32) {
+	if l.seg == nil {
+		for i, v := range data {
+			data[i] = l.roundScalar(v)
+		}
+		return
+	}
+	l.seg.get(l.roundScalar).round(data)
 }
 
 // Quantize implements Format (method 1).

@@ -3,6 +3,7 @@ package numfmt
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"goldeneye/internal/tensor"
@@ -23,6 +24,11 @@ type LUT struct {
 	name   string
 	bits   int
 	levels []float64 // sorted normalized levels in [-1, 1]
+
+	// cuts[i] is the order key (orderKey) of the largest x nearestLevel
+	// rounds to level i or below; the last entry, above every key, pads
+	// cuts to len(levels).
+	cuts []uint64
 }
 
 var _ Format = (*LUT)(nil)
@@ -53,11 +59,42 @@ func NewLUT(bits int) *LUT {
 	}
 	levels[zi] = 0
 	sort.Float64s(levels)
+	// Between levels a < b nearestLevel picks a while x-a <= b-x. Both
+	// sides are monotone in x, so the comparison holds up to one largest x
+	// and fails beyond it: bisect the order keys for it.
+	cuts := make([]uint64, n)
+	for i := 0; i < n-1; i++ {
+		a, b := levels[i], levels[i+1]
+		lo, hi := orderKey(a), orderKey(b) // the comparison holds at lo, fails at hi
+		for hi-lo > 1 {
+			mid := lo + (hi-lo)/2
+			if x := fromOrderKey(mid); x-a <= b-x {
+				lo = mid
+			} else {
+				hi = mid
+			}
+		}
+		cuts[i] = lo
+	}
+	cuts[n-1] = math.MaxUint64
 	return &LUT{
 		name:   fmt.Sprintf("nf%d", bits),
 		bits:   bits,
 		levels: levels,
+		cuts:   cuts,
 	}
+}
+
+// orderKey maps float64 values onto uint64 keys in the same order (-0 just
+// below +0), so comparisons of keys are integer comparisons.
+func orderKey(x float64) uint64 {
+	u := math.Float64bits(x)
+	return u ^ (uint64(int64(u)>>63) | 1<<63)
+}
+
+// fromOrderKey is the inverse of orderKey.
+func fromOrderKey(k uint64) float64 {
+	return math.Float64frombits(k ^ (uint64(int64(^k)>>63) | 1<<63))
 }
 
 // NF4 returns the 4-bit normal-float codebook.
@@ -88,11 +125,12 @@ func (l *LUT) Range() Range {
 	return Range{AbsMax: 1, MinPos: minPos}
 }
 
-// scaleFor derives the scale register from the largest *finite* magnitude,
-// so Inf/NaN elements (possible mid-campaign) cannot poison the register.
-func (l *LUT) scaleFor(t *tensor.Tensor) float32 {
+// lutScale derives a sample's scale register from its largest *finite*
+// magnitude, so Inf/NaN elements (possible mid-campaign) cannot poison the
+// register.
+func lutScale(data []float32) float32 {
 	maxAbs := 0.0
-	for _, v := range t.Data() {
+	for _, v := range data {
 		a := math.Abs(float64(v))
 		if a > maxAbs && !math.IsInf(a, 0) {
 			maxAbs = a
@@ -125,27 +163,53 @@ func (l *LUT) nearestLevel(x float64) int {
 	return i
 }
 
-// Emulate implements Format.
-func (l *LUT) Emulate(t *tensor.Tensor) *tensor.Tensor {
-	countEmulate(t.Len())
-	scale := float64(l.scaleFor(t))
-	out := t.Clone()
-	data := out.Data()
-	for i, v := range data {
-		x := float64(v) / scale
-		if math.IsNaN(x) {
-			data[i] = 0
-			continue
-		}
-		data[i] = float32(l.levels[l.nearestLevel(x)] * scale)
+// levelIndex is nearestLevel for a non-NaN x, given the LUT's cuts: the
+// number of cuts below x, each cut being where nearestLevel's own
+// comparison x-lo <= hi-x turns between two neighbouring levels. A
+// fixed-depth bisection over the cuts' integer keys counts them without a
+// branch on the data (the borrow of a subtraction is the comparison).
+func levelIndex(cuts []uint64, x float64) int {
+	k := orderKey(x)
+	i := uint(0)
+	for step := uint(len(cuts)) / 2; step > 0; step /= 2 {
+		_, below := bits.Sub64(cuts[i+step-1], k, 0)
+		i += step & -uint(below)
 	}
+	return int(i)
+}
+
+// Emulate implements Format with the fused per-sample kernel.
+func (l *LUT) Emulate(t *tensor.Tensor) *tensor.Tensor {
+	countEmulateFused(t.Len())
+	out := t.Clone()
+	l.emulateRowsInPlace(out.Data(), 1, t.Len())
 	return out
+}
+
+// emulateRowsInPlace implements rowEmulator: the fused per-row LUT kernel.
+// Each row derives its own scale register as Quantize does, so the result
+// is bit-identical to quantizing each row as its own tensor (the
+// EmulateBatched per-sample contract, one row per sample).
+func (l *LUT) emulateRowsInPlace(data []float32, rows, rowLen int) {
+	cuts, levels := l.cuts, l.levels
+	for r := 0; r < rows; r++ {
+		row := data[r*rowLen : (r+1)*rowLen]
+		scale := float64(lutScale(row))
+		for i, v := range row {
+			x := float64(v) / scale
+			if x != x { // NaN
+				row[i] = 0
+				continue
+			}
+			row[i] = float32(levels[levelIndex(cuts, x)] * scale)
+		}
+	}
 }
 
 // Quantize implements Format (method 1).
 func (l *LUT) Quantize(t *tensor.Tensor) *Encoding {
 	countQuantize(t.Len())
-	meta := Metadata{Kind: MetaScale, Scale: l.scaleFor(t)}
+	meta := Metadata{Kind: MetaScale, Scale: lutScale(t.Data())}
 	data := t.Data()
 	codes := make([]Bits, len(data))
 	for i, v := range data {

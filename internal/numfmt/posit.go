@@ -21,7 +21,9 @@ import (
 // once (posits are at most 16 bits here), sorted, and lookups round to the
 // nearest representable value with ties to the even code, matching the
 // posit standard's round-to-nearest semantics. Negative patterns use two's
-// complement, so the format carries no metadata.
+// complement, so the format carries no metadata. Emulate and accumulator
+// rounding run the geometry's segment table (segtable.go), compiled from
+// that scalar rounding and shared by every instance.
 type Posit struct {
 	name string
 	n    int
@@ -31,19 +33,24 @@ type Posit struct {
 	values []float64 // sorted representable values
 	codes  []Bits    // codes[i] encodes values[i]
 	decode []float64 // decode[c] = value of code c (NaR = NaN)
+
+	seg *lazySegTable // the geometry's shared fused-kernel table
 }
 
 var _ Format = (*Posit)(nil)
 
-// NewPosit returns an n-bit posit with es exponent bits (2 ≤ n ≤ 16).
+// NewPosit returns an n-bit posit with es exponent bits (3 ≤ n ≤ 16,
+// 0 ≤ es ≤ 3).
 func NewPosit(n, es int) *Posit {
 	if n < 3 || n > 16 || es < 0 || es > 3 {
 		panic(fmt.Sprintf("numfmt: unsupported posit geometry n=%d es=%d", n, es))
 	}
+	name := fmt.Sprintf("posit%d_es%d", n, es)
 	return &Posit{
-		name: fmt.Sprintf("posit%d_es%d", n, es),
+		name: name,
 		n:    n,
 		es:   es,
+		seg:  sharedSegTable(name),
 	}
 }
 
@@ -197,15 +204,28 @@ func (p *Posit) quantizeScalar(v float64) float64 {
 	return p.values[p.nearestIndex(v)]
 }
 
-// Emulate implements Format via table lookup (O(log n) per element).
+// roundScalar is the scalar rounding the segment table is compiled from.
+func (p *Posit) roundScalar(v float32) float32 { return float32(p.quantizeScalar(float64(v))) }
+
+// Emulate implements Format with the fused segment-table kernel.
 func (p *Posit) Emulate(t *tensor.Tensor) *tensor.Tensor {
-	countEmulate(t.Len())
+	countEmulateFused(t.Len())
 	out := t.Clone()
-	data := out.Data()
-	for i, v := range data {
-		data[i] = float32(p.quantizeScalar(float64(v)))
-	}
+	p.emulateChunk(out.Data())
 	return out
+}
+
+// emulateRowsInPlace implements rowEmulator. Posit rounding is
+// element-local, so the row geometry is irrelevant.
+func (p *Posit) emulateRowsInPlace(data []float32, _, _ int) {
+	p.emulateChunk(data)
+}
+
+// emulateChunk rounds a contiguous chunk of float32 storage in place
+// through the geometry's segment table: the kernel behind Emulate, the
+// batched and epilogue paths, and accumulator rounding.
+func (p *Posit) emulateChunk(data []float32) {
+	p.seg.get(p.roundScalar).round(data)
 }
 
 // Quantize implements Format (method 1).

@@ -4,10 +4,11 @@ import "sync/atomic"
 
 // OpCounts is a snapshot of the package's quantization-op counters: how
 // many times each Format method ran and how many tensor elements passed
-// through them in total. Formats whose Emulate goes through the generic
-// code-based path (BFP, AFP) also count the internal Quantize/Dequantize
-// pair, which is exactly the extra work Fig 3's overhead dichotomy is
-// about — the counters make the fast-path/slow-path split visible.
+// through them in total. An Emulate that goes through the generic
+// code-based path (a Generic format) also counts the internal
+// Quantize/Dequantize pair, which is exactly the extra work Fig 3's
+// overhead dichotomy is about — the counters make the fast-path/slow-path
+// split visible.
 type OpCounts struct {
 	Quantize   int64 // Quantize calls
 	Dequantize int64 // Dequantize calls
@@ -15,11 +16,11 @@ type OpCounts struct {
 	Elements   int64 // tensor elements processed across all three
 
 	// Kernel-path split for Emulate work: FusedKernels counts executions of
-	// a single-pass arithmetic/bit-twiddled kernel (fp/fxp/intq always;
-	// bfp/afp when fused kernels are enabled, including epilogue and batched
-	// row invocations); GenericKernels counts trips through the
-	// quantize→dequantize code path (emulateViaCodes). Formats with bespoke
-	// Emulate implementations (LNS, Posit, LUT) appear in neither.
+	// a single-pass kernel, epilogue and batched row invocations included
+	// (every built-in family: FP, FxP, INT, BFP, AFP, posit, LNS, LUT);
+	// GenericKernels counts trips through the quantize→dequantize code
+	// path (emulateViaCodes, run by Generic formats). Every Emulate the
+	// package counts runs one of the two, so Emulate equals their sum.
 	FusedKernels   int64
 	GenericKernels int64
 }
@@ -43,13 +44,19 @@ func countDequantize(n int) {
 	opStats.elements.Add(int64(n))
 }
 
-func countEmulate(n int) {
+// countEmulateFused records one Emulate over n elements run by a fused
+// kernel; countEmulateGeneric one run by the generic code path.
+func countEmulateFused(n int) {
 	opStats.emulate.Add(1)
 	opStats.elements.Add(int64(n))
+	opStats.kernelFused.Add(1)
 }
 
-func countKernelFused()   { opStats.kernelFused.Add(1) }
-func countKernelGeneric() { opStats.kernelGeneric.Add(1) }
+func countEmulateGeneric(n int) {
+	opStats.emulate.Add(1)
+	opStats.elements.Add(int64(n))
+	opStats.kernelGeneric.Add(1)
+}
 
 // ReadOpCounts returns the current counter values (each field read
 // atomically; the set is not one atomic snapshot).

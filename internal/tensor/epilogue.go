@@ -89,7 +89,8 @@ func (h *AccumHook) Active() bool {
 // hosts the plain GEMM and the FPRound accumulator GEMM are assembly whose
 // loops PCALIGN aligns, so this protects the Go fallback only: other
 // architectures, purego builds, and accumulators in FxP, posit, LNS or an
-// FP wider than FPRound covers.
+// FP wider than FPRound covers, whose rows the Go sweep hands to the
+// format's fused row kernel.
 //
 //go:noinline
 func (ep Epilogue) Apply(data []float32) {
