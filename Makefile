@@ -7,13 +7,14 @@ test:
 # Tier-2: stricter gate for telemetry-touched packages — vet, formatting,
 # and the race detector over the packages whose hot paths share atomics
 # across goroutines (telemetry registry, tensor/numfmt/dse stats counters,
-# nn timing hooks, parallel campaigns in the root package).
+# nn timing hooks, parallel campaigns in the root package, the zoo's
+# process-wide dataset and decoded-state memos).
 RACE_PKGS = ./internal/telemetry ./internal/tensor ./internal/nn \
             ./internal/numfmt ./internal/inject ./internal/dse \
             ./internal/checkpoint ./internal/detect ./internal/exper \
             ./internal/server ./internal/server/journal \
             ./internal/server/client ./internal/chaos ./internal/fleet \
-            ./internal/sampling .
+            ./internal/sampling ./internal/zoo ./internal/dataset .
 
 .PHONY: check
 check:

@@ -9,6 +9,8 @@
 package dataset
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -65,6 +67,10 @@ type classProto struct {
 	blobX, blobY float64 // blob center in [0,1)
 	blobAmp      float64
 	chanGain     []float64 // per-channel gain
+
+	// blob is the class's blob over the H×W grid, row-major: it depends on
+	// neither the channel nor the sample, so it is evaluated once.
+	blob []float64
 }
 
 // New synthesizes a dataset from cfg. The same cfg always produces the same
@@ -91,6 +97,16 @@ func New(cfg Config) *Dataset {
 				return g
 			}(),
 		}
+		p := &protos[k]
+		p.blob = make([]float64, 0, cfg.Height*cfg.Width)
+		for i := 0; i < cfg.Height; i++ {
+			fy := float64(i) / float64(cfg.Height)
+			for j := 0; j < cfg.Width; j++ {
+				fx := float64(j) / float64(cfg.Width)
+				dx, dy := fx-p.blobX, fy-p.blobY
+				p.blob = append(p.blob, p.blobAmp*math.Exp(-(float64(dx*dx)+float64(dy*dy))/0.02))
+			}
+		}
 	}
 
 	ds := &Dataset{Config: cfg}
@@ -103,30 +119,35 @@ func synthesize(cfg Config, protos []classProto, perClass int, r *rng.RNG) (*ten
 	n := cfg.Classes * perClass
 	x := tensor.New(n, cfg.Channels, cfg.Height, cfg.Width)
 	y := make([]int, n)
+	grating := make([]float64, cfg.Height*cfg.Width)
+	plane := cfg.Channels * len(grating)
 	// Interleave classes so any contiguous batch is class-balanced.
 	for i := 0; i < n; i++ {
 		k := i % cfg.Classes
 		y[i] = k
-		renderSample(cfg, protos[k], x, i, r)
+		renderSample(cfg, protos[k], x.Data()[i*plane:(i+1)*plane], grating, r)
 	}
 	return x, y
 }
 
-func renderSample(cfg Config, p classProto, x *tensor.Tensor, idx int, r *rng.RNG) {
+// renderSample writes one (C, H, W) sample into dst. The grating does not
+// depend on the channel, so it is evaluated once per sample into grating;
+// the noise is drawn per pixel, channel by channel.
+func renderSample(cfg Config, p classProto, dst []float32, grating []float64, r *rng.RNG) {
 	amp := 0.7 + float64(0.6*r.Float64()) // per-sample amplitude jitter
 	phase := p.phase + float64((float64(r.Float64())-0.5)*0.6)
+	for i := 0; i < cfg.Height; i++ {
+		fy := float64(i) / float64(cfg.Height)
+		for j := 0; j < cfg.Width; j++ {
+			fx := float64(j) / float64(cfg.Width)
+			grating[i*cfg.Width+j] = math.Sin(float64(2*math.Pi*(float64(p.freqX*fx)+float64(p.freqY*fy))) + phase)
+		}
+	}
 	for c := 0; c < cfg.Channels; c++ {
 		gain := p.chanGain[c] * amp
-		for i := 0; i < cfg.Height; i++ {
-			fy := float64(i) / float64(cfg.Height)
-			for j := 0; j < cfg.Width; j++ {
-				fx := float64(j) / float64(cfg.Width)
-				grating := math.Sin(float64(2*math.Pi*(float64(p.freqX*fx)+float64(p.freqY*fy))) + phase)
-				dx, dy := fx-p.blobX, fy-p.blobY
-				blob := p.blobAmp * math.Exp(-(float64(dx*dx)+float64(dy*dy))/0.02)
-				v := float64(gain*grating) + float64(blob) + float64(cfg.NoiseStd*r.NormFloat64())
-				x.Set(float32(v), idx, c, i, j)
-			}
+		out := dst[c*len(grating) : (c+1)*len(grating)]
+		for k, g := range grating {
+			out[k] = float32(float64(gain*g) + p.blob[k] + float64(cfg.NoiseStd*r.NormFloat64()))
 		}
 	}
 }
@@ -166,4 +187,25 @@ func (d *Dataset) GatherTrain(idx []int) (*tensor.Tensor, []int) {
 		y[i] = d.TrainY[src]
 	}
 	return x, y
+}
+
+// Digest returns a SHA-256 of the dataset's contents: the float32 bits of
+// TrainX then ValX, then TrainY and ValY as uint32, all little-endian. Two
+// datasets with equal digests hold the same bytes.
+func (d *Dataset) Digest() [sha256.Size]byte {
+	h := sha256.New()
+	var buf [4]byte
+	for _, x := range [...]*tensor.Tensor{d.TrainX, d.ValX} {
+		for _, v := range x.Data() {
+			binary.LittleEndian.PutUint32(buf[:], math.Float32bits(v))
+			h.Write(buf[:])
+		}
+	}
+	for _, ys := range [...][]int{d.TrainY, d.ValY} {
+		for _, y := range ys {
+			binary.LittleEndian.PutUint32(buf[:], uint32(y))
+			h.Write(buf[:])
+		}
+	}
+	return [sha256.Size]byte(h.Sum(nil))
 }

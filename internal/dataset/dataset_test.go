@@ -1,9 +1,20 @@
 package dataset
 
 import (
+	"encoding/hex"
 	"testing"
 	"testing/quick"
 )
+
+// defaultDigest is the Digest of New(Default()). Every model in the zoo
+// was trained on these bytes, so any change to synthesis must keep it.
+const defaultDigest = "2bab7c5ac8f210c192a19145d6f283ac4a6bda3027007c82f7f12636587242bd"
+
+func TestDefaultDigestPinned(t *testing.T) {
+	if got := New(Default()).Digest(); hex.EncodeToString(got[:]) != defaultDigest {
+		t.Fatalf("New(Default()) digest %x, want %s", got, defaultDigest)
+	}
+}
 
 func TestNewGeometry(t *testing.T) {
 	cfg := Default()

@@ -149,8 +149,35 @@ func TestFleetSurvivesDeadNode(t *testing.T) {
 	}
 	defer dead.Close()
 
-	addrs := []string{startDaemon(t), dead.URL(), startDaemon(t)}
-	c, err := New(addrs, fastOpts())
+	// The live nodes sit behind stalled proxies until the coordinator
+	// declares the dead node lost: their shards finish in milliseconds,
+	// and the campaign must not end before the dead node crosses
+	// LostAfter.
+	var live []*chaos.Proxy
+	for range 2 {
+		p, err := chaos.NewProxy(strings.TrimPrefix(startDaemon(t), "http://"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		p.Stall()
+		live = append(live, p)
+	}
+	release := sync.OnceFunc(func() {
+		for _, p := range live {
+			p.Unstall()
+		}
+	})
+	defer release()
+	opts := fastOpts()
+	opts.Logf = func(format string, args ...interface{}) {
+		if strings.Contains(format, "declared lost") {
+			release()
+		}
+	}
+
+	addrs := []string{live[0].URL(), dead.URL(), live[1].URL()}
+	c, err := New(addrs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,8 @@
 // CNNs standing in for ResNet18/ResNet50 and patch-embedding transformers
 // standing in for DeiT-tiny/DeiT-base (see the substitution table in
 // DESIGN.md §1). All models share the 3×16×16 input geometry of the
-// synthetic dataset and are constructed deterministically from a seed.
+// synthetic dataset and are constructed deterministically from a seed, or
+// with zero parameters when their values are about to be loaded.
 package models
 
 import (
@@ -20,8 +21,9 @@ const (
 	InWidth    = 16
 )
 
-// Builder constructs a model for the given class count and seed.
-type Builder func(classes int, seed uint64) nn.Module
+// Builder constructs a model for the given class count, drawing its random
+// initialization from r. A nil r leaves every parameter zero.
+type Builder func(classes int, r *rng.RNG) nn.Module
 
 // registry maps model names to builders. Names follow the paper's
 // CNN/transformer pairing: resnet_s/_m ↔ ResNet18/50, vit_tiny/_small ↔
@@ -44,13 +46,25 @@ func Names() []string {
 	return names
 }
 
-// Build constructs a registered model by name.
+// Build constructs a registered model by name, randomly initialized from
+// seed: the starting point of training.
 func Build(name string, classes int, seed uint64) (nn.Module, error) {
+	return build(name, classes, rng.New(seed))
+}
+
+// Skeleton constructs a registered model by name with every parameter
+// zero: the names and shapes a saved state is loaded into, without drawing
+// the random initialization the load would overwrite.
+func Skeleton(name string, classes int) (nn.Module, error) {
+	return build(name, classes, nil)
+}
+
+func build(name string, classes int, r *rng.RNG) (nn.Module, error) {
 	b, ok := registry[name]
 	if !ok {
 		return nil, fmt.Errorf("models: unknown model %q (have %v)", name, Names())
 	}
-	return b(classes, seed), nil
+	return b(classes, r), nil
 }
 
 // convBN returns conv → batchnorm as a sub-sequence.
@@ -80,8 +94,7 @@ func basicBlock(name string, in, out, stride int, r *rng.RNG) nn.Module {
 
 // resnet builds a 3-stage residual CNN with the given per-stage channel
 // widths and blocks per stage.
-func resnet(name string, channels [3]int, blocks int, classes int, seed uint64) nn.Module {
-	r := rng.New(seed)
+func resnet(name string, channels [3]int, blocks int, classes int, r *rng.RNG) nn.Module {
 	mods := convBN(name+".stem", InChannels, channels[0], 3, 1, 1, r)
 	mods = append(mods, nn.NewReLU(name+".stem.relu"))
 	in := channels[0]
@@ -104,19 +117,18 @@ func resnet(name string, channels [3]int, blocks int, classes int, seed uint64) 
 
 // ResNetS is the ResNet18 stand-in: one basic block per stage, channel
 // widths 8/16/32.
-func ResNetS(classes int, seed uint64) nn.Module {
-	return resnet("resnet_s", [3]int{8, 16, 32}, 1, classes, seed)
+func ResNetS(classes int, r *rng.RNG) nn.Module {
+	return resnet("resnet_s", [3]int{8, 16, 32}, 1, classes, r)
 }
 
 // ResNetM is the ResNet50 stand-in: two basic blocks per stage, channel
 // widths 12/24/48.
-func ResNetM(classes int, seed uint64) nn.Module {
-	return resnet("resnet_m", [3]int{12, 24, 48}, 2, classes, seed)
+func ResNetM(classes int, r *rng.RNG) nn.Module {
+	return resnet("resnet_m", [3]int{12, 24, 48}, 2, classes, r)
 }
 
 // vit builds a patch-embedding transformer classifier.
-func vit(name string, dim, heads, depth, mlpRatio int, classes int, seed uint64) nn.Module {
-	r := rng.New(seed)
+func vit(name string, dim, heads, depth, mlpRatio int, classes int, r *rng.RNG) nn.Module {
 	patch := 4
 	tokens := (InHeight / patch) * (InWidth / patch)
 	mods := []nn.Module{
@@ -135,18 +147,17 @@ func vit(name string, dim, heads, depth, mlpRatio int, classes int, seed uint64)
 }
 
 // ViTTiny is the DeiT-tiny stand-in: dim 32, 2 heads, depth 2.
-func ViTTiny(classes int, seed uint64) nn.Module {
-	return vit("vit_tiny", 32, 2, 2, 2, classes, seed)
+func ViTTiny(classes int, r *rng.RNG) nn.Module {
+	return vit("vit_tiny", 32, 2, 2, 2, classes, r)
 }
 
 // ViTSmall is the DeiT-base stand-in: dim 48, 3 heads, depth 3.
-func ViTSmall(classes int, seed uint64) nn.Module {
-	return vit("vit_small", 48, 3, 3, 2, classes, seed)
+func ViTSmall(classes int, r *rng.RNG) nn.Module {
+	return vit("vit_small", 48, 3, 3, 2, classes, r)
 }
 
 // MLP is a plain two-hidden-layer perceptron baseline.
-func MLP(classes int, seed uint64) nn.Module {
-	r := rng.New(seed)
+func MLP(classes int, r *rng.RNG) nn.Module {
 	in := InChannels * InHeight * InWidth
 	return nn.NewSequential("mlp",
 		nn.NewFlatten("mlp.flat"),

@@ -1,6 +1,11 @@
 package models
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"slices"
 	"testing"
 
 	"goldeneye/internal/nn"
@@ -122,5 +127,69 @@ func TestModelsHaveConvAndLinearLayers(t *testing.T) {
 		if convLinear == 0 {
 			t.Fatalf("%s has no hookable CONV/LINEAR layers", name)
 		}
+	}
+}
+
+// paramsDigest hashes every parameter's name and float32 bits, in order.
+func paramsDigest(m nn.Module) string {
+	h := sha256.New()
+	var buf [4]byte
+	for _, p := range m.Params() {
+		h.Write([]byte(p.Name))
+		for _, v := range p.Value.Data() {
+			binary.LittleEndian.PutUint32(buf[:], math.Float32bits(v))
+			h.Write(buf[:])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// The training path's random initialization is what every zoo model was
+// trained from: Build(name, 10, 1) must keep drawing the same values.
+func TestBuildInitPinned(t *testing.T) {
+	want := map[string]string{
+		"mlp":       "0b4ea05c0bb4589edb8216efde9c255be9917a4bbc78fe220553ad94776b85b2",
+		"resnet_m":  "b874d0545f616c9ebc6fb7f15c35834db16f4375c63626ad60ef668106d75b57",
+		"resnet_s":  "c5fcfe4008f24ab37bc84e960c90d16e90b17b7b238b2af6fba2f8a7c758c488",
+		"vit_small": "574eb40b1187ef80ef2eb5322f47c99f1103491d6eb9f1938ff74688d74358d4",
+		"vit_tiny":  "1e766aa9ec63869c7c76cd396e4b0a7d2ab12a900cbcd497cecdd59244aa59ac",
+	}
+	for _, name := range Names() {
+		m, err := Build(name, 10, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := paramsDigest(m); got != want[name] {
+			t.Errorf("%s: init digest %s, want %s", name, got, want[name])
+		}
+	}
+}
+
+// A skeleton has the built model's parameter names and shapes, and draws
+// nothing: its conv, linear and token weights are zero.
+func TestSkeletonMatchesBuild(t *testing.T) {
+	for _, name := range Names() {
+		built, _ := Build(name, 10, 1)
+		skel, err := Skeleton(name, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bp, sp := built.Params(), skel.Params()
+		if len(bp) != len(sp) {
+			t.Fatalf("%s: skeleton has %d params, build %d", name, len(sp), len(bp))
+		}
+		for i := range bp {
+			if bp[i].Name != sp[i].Name || !slices.Equal(bp[i].Value.Shape(), sp[i].Value.Shape()) {
+				t.Fatalf("%s: param %d is %s%v, build has %s%v", name, i,
+					sp[i].Name, sp[i].Value.Shape(), bp[i].Name, bp[i].Value.Shape())
+			}
+		}
+	}
+	if _, err := Skeleton("alexnet", 10); err == nil {
+		t.Fatal("expected error for unknown model")
+	}
+	skel, _ := Skeleton("mlp", 10)
+	if w := skel.Params()[0].Value; w.AbsMax() != 0 {
+		t.Errorf("skeleton weight %s holds %v, want zeros", skel.Params()[0].Name, w.AbsMax())
 	}
 }

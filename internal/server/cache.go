@@ -1,6 +1,8 @@
 package server
 
 import (
+	"container/list"
+
 	"goldeneye"
 	"goldeneye/internal/checkpoint"
 )
@@ -9,19 +11,27 @@ import (
 // derived from everything that determines a job's bit-exact report (model,
 // pool geometry, worker count, and the campaign cell fingerprint), so a hit
 // is by construction the same report the job would recompute. A hot
-// in-memory map fronts an optional checkpoint.Store, which also makes
-// results survive daemon restarts; the disk layer stores the report itself
-// in its wire encoding (the sweep cell format), so a restored report —
-// resolved config and sampling estimator included — encodes byte-identically
-// to the one the job produced, and `cmd/experiments`-style tooling can read
-// service results too.
+// in-memory LRU of maxFinishedJobs reports fronts an optional
+// checkpoint.Store, which also makes results survive daemon restarts; the
+// disk layer stores the report itself in its wire encoding (the sweep cell
+// format), so a restored report — resolved config and sampling estimator
+// included — encodes byte-identically to the one the job produced, and
+// `cmd/experiments`-style tooling can read service results too. A key the
+// LRU dropped is read back from the store, or recomputed, with identical
+// bytes, on a memory-only daemon.
 type resultCache struct {
-	mem   map[string]*goldeneye.CampaignReport
-	store *checkpoint.Store // nil = memory-only
+	mem   map[string]*list.Element // of *cachedReport, in lru
+	lru   list.List                // most recently used first
+	store *checkpoint.Store        // nil = memory-only
+}
+
+type cachedReport struct {
+	key string
+	rep *goldeneye.CampaignReport
 }
 
 func newResultCache(dir string) (*resultCache, error) {
-	c := &resultCache{mem: make(map[string]*goldeneye.CampaignReport)}
+	c := &resultCache{mem: make(map[string]*list.Element)}
 	if dir != "" {
 		st, err := checkpoint.Open(dir)
 		if err != nil {
@@ -38,8 +48,9 @@ func newResultCache(dir string) (*resultCache, error) {
 // not decode — written in an older cell shape, or by a newer schema — is a
 // miss.
 func (c *resultCache) get(key string, hash uint64) *goldeneye.CampaignReport {
-	if rep, ok := c.mem[key]; ok {
-		return rep
+	if el, ok := c.mem[key]; ok {
+		c.lru.MoveToFront(el)
+		return el.Value.(*cachedReport).rep
 	}
 	if c.store == nil {
 		return nil
@@ -48,16 +59,30 @@ func (c *resultCache) get(key string, hash uint64) *goldeneye.CampaignReport {
 	if err != nil || cell == nil || !cell.Done {
 		return nil
 	}
-	c.mem[key] = cell.Report
+	c.remember(key, cell.Report)
 	return cell.Report
 }
 
 // put caches a completed report under key, persisting it when a store is
 // configured.
 func (c *resultCache) put(key string, hash uint64, rep *goldeneye.CampaignReport) error {
-	c.mem[key] = rep
+	c.remember(key, rep)
 	if c.store == nil {
 		return nil
 	}
 	return c.store.Save(&checkpoint.Cell{Key: key, ConfigHash: hash, Done: true, Report: rep})
+}
+
+// remember puts rep at the front of the memory LRU, dropping the least
+// recently used report past maxFinishedJobs.
+func (c *resultCache) remember(key string, rep *goldeneye.CampaignReport) {
+	if el, ok := c.mem[key]; ok {
+		el.Value.(*cachedReport).rep = rep
+		c.lru.MoveToFront(el)
+		return
+	}
+	c.mem[key] = c.lru.PushFront(&cachedReport{key: key, rep: rep})
+	if c.lru.Len() > maxFinishedJobs {
+		delete(c.mem, c.lru.Remove(c.lru.Back()).(*cachedReport).key)
+	}
 }

@@ -139,7 +139,7 @@ func TestStreamResumesAfterDrop(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	st, err := c.Submit(ctx, chaosSpec(t, 33, 800))
+	st, err := c.Submit(ctx, chaosSpec(t, 33, 20000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestStreamStallWatchdog(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	st, err := c.Submit(ctx, chaosSpec(t, 34, 400))
+	st, err := c.Submit(ctx, chaosSpec(t, 34, 20000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,6 +230,29 @@ func TestBurstSubmitAllLand(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 	defer cancel()
+
+	// A long campaign holds the daemon's one worker, so the burst finds the
+	// queue full however fast its own jobs run; it is cancelled once the
+	// daemon has turned a submission away.
+	blocker, err := c.Submit(ctx, chaosSpec(t, 99, 2000000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	unblocked := make(chan error, 1)
+	go func() {
+		tick := time.NewTicker(5 * time.Millisecond)
+		defer tick.Stop()
+		for reg.Counter(server.MetricRejected).Value() == 0 {
+			select {
+			case <-ctx.Done():
+				unblocked <- ctx.Err()
+				return
+			case <-tick.C:
+			}
+		}
+		unblocked <- c.Cancel(ctx, blocker.ID)
+	}()
+
 	const jobs = 6
 	var completed atomic.Int64
 	errs := chaos.Burst(jobs, func(i int) error {
@@ -244,6 +267,9 @@ func TestBurstSubmitAllLand(t *testing.T) {
 	})
 	if len(errs) != 0 {
 		t.Fatalf("burst errors: %v", errs)
+	}
+	if err := <-unblocked; err != nil {
+		t.Fatalf("cancel the blocking job: %v", err)
 	}
 	if completed.Load() != jobs {
 		t.Errorf("completed: %d/%d", completed.Load(), jobs)

@@ -43,8 +43,12 @@ type job struct {
 
 	// reg is the job's private telemetry registry; the campaign engine
 	// feeds it and snapshots read it. Keeping it per-job means counters
-	// start at zero for every job and cannot bleed between jobs.
-	reg *telemetry.Registry
+	// start at zero for every job and cannot bleed between jobs. The
+	// terminal transition freezes the counters a status reports into final
+	// and drops the registry, with its per-layer histograms; both fields
+	// are guarded by mu.
+	reg   *telemetry.Registry
+	final jobCounters
 
 	// done counts executed injections, stored by the Progress callback.
 	done atomic.Int64
@@ -108,30 +112,31 @@ func (j *job) progressed(done, total int) {
 	j.seq.Add(1)
 }
 
-// setRunning transitions a queued job to running; it reports false when the
-// job already reached a terminal state (cancelled while queued), in which
-// case the worker must skip it.
-func (j *job) setRunning() bool {
+// setRunning transitions a queued job to running and returns the registry
+// its campaign feeds; it reports false when the job already reached a
+// terminal state (cancelled while queued), in which case the worker must
+// skip it.
+func (j *job) setRunning() (*telemetry.Registry, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != JobQueued {
-		return false
+		return nil, false
 	}
 	j.state = JobRunning
-	return true
+	return j.reg, true
 }
 
 // remoteDone records an Executor run's outcome flags and, because the
-// campaign ran elsewhere and never fed the job's registry, folds the
+// campaign ran elsewhere and never fed the job's registry reg, folds the
 // report's totals into the status counters.
-func (j *job) remoteDone(rep *goldeneye.CampaignReport, degraded bool) {
+func (j *job) remoteDone(reg *telemetry.Registry, rep *goldeneye.CampaignReport, degraded bool) {
 	j.mu.Lock()
 	j.degraded = degraded
 	j.mu.Unlock()
 	if rep != nil {
-		j.reg.Counter(goldeneye.MetricCampaignMismatches).Add(int64(rep.Mismatches))
-		j.reg.Counter(goldeneye.MetricCampaignDetected).Add(int64(rep.Detected))
-		j.reg.Counter(goldeneye.MetricCampaignAborted).Add(int64(rep.Aborted))
+		reg.Counter(goldeneye.MetricCampaignMismatches).Add(int64(rep.Mismatches))
+		reg.Counter(goldeneye.MetricCampaignDetected).Add(int64(rep.Detected))
+		reg.Counter(goldeneye.MetricCampaignAborted).Add(int64(rep.Aborted))
 	}
 }
 
@@ -155,19 +160,20 @@ func (j *job) snapshotCfg() goldeneye.CampaignConfig {
 // completion keeps whichever landed first). A transition increments
 // counted (when non-nil) before any waiter can observe the terminal state,
 // so a client that saw the job end also sees it counted.
+//
+// A finished job keeps only what its status and report show: the
+// evaluation pool, the registry and the progress hook are dropped, the
+// counters a status reports are frozen, and the job context is released.
 func (j *job) finish(state JobState, rep *goldeneye.CampaignReport, err error, counted *telemetry.Counter) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state.Terminal() {
 		return false
 	}
-	// The daemon keeps every finished job, so it drops the evaluation
-	// pool, which the wire form omits anyway: otherwise each job would hold
-	// its samples for the daemon's lifetime.
-	j.cfg.Pool = nil
-	if rep != nil {
-		rep.Config.Pool = nil
-	}
+	j.cfg = released(j.cfg)
+	j.final = readCounters(j.reg, j.detectors)
+	j.reg = nil
+	j.cancel()
 	j.state = state
 	j.report = rep
 	j.err = err
@@ -201,14 +207,51 @@ func (j *job) result() (*goldeneye.CampaignReport, error) {
 	return j.report, j.err
 }
 
+// released returns cfg without what ties it to a run: the evaluation pool
+// (which the wire form omits anyway), the job's registry and its progress
+// hook. Finished jobs and cached reports keep only this form, so neither
+// holds its samples, its per-layer histograms or its job alive.
+func released(cfg goldeneye.CampaignConfig) goldeneye.CampaignConfig {
+	cfg.Pool = nil
+	cfg.Metrics = nil
+	cfg.Progress = nil
+	return cfg
+}
+
+// jobCounters are the campaign counters a status reports.
+type jobCounters struct {
+	mismatches, detected, aborted int64
+	perDetector                   map[string]int64 // nil without detectors
+	calibration                   string
+}
+
+// readCounters reads the status counters from reg; the registry creates
+// absent counters at zero, so a queued job's counters are all zero.
+func readCounters(reg *telemetry.Registry, detectors []string) jobCounters {
+	c := jobCounters{
+		mismatches:  reg.Counter(goldeneye.MetricCampaignMismatches).Value(),
+		detected:    reg.Counter(goldeneye.MetricCampaignDetected).Value(),
+		aborted:     reg.Counter(goldeneye.MetricCampaignAborted).Value(),
+		calibration: goldeneye.CalibrationCacheOutcome(reg),
+	}
+	if len(detectors) > 0 {
+		c.perDetector = make(map[string]int64, len(detectors))
+		for _, name := range detectors {
+			c.perDetector[name] = reg.Counter(
+				telemetry.Label(goldeneye.MetricCampaignDetections, "detector", name)).Value()
+		}
+	}
+	return c
+}
+
 // snapshot assembles the job's observable state for the status endpoint
-// and the SSE stream. Counter reads are lock-free; the registry creates
-// absent counters at zero, so a snapshot of a queued job is all zeros.
+// and the SSE stream. A live job's counters are read lock-free from its
+// registry, a finished job's from the frozen copy.
 func (j *job) snapshot() JobStatus {
 	j.mu.Lock()
 	state := j.state
 	cached, degraded := j.cached, j.degraded
-	detectors := j.detectors
+	reg, detectors, c := j.reg, j.detectors, j.final
 	total := j.cfg.PlannedInjections()
 	if t := j.total.Load(); t > 0 {
 		total = int(t)
@@ -218,27 +261,23 @@ func (j *job) snapshot() JobStatus {
 		errText = j.err.Error()
 	}
 	j.mu.Unlock()
-
-	st := JobStatus{
-		ID:       j.id,
-		State:    state,
-		Model:    j.spec.Model,
-		Cached:   cached,
-		Seq:      j.seq.Load(),
-		Done:     int(j.done.Load()),
-		Total:    total,
-		Error:    errText,
-		Degraded: degraded,
+	if reg != nil {
+		c = readCounters(reg, detectors)
 	}
-	st.Mismatches = j.reg.Counter(goldeneye.MetricCampaignMismatches).Value()
-	st.Detected = j.reg.Counter(goldeneye.MetricCampaignDetected).Value()
-	st.Aborted = j.reg.Counter(goldeneye.MetricCampaignAborted).Value()
-	if len(detectors) > 0 {
-		st.PerDetector = make(map[string]int64, len(detectors))
-		for _, name := range detectors {
-			st.PerDetector[name] = j.reg.Counter(
-				telemetry.Label(goldeneye.MetricCampaignDetections, "detector", name)).Value()
-		}
+	return JobStatus{
+		ID:          j.id,
+		State:       state,
+		Model:       j.spec.Model,
+		Cached:      cached,
+		Seq:         j.seq.Load(),
+		Done:        int(j.done.Load()),
+		Total:       total,
+		Mismatches:  c.mismatches,
+		Detected:    c.detected,
+		Aborted:     c.aborted,
+		PerDetector: c.perDetector,
+		Calibration: c.calibration,
+		Error:       errText,
+		Degraded:    degraded,
 	}
-	return st
 }

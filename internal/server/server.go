@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -45,6 +46,12 @@ const (
 	MetricSSEResumes      = "goldeneye_server_sse_resumes_total"
 	MetricDeadlineExpired = "goldeneye_server_deadline_expired_total"
 )
+
+// maxFinishedJobs bounds the finished jobs the daemon keeps, and the
+// reports its result cache keeps in memory. Past it the oldest finished
+// jobs leave the job table, the idempotency index and the journal; their
+// reports stay on the cache's disk store, if it has one.
+const maxFinishedJobs = 256
 
 // Options configures a campaign service.
 type Options struct {
@@ -173,6 +180,11 @@ func (o *Options) withDefaults() {
 //	GET  /metrics             Prometheus exposition (internal/telemetry), merged with the executor's
 //	GET  /metrics.json        JSON exposition
 //	GET  /debug/pprof/        pprof handlers
+//
+// The daemon keeps the most recent maxFinishedJobs finished jobs. A status,
+// report, events or cancel request for an older job answers 404, and a
+// retried submission with its Idempotency-Key is a new job, served from the
+// result cache or recomputed with identical bytes.
 type Server struct {
 	opts    Options
 	reg     *telemetry.Registry
@@ -185,6 +197,7 @@ type Server struct {
 	mu       sync.Mutex
 	jobs     map[string]*job
 	order    []string
+	finished []string          // finished job IDs, oldest first
 	idem     map[string]string // Idempotency-Key → job ID
 	draining bool
 	closed   bool
@@ -333,24 +346,27 @@ func (s *Server) restoreJournal(entries []*journal.Entry, skipped int) []*job {
 		j.seqNum = e.Seq
 		j.idemKey = e.IdempotencyKey
 		j.specJSON = e.Spec
+		restored := true
 		switch {
 		case e.State == journal.StateDone:
 			if rep := s.cache.get(e.Key, e.Hash); rep != nil {
 				j.cached = true
 				j.cfg = rep.Config
 				j.finish(JobDone, rep, nil, nil)
-				replayed("restored")
 			} else {
-				requeue = append(requeue, j)
-				replayed("requeued")
+				restored = false
 			}
 		case e.State == journal.StateFailed:
 			j.finish(JobFailed, nil, fmt.Errorf("server: journaled failure: %s", e.Error), nil)
-			replayed("restored")
 		case e.State == journal.StateCancelled:
 			j.finish(JobCancelled, nil, errors.New("server: job cancelled before restart"), nil)
-			replayed("restored")
 		default: // queued or running: the crash interrupted it
+			restored = false
+		}
+		if restored {
+			s.finished = append(s.finished, j.id)
+			replayed("restored")
+		} else {
 			requeue = append(requeue, j)
 			replayed("requeued")
 		}
@@ -360,6 +376,9 @@ func (s *Server) restoreJournal(entries []*journal.Entry, skipped int) []*job {
 			s.idem[j.idemKey] = j.id
 		}
 	}
+	// A journal written past the bound (by a daemon that crashed between
+	// evicting a job and removing its entry) is brought back under it.
+	s.forget(s.evictLocked())
 	// New submissions continue the journal's sequence so IDs never collide
 	// with replayed ones.
 	s.seq.Store(maxSeq)
@@ -370,6 +389,10 @@ func (s *Server) restoreJournal(entries []*journal.Entry, skipped int) []*job {
 	}
 	return requeue
 }
+
+// journalEvicted is the rank of an evicted job's journal entry: past every
+// state's, so no write follows its removal.
+const journalEvicted = 4
 
 // journalRank orders lifecycle states so a job's journal entry can only
 // move forward: a submit path's "queued" write that loses the race against
@@ -476,7 +499,8 @@ func (s *Server) worker() {
 }
 
 func (s *Server) runJob(j *job) {
-	if !j.setRunning() {
+	reg, ok := j.setRunning()
+	if !ok {
 		return // cancelled while queued
 	}
 	s.journalRecord(j, journal.StateRunning, "")
@@ -490,9 +514,13 @@ func (s *Server) runJob(j *job) {
 	if d := j.spec.Deadline(); d > 0 {
 		ctx, cancel = context.WithTimeout(j.ctx, d)
 	}
-	rep, err := s.execute(ctx, j)
+	rep, err := s.execute(ctx, j, reg)
 	cancel()
 	s.inflight.Add(-1)
+	if rep != nil {
+		// Strip the report before the cache or a reader can share it.
+		rep.Config = released(rep.Config)
+	}
 	switch {
 	case err == nil:
 		// Admit the report to the cache before the terminal transition
@@ -524,11 +552,11 @@ func (s *Server) runJob(j *job) {
 }
 
 // execute runs the job under ctx (the job context, possibly narrowed by a
-// per-job deadline): on the Executor when one is set, otherwise locally
-// after resolving the job's model and pool. The recover mirrors the
-// campaign engine's own panic isolation one level up: a panicking model
-// resolution or setup fails the job, never the daemon.
-func (s *Server) execute(ctx context.Context, j *job) (rep *goldeneye.CampaignReport, err error) {
+// per-job deadline), feeding reg: on the Executor when one is set,
+// otherwise locally after resolving the job's model and pool. The recover
+// mirrors the campaign engine's own panic isolation one level up: a
+// panicking model resolution or setup fails the job, never the daemon.
+func (s *Server) execute(ctx context.Context, j *job, reg *telemetry.Registry) (rep *goldeneye.CampaignReport, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			rep, err = nil, fmt.Errorf("server: job %s panicked: %v", j.id, r)
@@ -537,7 +565,7 @@ func (s *Server) execute(ctx context.Context, j *job) (rep *goldeneye.CampaignRe
 	if ex := s.opts.Executor; ex != nil {
 		var degraded bool
 		rep, degraded, err = ex.Execute(ctx, j.spec, j.workers, j.progressed)
-		j.remoteDone(rep, degraded)
+		j.remoteDone(reg, rep, degraded)
 		return rep, err
 	}
 
@@ -563,7 +591,7 @@ func (s *Server) execute(ctx context.Context, j *job) (rep *goldeneye.CampaignRe
 
 	cfg := j.cfg
 	cfg.Pool = pool
-	cfg.Metrics = j.reg
+	cfg.Metrics = reg
 	cfg.Progress = func(done, total int) { j.progressed(done, total) }
 	if cfg.Layer < 0 {
 		cfg.Layer = scout.DefaultInjectionLayer(cfg.Target)
@@ -592,14 +620,66 @@ func (s *Server) execute(ctx context.Context, j *job) (rep *goldeneye.CampaignRe
 	return goldeneye.RunCampaignParallel(ctx, cfg, j.workers, build)
 }
 
-// finishJob applies a terminal transition, counts it once, and journals it.
+// finishJob applies a terminal transition, counts it once, and journals
+// it. Under the same lock the job joins the finished list, evicting the
+// oldest past maxFinishedJobs, so a client that saw the job end sees the
+// table without them.
 func (s *Server) finishJob(j *job, state JobState, rep *goldeneye.CampaignReport, err error) {
-	if j.finish(state, rep, err, s.reg.Counter(telemetry.Label(MetricJobsTotal, "state", string(state)))) {
-		var errText string
-		if err != nil {
-			errText = err.Error()
+	s.mu.Lock()
+	ok := j.finish(state, rep, err, s.reg.Counter(telemetry.Label(MetricJobsTotal, "state", string(state))))
+	var evicted []*job
+	if ok {
+		s.finished = append(s.finished, j.id)
+		evicted = s.evictLocked()
+	}
+	s.mu.Unlock()
+	if !ok {
+		return
+	}
+	s.forget(evicted)
+	var errText string
+	if err != nil {
+		errText = err.Error()
+	}
+	s.journalRecord(j, journal.State(state), errText)
+}
+
+// evictLocked drops the oldest finished jobs past maxFinishedJobs from the
+// job table, the submission order and the idempotency index, and returns
+// them. Callers hold mu (or own the server, at boot).
+func (s *Server) evictLocked() []*job {
+	n := len(s.finished) - maxFinishedJobs
+	if n <= 0 {
+		return nil
+	}
+	evicted := make([]*job, n)
+	for i, id := range s.finished[:n] {
+		j := s.jobs[id]
+		if j.idemKey != "" && s.idem[j.idemKey] == id {
+			delete(s.idem, j.idemKey)
 		}
-		s.journalRecord(j, journal.State(state), errText)
+		delete(s.jobs, id)
+		evicted[i] = j
+	}
+	s.finished = slices.Delete(s.finished, 0, n)
+	s.order = slices.DeleteFunc(s.order, func(id string) bool { return s.jobs[id] == nil })
+	return evicted
+}
+
+// forget removes evicted jobs' journal entries, so a restarted daemon
+// restores the same table, and blocks their later journal writes (a
+// terminal record still in flight) from bringing an entry back.
+func (s *Server) forget(evicted []*job) {
+	if s.journal == nil {
+		return
+	}
+	for _, j := range evicted {
+		j.jmu.Lock()
+		j.journaled = journalEvicted
+		if err := s.journal.Remove(j.id); err != nil {
+			s.journalErrors.Inc()
+		}
+		j.jmu.Unlock()
 	}
 }
 

@@ -177,12 +177,25 @@ func TestSubmitStreamReport(t *testing.T) {
 		t.Errorf("final status: %+v", final)
 	}
 
-	// The daemon keeps every finished job, but not its evaluation pool.
+	// A finished job keeps neither its evaluation pool nor its registry
+	// and progress hook, in its config or its report's.
 	s.mu.Lock()
 	j := s.jobs[st.ID]
 	s.mu.Unlock()
-	if rep, _ := j.result(); j.snapshotCfg().Pool != nil || rep == nil || rep.Config.Pool != nil {
-		t.Error("finished job still holds its evaluation pool")
+	rep, _ := j.result()
+	if rep == nil {
+		t.Fatal("finished job has no report")
+	}
+	for _, cfg := range []goldeneye.CampaignConfig{j.snapshotCfg(), rep.Config} {
+		if cfg.Pool != nil || cfg.Metrics != nil || cfg.Progress != nil {
+			t.Error("finished job still holds its pool, registry or progress hook")
+		}
+	}
+	j.mu.Lock()
+	reg := j.reg
+	j.mu.Unlock()
+	if reg != nil {
+		t.Error("finished job still holds its registry")
 	}
 }
 
@@ -271,12 +284,8 @@ func TestCacheDirRangerJobsShareCalibration(t *testing.T) {
 	s, ts := newTestServer(t, Options{CacheDir: t.TempDir()})
 	run(s, ts, rangerSpec(21))
 	j, got := run(s, ts, rangerSpec(22))
-	outcome := func(o string) int64 {
-		return j.reg.Counter(telemetry.Label(goldeneye.MetricCampaignCalibrationCache, "outcome", o)).Value()
-	}
-	if outcome("hit") != 1 {
-		t.Errorf("second ranger job: calibration cache hit/miss/bypass %d/%d/%d, want 1/0/0",
-			outcome("hit"), outcome("miss"), outcome("bypass"))
+	if st := j.snapshot(); st.Calibration != "hit" {
+		t.Errorf("second ranger job: calibration cache outcome %q, want hit", st.Calibration)
 	}
 
 	mem, memTS := newTestServer(t, Options{})

@@ -241,6 +241,12 @@ type JobStatus struct {
 	// detection pipeline armed.
 	PerDetector map[string]int64 `json:"per_detector,omitempty"`
 
+	// Calibration is the outcome of the campaign's calibration-cache
+	// lookup ("hit", "miss" or "bypass"; see
+	// goldeneye.MetricCampaignCalibrationCache), empty until the campaign
+	// has set up and for jobs that ran no local campaign.
+	Calibration string `json:"calibration,omitempty"`
+
 	// Error carries the failure reason of a failed job.
 	Error string `json:"error,omitempty"`
 

@@ -68,18 +68,26 @@ func Full(v float32, shape ...int) *Tensor {
 	return t
 }
 
-// Randn returns a tensor with elements drawn from N(0, std²).
+// Randn returns a tensor with elements drawn from N(0, std²), or all zero
+// for a nil r.
 func Randn(r *rng.RNG, std float64, shape ...int) *Tensor {
 	t := New(shape...)
+	if r == nil {
+		return t
+	}
 	for i := range t.data {
 		t.data[i] = float32(r.NormFloat64() * std)
 	}
 	return t
 }
 
-// RandUniform returns a tensor with elements drawn uniformly from [lo, hi).
+// RandUniform returns a tensor with elements drawn uniformly from [lo, hi),
+// or all zero for a nil r.
 func RandUniform(r *rng.RNG, lo, hi float64, shape ...int) *Tensor {
 	t := New(shape...)
+	if r == nil {
+		return t
+	}
 	span := hi - lo
 	for i := range t.data {
 		t.data[i] = float32(lo + float64(r.Float64()*span))

@@ -41,24 +41,31 @@ func Pretrained(name string) (nn.Module, *dataset.Dataset, error) {
 	return PretrainedIn(DefaultDir(), name)
 }
 
-// PretrainedIn is Pretrained with an explicit cache directory.
+// PretrainedIn is Pretrained with an explicit cache directory. The dataset
+// is the process's shared copy of the default configuration (see
+// sharedDataset): callers must not modify it.
 func PretrainedIn(dir, name string) (nn.Module, *dataset.Dataset, error) {
-	ds := dataset.New(dataset.Default())
+	ds := sharedDataset(dataset.Default())
 	model, err := PretrainedOn(dir, name, ds)
 	return model, ds, err
 }
 
 // PretrainedOn loads (or trains) the named model against an already-
 // synthesized dataset. Parallel campaign builders use it to avoid paying
-// dataset synthesis once per worker.
+// dataset synthesis once per worker. A load builds only the model's
+// shapes; the random initialization is drawn only when the model has to
+// be trained.
 func PretrainedOn(dir, name string, ds *dataset.Dataset) (nn.Module, error) {
-	model, err := models.Build(name, ds.Config.Classes, modelSeed)
+	model, err := models.Skeleton(name, ds.Config.Classes)
 	if err != nil {
 		return nil, err
 	}
 	path := filepath.Join(dir, cacheKey(name, ds.Config))
 	if err := LoadState(model, path); err == nil {
 		return model, nil
+	}
+	if model, err = models.Build(name, ds.Config.Classes, modelSeed); err != nil {
+		return nil, err
 	}
 	cfg, ok := trainConfigs[name]
 	if !ok {
@@ -73,6 +80,46 @@ func PretrainedOn(dir, name string, ds *dataset.Dataset) (nn.Module, error) {
 		return model, nil
 	}
 	return model, nil
+}
+
+// maxDatasets bounds the datasets sharedDataset keeps: every zoo caller
+// uses the default configuration, so one is the working set.
+const maxDatasets = 4
+
+// datasets holds, per configuration, the dataset sharedDataset synthesized,
+// with the configurations in the order they were first asked for.
+var datasets = struct {
+	sync.Mutex
+	m     map[dataset.Config]*sharedEntry
+	order []dataset.Config
+}{m: make(map[dataset.Config]*sharedEntry)}
+
+type sharedEntry struct {
+	once sync.Once
+	ds   *dataset.Dataset
+}
+
+// sharedDataset returns dataset.New(cfg), synthesizing it only when the
+// process has not done so for cfg before: a daemon that loads a model per
+// job otherwise spends most of each job rebuilding the same samples. Past
+// maxDatasets configurations the oldest is dropped (and synthesized again
+// if asked for). Concurrent first calls for one configuration synthesize
+// it once. The returned dataset is shared and must not be modified.
+func sharedDataset(cfg dataset.Config) *dataset.Dataset {
+	datasets.Lock()
+	e, ok := datasets.m[cfg]
+	if !ok {
+		e = new(sharedEntry)
+		datasets.m[cfg] = e
+		datasets.order = append(datasets.order, cfg)
+		if len(datasets.order) > maxDatasets {
+			delete(datasets.m, datasets.order[0])
+			datasets.order = datasets.order[1:]
+		}
+	}
+	datasets.Unlock()
+	e.once.Do(func() { e.ds = dataset.New(cfg) })
+	return e.ds
 }
 
 func cacheKey(name string, cfg dataset.Config) string {

@@ -1,9 +1,12 @@
 package zoo
 
 import (
+	"math"
 	"path/filepath"
+	"sync"
 	"testing"
 
+	"goldeneye/internal/dataset"
 	"goldeneye/internal/models"
 	"goldeneye/internal/nn"
 	"goldeneye/internal/rng"
@@ -59,9 +62,12 @@ func TestPretrainedTrainsAndCaches(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Second call must hit the cache and produce identical weights.
-	m2, _, err := PretrainedIn(dir, "mlp")
+	m2, ds2, err := PretrainedIn(dir, "mlp")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if ds2 != ds {
+		t.Fatal("a second load synthesized the dataset again")
 	}
 	x := ds.ValX.Slice(0, 4)
 	if !nn.Forward(nil, m1, x).AllClose(nn.Forward(nil, m2, x), 0) {
@@ -138,5 +144,87 @@ func TestLoadStateModelsShareNoStorage(t *testing.T) {
 		if got, want := p.Value.Data()[0], a.Params()[i].Value.Data()[0]; got != want {
 			t.Fatalf("param %s: a later load reads %v, the file holds %v", p.Name, got, want)
 		}
+	}
+}
+
+// A zoo load builds the model without its random initialization; the
+// loaded parameters must be bit-identical to loading into an initialized
+// build, for every model.
+func TestPretrainedOnSkipsInitBitIdentical(t *testing.T) {
+	dir := t.TempDir()
+	ds := &dataset.Dataset{Config: dataset.Default()} // a load reads only the config
+	for _, name := range models.Names() {
+		saved, _ := models.Build(name, ds.Config.Classes, 7)
+		path := filepath.Join(dir, cacheKey(name, ds.Config))
+		if err := SaveState(saved, path); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := PretrainedOn(dir, name, ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		initialized, _ := models.Build(name, ds.Config.Classes, modelSeed)
+		if err := LoadState(initialized, path); err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range loaded.Params() {
+			want := initialized.Params()[i].Value.Data()
+			for k, v := range p.Value.Data() {
+				if math.Float32bits(v) != math.Float32bits(want[k]) {
+					t.Fatalf("%s: %s[%d] = %v, want %v", name, p.Name, k, v, want[k])
+				}
+			}
+		}
+	}
+}
+
+// Concurrent first calls for one configuration share one synthesis, and
+// the shared dataset holds dataset.New's bytes.
+func TestSharedDatasetConcurrentFirstLoad(t *testing.T) {
+	cfg := dataset.Default()
+	cfg.Seed = 0x5eed // a configuration no other test asks for
+	cfg.TrainPerClass, cfg.ValPerClass = 4, 2
+	got := make([]*dataset.Dataset, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = sharedDataset(cfg)
+		}()
+	}
+	wg.Wait()
+	for _, ds := range got[1:] {
+		if ds != got[0] {
+			t.Fatal("concurrent first loads synthesized more than one dataset")
+		}
+	}
+	if got[0].Digest() != dataset.New(cfg).Digest() {
+		t.Fatal("shared dataset differs from dataset.New")
+	}
+}
+
+// The memo keeps at most maxDatasets configurations, dropping the oldest.
+func TestSharedDatasetBounded(t *testing.T) {
+	cfg := dataset.Default()
+	cfg.TrainPerClass, cfg.ValPerClass = 2, 1
+	first := make([]*dataset.Dataset, maxDatasets+1)
+	for i := range first {
+		cfg.Seed = uint64(0xb0 + i)
+		first[i] = sharedDataset(cfg)
+	}
+	datasets.Lock()
+	n := len(datasets.m)
+	datasets.Unlock()
+	if n > maxDatasets {
+		t.Errorf("memo holds %d datasets, bound %d", n, maxDatasets)
+	}
+	cfg.Seed = 0xb0 + maxDatasets
+	if sharedDataset(cfg) != first[maxDatasets] {
+		t.Error("the newest configuration was not kept")
+	}
+	cfg.Seed = 0xb0
+	if sharedDataset(cfg) == first[0] {
+		t.Error("the oldest configuration was kept past the bound")
 	}
 }

@@ -138,6 +138,19 @@ const (
 
 var cacheOutcomes = [...]string{"hit", "miss", "bypass"}
 
+// CalibrationCacheOutcome returns the outcome label ("hit", "miss" or
+// "bypass") that reg counts for MetricCampaignCalibrationCache, the first
+// in that order when a registry fed several campaigns, or "" when reg
+// counts none.
+func CalibrationCacheOutcome(reg *telemetry.Registry) string {
+	for _, outcome := range cacheOutcomes {
+		if reg.Counter(telemetry.Label(MetricCampaignCalibrationCache, "outcome", outcome)).Value() > 0 {
+			return outcome
+		}
+	}
+	return ""
+}
+
 // countCalibrationCache counts one lookup outcome in reg; a no-op without
 // telemetry.
 func countCalibrationCache(reg *telemetry.Registry, outcome int) {
