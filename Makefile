@@ -7,14 +7,16 @@ test:
 # Tier-2: stricter gate for telemetry-touched packages — vet, formatting,
 # and the race detector over the packages whose hot paths share atomics
 # across goroutines (telemetry registry, tensor/numfmt/dse stats counters,
-# nn timing hooks, parallel campaigns in the root package, the zoo's
-# process-wide dataset and decoded-state memos).
+# nn timing hooks, parallel campaigns in the root package) and over the
+# process-wide caches: package lru and its instances in the root package,
+# the zoo and the server.
 RACE_PKGS = ./internal/telemetry ./internal/tensor ./internal/nn \
             ./internal/numfmt ./internal/inject ./internal/dse \
             ./internal/checkpoint ./internal/detect ./internal/exper \
             ./internal/server ./internal/server/journal \
             ./internal/server/client ./internal/chaos ./internal/fleet \
-            ./internal/sampling ./internal/zoo ./internal/dataset .
+            ./internal/sampling ./internal/zoo ./internal/dataset \
+            ./internal/lru .
 
 .PHONY: check
 check:

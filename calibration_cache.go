@@ -6,11 +6,10 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
 
+	"goldeneye/internal/lru"
 	"goldeneye/internal/numfmt"
 )
 
@@ -30,72 +29,14 @@ const (
 	calibrationCacheBytes   = 32 << 20
 )
 
-// calibrations is the process-wide calibration cache.
-var calibrations calibrationCache
-
-// calibrationCache is a bounded LRU list of sealed clean states by
-// calibration key. Two concurrent misses on one key may both compute the
+// calibrations is the process-wide calibration cache: sealed clean states
+// by calibration key. Two concurrent misses on one key may both compute the
 // state; their results are the same bits, and the first stored is kept.
-type calibrationCache struct {
-	mu      sync.Mutex
-	entries []cacheEntry // least recently used first
+var calibrations = lru.New[[sha256.Size]byte](calibrationCacheEntries, calibrationCacheBytes, (*cleanState).bytes)
 
-	// off is a test seam: it bypasses the cache, so every campaign runs
-	// its setup sweeps and stores nothing.
-	off atomic.Bool
-}
-
-type cacheEntry struct {
-	key   [sha256.Size]byte
-	state *cleanState
-}
-
-// get returns the state cached under key, or nil.
-func (c *calibrationCache) get(key [sha256.Size]byte) *cleanState {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	i := slices.IndexFunc(c.entries, func(e cacheEntry) bool { return e.key == key })
-	if i < 0 {
-		return nil
-	}
-	e := c.entries[i]
-	c.entries = append(slices.Delete(c.entries, i, i+1), e)
-	return e.state
-}
-
-// put stores a sealed state under key, evicting the least recently used
-// entries past either bound.
-func (c *calibrationCache) put(key [sha256.Size]byte, st *cleanState) {
-	if st.bytes() > calibrationCacheBytes {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if slices.ContainsFunc(c.entries, func(e cacheEntry) bool { return e.key == key }) {
-		return
-	}
-	c.entries = append(c.entries, cacheEntry{key, st})
-	for total := c.bytes(); len(c.entries) > calibrationCacheEntries || total > calibrationCacheBytes; {
-		total -= c.entries[0].state.bytes()
-		c.entries = slices.Delete(c.entries, 0, 1)
-	}
-}
-
-// bytes is the cached states' total size in the byte bound; c.mu is held.
-func (c *calibrationCache) bytes() int {
-	n := 0
-	for _, e := range c.entries {
-		n += e.state.bytes()
-	}
-	return n
-}
-
-// reset empties the cache.
-func (c *calibrationCache) reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries = nil
-}
+// calibrationsOff is a test seam: it bypasses the cache, so every campaign
+// runs its setup sweeps and stores nothing.
+var calibrationsOff atomic.Bool
 
 // bytes is the state's size in the cache's byte bound: its per-sample
 // tables — the cut table, the clean references and the full-pass marks.
@@ -119,7 +60,7 @@ func (st *cleanState) bytes() int {
 // the key, or an assignment the key cannot name (see assignmentKey).
 func (s *Simulator) calibrationKey(c *calibration, block int) (key [sha256.Size]byte, ok bool) {
 	cfg := c.cfg
-	if calibrations.off.Load() {
+	if calibrationsOff.Load() {
 		return key, false
 	}
 	for _, d := range cfg.Detectors {

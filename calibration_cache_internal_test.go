@@ -15,47 +15,22 @@ import (
 	"goldeneye/internal/tensor"
 )
 
-// The cache evicts least recently used states past either bound, keeps the
-// first state stored under a key, and never stores a state larger than the
-// byte bound on its own.
+// The process-wide cache carries the 16-entry and 32 MiB bounds (package
+// lru tests the eviction itself).
 func TestCalibrationCacheBounds(t *testing.T) {
-	var c calibrationCache
-	key := func(i int) [sha256.Size]byte { return sha256.Sum256([]byte{byte(i), byte(i >> 8)}) }
-	state := func(cutElems int) *cleanState {
-		st := &cleanState{cleanPred: make([]int, 4), cleanLoss: make([]float64, 4)}
-		if cutElems > 0 {
-			st.cuts = tensor.New(cutElems)
-		}
-		return st
+	calibrations.Clear()
+	defer calibrations.Clear()
+	for i := range calibrationCacheEntries + 1 {
+		calibrations.Add(sha256.Sum256([]byte{byte(i)}), &cleanState{})
 	}
-
-	first := state(0)
-	c.put(key(0), first)
-	c.put(key(0), state(0))
-	if c.get(key(0)) != first {
-		t.Fatal("a second put replaced the key's first state")
+	if n := calibrations.Len(); n != calibrationCacheEntries {
+		t.Fatalf("%d entries, want the bound of %d", n, calibrationCacheEntries)
 	}
-	for i := 1; i < calibrationCacheEntries; i++ {
-		c.put(key(i), state(0))
-	}
-	c.get(key(0)) // most recently used: key 1 is now the oldest
-	c.put(key(calibrationCacheEntries), state(0))
-	if len(c.entries) != calibrationCacheEntries {
-		t.Fatalf("%d entries past the bound of %d", len(c.entries), calibrationCacheEntries)
-	}
-	if c.get(key(1)) != nil || c.get(key(0)) == nil {
-		t.Fatal("eviction did not take the least recently used entry")
-	}
-
-	c.reset()
-	c.put(key(0), state(calibrationCacheBytes/4+1))
-	if len(c.entries) != 0 {
-		t.Fatal("a state over the byte bound on its own was stored")
-	}
-	c.put(key(1), state(calibrationCacheBytes/4/2))
-	c.put(key(2), state(calibrationCacheBytes/4/2))
-	if c.get(key(1)) != nil || c.get(key(2)) == nil || c.bytes() > calibrationCacheBytes {
-		t.Fatalf("byte bound not kept: %d bytes in %d entries", c.bytes(), len(c.entries))
+	calibrations.Clear()
+	calibrations.Add([sha256.Size]byte{0}, &cleanState{cuts: tensor.New(calibrationCacheBytes/4 + 1)})
+	calibrations.Add([sha256.Size]byte{1}, &cleanState{cuts: tensor.New(calibrationCacheBytes / 4)})
+	if _, ok := calibrations.Get([sha256.Size]byte{1}); !ok || calibrations.Len() != 1 {
+		t.Fatalf("byte bound is not %d: %d entries", calibrationCacheBytes, calibrations.Len())
 	}
 }
 
@@ -176,10 +151,10 @@ func TestCalibrationKeyCoversSetupInputs(t *testing.T) {
 			if s == nil {
 				s = sim
 			}
-			calibrations.off.Store(true)
+			calibrationsOff.Store(true)
 			off := wire(s, cfg)
-			calibrations.off.Store(false)
-			calibrations.reset()
+			calibrationsOff.Store(false)
+			calibrations.Clear()
 			wire(sim, base)
 			reg := telemetry.NewRegistry()
 			cfg.Metrics = reg

@@ -829,7 +829,7 @@ func (r *campaignRunner) newCalibration(cfg CampaignConfig, g campaignGeom) (*ca
 	key, keyed := r.sim.calibrationKey(c, block)
 	outcome := cacheBypass
 	if keyed {
-		if st := calibrations.get(key); st != nil {
+		if st, ok := calibrations.Get(key); ok {
 			c.cleanState = st
 			countCalibrationCache(cfg.Metrics, cacheHit)
 			return c, nil, nil
@@ -848,7 +848,7 @@ func (r *campaignRunner) newCalibration(cfg CampaignConfig, g campaignGeom) (*ca
 		if err := seal(); err != nil {
 			return err
 		}
-		calibrations.put(key, c.cleanState)
+		calibrations.Add(key, c.cleanState)
 		return nil
 	}
 	return c, phases, nil

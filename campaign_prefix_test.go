@@ -283,7 +283,7 @@ func TestPrefixRowsTelemetry(t *testing.T) {
 // slice — the clean references and the armed clean sweep — and never in an
 // injection group, whose passes all start at the cut.
 func TestArmedSweepIsTheOnlyPrefixPass(t *testing.T) {
-	calibrations.reset() // a hit runs no setup sweep
+	calibrations.Clear() // a hit runs no setup sweep
 	const samples, batch, injections = 16, 4, 24
 	build := prefixBuilder("resnet_s", false)
 	sim, err := build()

@@ -10,22 +10,18 @@ const RaceEnabled = raceEnabled
 
 // ResetCalibrationCache empties the process-wide calibration cache, so the
 // next campaign of every key runs its setup sweeps.
-func ResetCalibrationCache() { calibrations.reset() }
+func ResetCalibrationCache() { calibrations.Clear() }
 
 // WithoutCalibrationCache runs f with the calibration cache bypassed: every
 // campaign f runs computes its own clean state and stores nothing.
 func WithoutCalibrationCache(f func()) {
-	calibrations.off.Store(true)
-	defer calibrations.off.Store(false)
+	calibrationsOff.Store(true)
+	defer calibrationsOff.Store(false)
 	f()
 }
 
 // CalibrationCacheLen returns the number of cached clean states.
-func CalibrationCacheLen() int {
-	calibrations.mu.Lock()
-	defer calibrations.mu.Unlock()
-	return len(calibrations.entries)
-}
+func CalibrationCacheLen() int { return calibrations.Len() }
 
 // setupAt runs only the setup of campaign cfg, on one worker per
 // simulator, all starting at once, with the calibration cache bypassed, so
@@ -33,8 +29,8 @@ func CalibrationCacheLen() int {
 // workers' runners (close restores each worker's weights) and the setup's
 // error.
 func setupAt(cfg CampaignConfig, sims []*Simulator) (*calibration, []*campaignRunner, error) {
-	calibrations.off.Store(true)
-	defer calibrations.off.Store(false)
+	calibrationsOff.Store(true)
+	defer calibrationsOff.Store(false)
 	g, err := sims[0].campaignGeometry(cfg)
 	if err != nil {
 		return nil, nil, err

@@ -36,7 +36,6 @@ type Proxy struct {
 	closed  bool
 
 	accepted atomic.Int64
-	dropped  atomic.Int64
 }
 
 // NewProxy starts a proxy on a random loopback port forwarding to target
@@ -78,7 +77,6 @@ func (p *Proxy) DropActive() int {
 	for _, c := range conns {
 		c.Close()
 	}
-	p.dropped.Add(int64(len(conns)))
 	return len(conns)
 }
 
@@ -111,10 +109,8 @@ func (p *Proxy) Unstall() {
 	p.mu.Unlock()
 }
 
-// Accepted returns how many client connections the proxy has accepted;
-// Dropped how many DropActive has severed.
+// Accepted returns how many client connections the proxy has accepted.
 func (p *Proxy) Accepted() int64 { return p.accepted.Load() }
-func (p *Proxy) Dropped() int64  { return p.dropped.Load() }
 
 // Close stops the proxy and severs all connections.
 func (p *Proxy) Close() {

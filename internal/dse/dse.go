@@ -31,12 +31,6 @@ func Families() []Family {
 	return []Family{FamilyFP, FamilyFxP, FamilyINT, FamilyBFP, FamilyAFP}
 }
 
-// FamiliesExtended additionally includes the emerging families this
-// repository implements beyond the paper.
-func FamiliesExtended() []Family {
-	return append(Families(), FamilyPosit)
-}
-
 // Point is one format configuration: a family plus its (bitwidth, radix)
 // hyperparameters. Radix follows the paper's terminology: the bit position
 // separating exponent/integer bits from mantissa/fraction bits — i.e. the

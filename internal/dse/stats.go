@@ -26,11 +26,3 @@ func ReadSearchStats() SearchStats {
 		Accepted:    searchStats.accepted.Load(),
 	}
 }
-
-// ResetSearchStats zeroes all counters, scoping a measurement window.
-func ResetSearchStats() {
-	searchStats.searches.Store(0)
-	searchStats.evaluations.Store(0)
-	searchStats.memoHits.Store(0)
-	searchStats.accepted.Store(0)
-}

@@ -154,10 +154,3 @@ func emulationWithFault(format numfmt.Format, fault inject.Fault, target int) *g
 	hooks.PostForward(nn.ByIndex(target), inject.NeuronHook(format, [][]inject.Fault{{fault}}))
 	return hooks
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -44,9 +44,6 @@ func (q *INT) BitWidth() int { return q.bits }
 // MetaBits implements Format: one float32 scale register per tensor.
 func (q *INT) MetaBits(int) int { return 32 }
 
-// QMax returns the largest integer code.
-func (q *INT) QMax() int64 { return q.qmax }
-
 // Range implements Format. Following Table I's convention for INT (where
 // the minimum is listed as 0), the dynamic range in dB is computed between
 // the largest and smallest nonzero code magnitudes, i.e. 20·log10(qmax/1).

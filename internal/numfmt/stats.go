@@ -70,13 +70,3 @@ func ReadOpCounts() OpCounts {
 		GenericKernels: opStats.kernelGeneric.Load(),
 	}
 }
-
-// ResetOpCounts zeroes all counters, scoping a measurement window.
-func ResetOpCounts() {
-	opStats.quantize.Store(0)
-	opStats.dequantize.Store(0)
-	opStats.emulate.Store(0)
-	opStats.elements.Store(0)
-	opStats.kernelFused.Store(0)
-	opStats.kernelGeneric.Store(0)
-}

@@ -106,7 +106,7 @@ func TestFinishedJobsBounded(t *testing.T) {
 				t.Errorf("list holds %d jobs, want the %d latest", len(ids), len(later))
 			}
 			s.mu.Lock()
-			jobs, order, idem, mem := len(s.jobs), len(s.order), len(s.idem), s.cache.lru.Len()
+			jobs, order, idem, mem := len(s.jobs), len(s.order), len(s.idem), s.cache.mem.Len()
 			s.mu.Unlock()
 			if jobs != maxFinishedJobs || order != maxFinishedJobs || idem != 0 || mem != maxFinishedJobs {
 				t.Errorf("jobs/order/idem/cached reports %d/%d/%d/%d, want %d/%d/0/%d",

@@ -1,10 +1,9 @@
 package server
 
 import (
-	"container/list"
-
 	"goldeneye"
 	"goldeneye/internal/checkpoint"
+	"goldeneye/internal/lru"
 )
 
 // resultCache is the service's content-addressed result store. Keys are
@@ -20,18 +19,12 @@ import (
 // LRU dropped is read back from the store, or recomputed, with identical
 // bytes, on a memory-only daemon.
 type resultCache struct {
-	mem   map[string]*list.Element // of *cachedReport, in lru
-	lru   list.List                // most recently used first
-	store *checkpoint.Store        // nil = memory-only
-}
-
-type cachedReport struct {
-	key string
-	rep *goldeneye.CampaignReport
+	mem   *lru.Cache[string, *goldeneye.CampaignReport]
+	store *checkpoint.Store // nil = memory-only
 }
 
 func newResultCache(dir string) (*resultCache, error) {
-	c := &resultCache{mem: make(map[string]*list.Element)}
+	c := &resultCache{mem: lru.New[string, *goldeneye.CampaignReport](maxFinishedJobs, 0, nil)}
 	if dir != "" {
 		st, err := checkpoint.Open(dir)
 		if err != nil {
@@ -48,9 +41,8 @@ func newResultCache(dir string) (*resultCache, error) {
 // not decode — written in an older cell shape, or by a newer schema — is a
 // miss.
 func (c *resultCache) get(key string, hash uint64) *goldeneye.CampaignReport {
-	if el, ok := c.mem[key]; ok {
-		c.lru.MoveToFront(el)
-		return el.Value.(*cachedReport).rep
+	if rep, ok := c.mem.Get(key); ok {
+		return rep
 	}
 	if c.store == nil {
 		return nil
@@ -59,30 +51,16 @@ func (c *resultCache) get(key string, hash uint64) *goldeneye.CampaignReport {
 	if err != nil || cell == nil || !cell.Done {
 		return nil
 	}
-	c.remember(key, cell.Report)
-	return cell.Report
+	return c.mem.Add(key, cell.Report)
 }
 
 // put caches a completed report under key, persisting it when a store is
-// configured.
+// configured. Reports under one key encode to the same bytes, so the
+// memory layer keeps whichever it stored first.
 func (c *resultCache) put(key string, hash uint64, rep *goldeneye.CampaignReport) error {
-	c.remember(key, rep)
+	c.mem.Add(key, rep)
 	if c.store == nil {
 		return nil
 	}
 	return c.store.Save(&checkpoint.Cell{Key: key, ConfigHash: hash, Done: true, Report: rep})
-}
-
-// remember puts rep at the front of the memory LRU, dropping the least
-// recently used report past maxFinishedJobs.
-func (c *resultCache) remember(key string, rep *goldeneye.CampaignReport) {
-	if el, ok := c.mem[key]; ok {
-		el.Value.(*cachedReport).rep = rep
-		c.lru.MoveToFront(el)
-		return
-	}
-	c.mem[key] = c.lru.PushFront(&cachedReport{key: key, rep: rep})
-	if c.lru.Len() > maxFinishedJobs {
-		delete(c.mem, c.lru.Remove(c.lru.Back()).(*cachedReport).key)
-	}
 }

@@ -265,40 +265,10 @@ func (c *Client) Cancel(ctx context.Context, id string) error {
 	return nil
 }
 
-// Health is the daemon's /healthz liveness snapshot.
-type Health struct {
-	Status       string `json:"status"`
-	Jobs         int    `json:"jobs"`
-	QueueDepth   int    `json:"queue_depth"`
-	JobsInflight int    `json:"jobs_inflight"`
-}
-
-// Health fetches the daemon's liveness snapshot. It does not retry: a
-// health probe's job is to report failures, not to paper over them.
-func (c *Client) Health(ctx context.Context) (*Health, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/healthz", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, &APIError{StatusCode: resp.StatusCode, Message: errorMessage(resp)}
-	}
-	var h Health
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		return nil, fmt.Errorf("client: decode health: %w", err)
-	}
-	return &h, nil
-}
-
 // Ready probes /readyz: nil when the daemon accepts new jobs, a
 // *NotReadyError carrying the daemon's reason when it answers 503
-// (draining, or its journal went unwritable). Like Health, it does not
-// retry.
+// (draining, or its journal went unwritable). It does not retry: a
+// probe's job is to report failures, not to paper over them.
 func (c *Client) Ready(ctx context.Context) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/readyz", nil)
 	if err != nil {

@@ -66,29 +66,9 @@ func (t *Tensor) Apply(f func(float32) float32) *Tensor {
 	return out
 }
 
-// ApplyInPlace applies f to every element of t.
-func (t *Tensor) ApplyInPlace(f func(float32) float32) {
-	for i, v := range t.data {
-		t.data[i] = f(v)
-	}
-}
-
 // Clamp returns a tensor with every element limited to [lo, hi].
 func (t *Tensor) Clamp(lo, hi float32) *Tensor {
 	return t.Apply(func(v float32) float32 {
-		if v < lo {
-			return lo
-		}
-		if v > hi {
-			return hi
-		}
-		return v
-	})
-}
-
-// ClampInPlace limits every element of t to [lo, hi].
-func (t *Tensor) ClampInPlace(lo, hi float32) {
-	t.ApplyInPlace(func(v float32) float32 {
 		if v < lo {
 			return lo
 		}

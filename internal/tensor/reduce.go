@@ -112,15 +112,6 @@ func (t *Tensor) LogSumExpRows() []float64 {
 	return out
 }
 
-// Norm2 returns the L2 norm of all elements.
-func (t *Tensor) Norm2() float64 {
-	var s float64
-	for _, v := range t.data {
-		s += float64(float64(v) * float64(v))
-	}
-	return math.Sqrt(s)
-}
-
 // CountNonFinite returns the number of NaN or Inf elements; the range
 // detector and tests use it to detect fault blow-ups.
 func (t *Tensor) CountNonFinite() int {

@@ -50,13 +50,3 @@ func ReadOpStats() OpStats {
 		Im2ColNanos: ops.im2colNanos.Load(),
 	}
 }
-
-// ResetOpStats zeroes all counters, scoping a measurement window (tests,
-// per-campaign accounting).
-func ResetOpStats() {
-	ops.matmulCalls.Store(0)
-	ops.matmulNanos.Store(0)
-	ops.matmulFLOPs.Store(0)
-	ops.im2colCalls.Store(0)
-	ops.im2colNanos.Store(0)
-}

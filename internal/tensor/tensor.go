@@ -131,15 +131,6 @@ func (t *Tensor) Clone() *Tensor {
 	return c
 }
 
-// CopyFrom overwrites t's data with src's. Shapes must have equal element
-// counts.
-func (t *Tensor) CopyFrom(src *Tensor) {
-	if len(t.data) != len(src.data) {
-		panic(fmt.Sprintf("tensor: CopyFrom size mismatch %v vs %v", t.shape, src.shape))
-	}
-	copy(t.data, src.data)
-}
-
 // Reshape returns a view-copy of t with a new shape of equal element count.
 // One dimension may be -1, in which case it is inferred.
 func (t *Tensor) Reshape(shape ...int) *Tensor {
@@ -178,14 +169,6 @@ func (t *Tensor) Row(i int) *Tensor {
 	out := New(cols)
 	copy(out.data, t.data[i*cols:(i+1)*cols])
 	return out
-}
-
-// SetRow overwrites row i of a rank-2 tensor with the rank-1 tensor v.
-func (t *Tensor) SetRow(i int, v *Tensor) {
-	if len(t.shape) != 2 || len(v.data) != t.shape[1] {
-		panic("tensor: SetRow shape mismatch")
-	}
-	copy(t.data[i*t.shape[1]:(i+1)*t.shape[1]], v.data)
 }
 
 // String renders a compact, human-readable summary (shape plus leading

@@ -12,6 +12,7 @@ import (
 	"sync"
 
 	"goldeneye/internal/dataset"
+	"goldeneye/internal/lru"
 	"goldeneye/internal/models"
 	"goldeneye/internal/nn"
 	"goldeneye/internal/train"
@@ -86,13 +87,8 @@ func PretrainedOn(dir, name string, ds *dataset.Dataset) (nn.Module, error) {
 // uses the default configuration, so one is the working set.
 const maxDatasets = 4
 
-// datasets holds, per configuration, the dataset sharedDataset synthesized,
-// with the configurations in the order they were first asked for.
-var datasets = struct {
-	sync.Mutex
-	m     map[dataset.Config]*sharedEntry
-	order []dataset.Config
-}{m: make(map[dataset.Config]*sharedEntry)}
+// datasets holds, per configuration, the dataset sharedDataset synthesized.
+var datasets = lru.New[dataset.Config, *sharedEntry](maxDatasets, 0, nil)
 
 type sharedEntry struct {
 	once sync.Once
@@ -102,22 +98,12 @@ type sharedEntry struct {
 // sharedDataset returns dataset.New(cfg), synthesizing it only when the
 // process has not done so for cfg before: a daemon that loads a model per
 // job otherwise spends most of each job rebuilding the same samples. Past
-// maxDatasets configurations the oldest is dropped (and synthesized again
-// if asked for). Concurrent first calls for one configuration synthesize
-// it once. The returned dataset is shared and must not be modified.
+// maxDatasets configurations the least recently used is dropped (and
+// synthesized again if asked for). Concurrent first calls for one
+// configuration synthesize it once. The returned dataset is shared and
+// must not be modified.
 func sharedDataset(cfg dataset.Config) *dataset.Dataset {
-	datasets.Lock()
-	e, ok := datasets.m[cfg]
-	if !ok {
-		e = new(sharedEntry)
-		datasets.m[cfg] = e
-		datasets.order = append(datasets.order, cfg)
-		if len(datasets.order) > maxDatasets {
-			delete(datasets.m, datasets.order[0])
-			datasets.order = datasets.order[1:]
-		}
-	}
-	datasets.Unlock()
+	e := datasets.Add(cfg, new(sharedEntry))
 	e.once.Do(func() { e.ds = dataset.New(cfg) })
 	return e.ds
 }
@@ -185,15 +171,18 @@ func LoadState(m nn.Module, path string) error {
 	return nil
 }
 
-// decoded holds, per path, the last state decodedState decoded and the
-// identity of the file it came from. A parallel campaign builds one model
-// per worker, each a LoadState of the same file; the map holds one state
-// per zoo file a process has loaded, which is never more than the zoo's
-// models times the dataset configurations it has used.
-var decoded = struct {
-	sync.Mutex
-	m map[string]decodedFile
-}{m: make(map[string]decodedFile)}
+// decoded holds the states decodedState decoded, by file. A parallel
+// campaign builds one model per worker, each a LoadState of the same file;
+// the bound is one file per zoo model and dataset configuration the
+// process keeps.
+var decoded = lru.New[decodedKey, decodedFile](len(trainConfigs)*maxDatasets, 0, nil)
+
+// decodedKey names a file by path, size and modification time, so a file
+// rewritten in place keys apart from the state decoded before.
+type decodedKey struct {
+	path      string
+	size, mod int64
+}
 
 type decodedFile struct {
 	info os.FileInfo
@@ -221,15 +210,18 @@ func decodedState(path string) (*state, error) {
 	if err != nil {
 		return nil, err
 	}
-	decoded.Lock()
-	defer decoded.Unlock()
-	if d, ok := decoded.m[path]; ok && d.from(info) {
+	key := decodedKey{path, info.Size(), info.ModTime().UnixNano()}
+	if d, ok := decoded.Get(key); ok && d.from(info) {
 		return d.st, nil
 	}
 	st := new(state)
 	if err := gob.NewDecoder(f).Decode(st); err != nil {
 		return nil, fmt.Errorf("zoo: decode %s: %w", path, err)
 	}
-	decoded.m[path] = decodedFile{info: info, st: st}
+	// A state another file left under the key (one replaced by a file of
+	// the same size and time) is kept; this load returns its own.
+	if d := decoded.Add(key, decodedFile{info: info, st: st}); d.from(info) {
+		return d.st, nil
+	}
 	return st, nil
 }

@@ -1,7 +1,9 @@
 package zoo
 
 import (
+	"fmt"
 	"math"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -204,7 +206,8 @@ func TestSharedDatasetConcurrentFirstLoad(t *testing.T) {
 	}
 }
 
-// The memo keeps at most maxDatasets configurations, dropping the oldest.
+// The memo keeps at most maxDatasets configurations, dropping the least
+// recently used.
 func TestSharedDatasetBounded(t *testing.T) {
 	cfg := dataset.Default()
 	cfg.TrainPerClass, cfg.ValPerClass = 2, 1
@@ -213,10 +216,7 @@ func TestSharedDatasetBounded(t *testing.T) {
 		cfg.Seed = uint64(0xb0 + i)
 		first[i] = sharedDataset(cfg)
 	}
-	datasets.Lock()
-	n := len(datasets.m)
-	datasets.Unlock()
-	if n > maxDatasets {
+	if n := datasets.Len(); n > maxDatasets {
 		t.Errorf("memo holds %d datasets, bound %d", n, maxDatasets)
 	}
 	cfg.Seed = 0xb0 + maxDatasets
@@ -226,5 +226,40 @@ func TestSharedDatasetBounded(t *testing.T) {
 	cfg.Seed = 0xb0
 	if sharedDataset(cfg) == first[0] {
 		t.Error("the oldest configuration was kept past the bound")
+	}
+}
+
+// The decoded-state memo keeps at most its bound of files; a file it
+// dropped loads its own parameters again.
+func TestDecodedStateBounded(t *testing.T) {
+	bound := len(trainConfigs) * maxDatasets
+	dir := t.TempDir()
+	path := func(i int) string { return filepath.Join(dir, fmt.Sprintf("m%d.gob", i)) }
+	for i := range bound + 1 {
+		m, _ := models.Build("mlp", 10, 3)
+		m.Params()[0].Value.Data()[0] = float32(i)
+		if err := SaveState(m, path(i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := LoadState(m, path(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := decoded.Len(); n > bound {
+		t.Fatalf("memo holds %d decoded states, bound %d", n, bound)
+	}
+	info, err := os.Stat(path(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := decoded.Get(decodedKey{path(0), info.Size(), info.ModTime().UnixNano()}); ok {
+		t.Fatal("the least recently used file was kept past the bound")
+	}
+	m, _ := models.Build("mlp", 10, 4)
+	if err := LoadState(m, path(0)); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Params()[0].Value.Data()[0]; got != 0 {
+		t.Fatalf("reload of the evicted file: weight %v, want 0", got)
 	}
 }
